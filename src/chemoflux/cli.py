@@ -101,6 +101,15 @@ def _build_problem(cfg: dict):
     for key in _PARAMS_REQUIRED:
         if key not in par_cfg:
             problems.append(f"params.{key}: required key missing")
+    out_cfg = cfg["output"] if isinstance(cfg.get("output"), dict) else {}
+    interval = out_cfg.get("sample_interval", 1.0)
+    if type(interval) not in (int, float) or not 0.0 < interval < math.inf:
+        problems.append("output.sample_interval: must be a positive number, "
+                        f"got {interval!r}")
+    every = out_cfg.get("snapshot_every", 0)
+    if type(every) is not int or every < 0:
+        problems.append("output.snapshot_every: must be a nonnegative integer, "
+                        f"got {every!r}")
 
     domain = None
     if all(key in dom_cfg for key in _DOMAIN_REQUIRED):

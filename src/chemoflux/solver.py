@@ -17,16 +17,16 @@ One step advances, in order:
 Periodic boxes do the implicit solves and the projection spectrally with the
 exact symbols of the difference stencils (sin(kh)/h for the central gradient,
 2(cos(kh)-1)/h^2 for the compact laplacian), so the projected velocity is
-divergence-free to machine precision.  Neumann boxes use matrix-free CG; the
-projection solves (D0 D0^T) lam = D0 v with D0 the zero-ghost central
-divergence, and the divergence of the corrected velocity equals the CG
-residual, so the tolerance directly controls the constraint defect.
+divergence-free to machine precision.  Neumann boxes use fast
+diagonalization: each walled operator is a Kronecker sum of 1D matrices, so a
+dense eigendecomposition per axis solves it exactly, and the projected
+velocity is discrete divergence-free to roundoff as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -130,86 +130,76 @@ def _fluid_spectral(v: list[np.ndarray], spec: DomainSpec, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# matrix-free CG (neumann mode)
+# fast diagonalization (neumann mode)
 
-def _cg(apply_a, b: np.ndarray, x0: np.ndarray | None, tol: float,
-        max_iter: int) -> np.ndarray:
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_a(x)
-    if np.max(np.abs(r)) <= tol:
-        return x
-    d = r.copy()
-    rs = float(np.vdot(r, r).real)
-    for _ in range(max_iter):
-        ad = apply_a(d)
-        denom = float(np.vdot(d, ad).real)
-        if denom <= 0.0:
-            break
-        step_len = rs / denom
-        x += step_len * d
-        r -= step_len * ad
-        if np.max(np.abs(r)) <= tol:
-            return x
-        rs_new = float(np.vdot(r, r).real)
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    raise SolverError(f"CG stalled: residual {np.max(np.abs(r)):.3e} > {tol:.3e}")
-
-
-def _compact_laplacian(values: np.ndarray, spec: DomainSpec, ghost: str) -> np.ndarray:
-    out = np.zeros_like(values)
-    for d in range(spec.dim):
-        h2 = spec.spacing[d] ** 2
-        out += (shifted(values, spec, d, 1, ghost) - 2.0 * values
-                + shifted(values, spec, d, -1, ghost)) / h2
-    return out
+@lru_cache(maxsize=32)
+def _wall_tables(spec: DomainSpec):
+    """Per-axis eigenvectors and the summed eigenvalues of the three walled
+    operators, each a Kronecker sum of 1D matrices: "mirror" and "zero" (the
+    compact laplacian with that ghost kind) and "proj" (-sum_d T_d T_d, with
+    T_d the zero-ghost central difference)."""
+    vecs = {"mirror": [], "zero": [], "proj": []}
+    eigs = {key: [] for key in vecs}
+    for N, h in zip(spec.shape, spec.spacing):
+        zero = (np.eye(N, k=1) - 2.0 * np.eye(N) + np.eye(N, k=-1)) / (h * h)
+        mirror = zero.copy()
+        mirror[0, 0] = mirror[-1, -1] = -1.0 / (h * h)
+        t = (np.eye(N, k=1) - np.eye(N, k=-1)) / (2.0 * h)
+        for key, mat in (("mirror", mirror), ("zero", zero), ("proj", -t @ t)):
+            w, q = np.linalg.eigh(mat)
+            if key == "proj" and N % 2:
+                # an odd-sized antisymmetric T_d is singular; its kernel
+                # eigenvalue comes out as roundoff and must be an exact zero
+                w[0] = 0.0
+            vecs[key].append(q)
+            eigs[key].append(w)
+    return {key: (tuple(vecs[key]), reduce(np.add.outer, eigs[key]))
+            for key in vecs}
 
 
-def _helmholtz_cg(values: np.ndarray, spec: DomainSpec, dt: float, ghost: str) -> np.ndarray:
-    def apply_a(x):
-        return x - dt * _compact_laplacian(x, spec, ghost)
-    tol = 1e-13 * max(1.0, float(np.max(np.abs(values))))
-    return _cg(apply_a, values, values.copy(), tol, max_iter=10_000)
+def _separable(x: np.ndarray, mats) -> np.ndarray:
+    """Contract axis d of x with mats[d], y_j = sum_i x_i m_ij, on every axis.
+    Stacked matmuls, not tensordot: its one large product is split across
+    BLAS threads, which stall when the other cores are busy."""
+    for m in mats:
+        x = np.moveaxis(x, 0, -1) @ m
+    return x
 
 
-def _div0(comps: list[np.ndarray], spec: DomainSpec) -> np.ndarray:
-    out = np.zeros(spec.shape)
-    for d in range(spec.dim):
-        out += diff_central(comps[d], spec, d, "zero")
-    return out
+def _helmholtz_walled(values: np.ndarray, spec: DomainSpec, dt: float,
+                      ghost: str) -> np.ndarray:
+    # (I - dt*lap_compact)^{-1} with `ghost` walls, exact in the eigenbasis
+    vecs, eig = _wall_tables(spec)[ghost]
+    vh = _separable(values, vecs) / (1.0 - dt * eig)
+    return _separable(vh, [q.T for q in vecs])
 
 
-def _project_neumann(v: list[np.ndarray], spec: DomainSpec,
-                     lam0: np.ndarray | None = None):
+def _project_walled(v: np.ndarray, spec: DomainSpec):
     """Correct v by a discrete gradient so the zero-ghost divergence vanishes.
 
-    Solves (D0 D0^T) lam = D0 v.  D0^T is -D0 applied row-wise with zero
-    ghosts, so the corrected u = v - D0^T lam satisfies div0(u) = CG residual
-    exactly; the operator here has trivial kernel (the central zero-ghost
-    difference chains force every component to 0), hence plain CG applies.
+    Solves (-sum_d T_d T_d) lam = div0 v, then u = v + T lam, so div0 u = 0
+    to roundoff.  When every axis is odd, each T_d is singular and the
+    operator has a one-dimensional kernel; div0 v is orthogonal to it, so the
+    pseudo-inverse (zero on that mode) still solves exactly.
     """
-    def apply_a(x):
-        out = np.zeros_like(x)
-        for d in range(spec.dim):
-            out -= diff_central(diff_central(x, spec, d, "zero"), spec, d, "zero")
-        return out
-
-    b = _div0(v, spec)
-    lam = _cg(apply_a, b, lam0, tol=1e-9, max_iter=200_000)
+    vecs, eig = _wall_tables(spec)["proj"]
+    bh = _separable(divergence(VectorField(spec, v)).data, vecs)
+    lam_h = np.zeros_like(bh)
+    np.divide(bh, eig, out=lam_h, where=eig > 0.0)
+    lam = _separable(lam_h, [q.T for q in vecs])
     u = [v[d] + diff_central(lam, spec, d, "zero") for d in range(spec.dim)]
     p = -(lam - float(np.mean(lam)))
-    return u, p, lam
+    return u, p
 
 
-def project(v: VectorField, lam0: np.ndarray | None = None):
+def project(v: VectorField):
     """Discrete Leray projection: returns (u, p) with u discrete
     divergence-free and integrate(p) = 0."""
     spec = v.domain
-    comps = [v.data[d] for d in range(spec.dim)]
     if spec.mode == "periodic":
-        u, p = _fluid_spectral(comps, spec, dt=0.0)
+        u, p = _fluid_spectral(list(v.data), spec, dt=0.0)
     else:
-        u, p, _ = _project_neumann(comps, spec, lam0)
+        u, p = _project_walled(v.data, spec)
     return VectorField(spec, np.stack(u)), ScalarField(spec, p)
 
 
@@ -252,8 +242,8 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     """Advance the state by dt.
 
     `sources` is an optional callable t -> (s_n, s_c, s_u) of forcing arrays
-    (used by the manufactured-solution studies); `work` is an optional scratch
-    dict that carries CG warm starts and the pre-clip minima between steps.
+    (used by the manufactured-solution studies); `work` is an optional dict
+    that receives the pre-clip minima of n and c.
     """
     spec = params.domain
     dim = spec.dim
@@ -285,8 +275,6 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     n_new = n - dt * flux_div
     if sources is not None:
         n_new = n_new + dt * s_n
-    if not np.all(np.isfinite(n_new)):
-        raise SolverError(f"non-finite cell density at t={state.t + dt:.6g}")
     min_n_raw = float(np.min(n_new))
     if min_n_raw < NEG_TOL:
         raise SolverError(
@@ -309,7 +297,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
                                                     model.kappa_power - 1.0)
         c1 = c1 / (1.0 + dt * rate)
     if neumann:
-        c2 = _helmholtz_cg(c1, spec, dt, "mirror")
+        c2 = _helmholtz_walled(c1, spec, dt, "mirror")
     else:
         c2 = _helmholtz_periodic(c1, spec, dt)
     if sources is not None:
@@ -333,15 +321,16 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
             comp = comp + dt * s_u[d]
         v.append(comp)
     if neumann:
-        v = [_helmholtz_cg(comp, spec, dt, "zero") for comp in v]
-        lam0 = None if work is None else work.get("proj_lambda")
-        u_new, p_new, lam = _project_neumann(v, spec, lam0)
-        if work is not None:
-            work["proj_lambda"] = lam
+        v = [_helmholtz_walled(comp, spec, dt, "zero") for comp in v]
+        u_new, p_new = _project_walled(np.stack(v), spec)
     else:
         u_new, p_new = _fluid_spectral(v, spec, dt)
-    if not all(np.all(np.isfinite(comp)) for comp in u_new):
-        raise SolverError(f"non-finite velocity at t={state.t + dt:.6g}")
+    u_new = np.stack(u_new)
+    # np.maximum keeps NaN, so the clipped n and c still show a bad step
+    for name, values in (("cell density", n_new), ("chemical", c_new),
+                         ("velocity", u_new)):
+        if not np.all(np.isfinite(values)):
+            raise SolverError(f"non-finite {name} at t={state.t + dt:.6g}")
 
     if work is not None:
         work["min_n_raw"] = min_n_raw
@@ -350,7 +339,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
         t=state.t + dt,
         n=ScalarField(spec, n_new),
         c=ScalarField(spec, c_new),
-        u=VectorField(spec, np.stack(u_new)),
+        u=VectorField(spec, u_new),
         p=ScalarField(spec, p_new),
     )
 

@@ -76,6 +76,14 @@ class TestConfigValidation:
         rc = cli.main(["classify", _write(tmp_path, cfg)])
         assert rc == 0
 
+    def test_bad_output_values_listed(self, tmp_path, capsys):
+        cfg = _base_cfg(output={"sample_interval": 0, "snapshot_every": -1})
+        rc = cli.main(["run", _write(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config problem: output.sample_interval" in err
+        assert "config problem: output.snapshot_every" in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
