@@ -14,7 +14,7 @@ from .model import (AssumptionCase, ChiKappaModel, ConfigError, DomainSpec,
 from .grid import (ScalarField, VectorField, cell_centers, diff_central,
                    divergence, gradient, integrate, laplacian, load_field,
                    lp_norm, mesh, save_field)
-from .mollify import mollify_field, mollify_values, mollify_vector
+from .mollify import mollify_values
 from .diagnostics import (DiagnosticsRecord, bounded_class_check,
                           compute_record, dissipation_functional,
                           energy_functional, read_csv, weak_class_check,
@@ -33,7 +33,7 @@ __all__ = [
     "ScalarField", "VectorField", "cell_centers", "diff_central",
     "divergence", "gradient", "integrate", "laplacian", "load_field",
     "lp_norm", "mesh", "save_field",
-    "mollify_field", "mollify_values", "mollify_vector",
+    "mollify_values",
     "DiagnosticsRecord", "bounded_class_check", "compute_record",
     "dissipation_functional", "energy_functional", "read_csv",
     "weak_class_check", "write_csv",

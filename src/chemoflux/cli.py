@@ -42,6 +42,14 @@ _SECTIONS = {
 }
 _DOMAIN_REQUIRED = ("dim", "mode", "lengths", "resolution")
 _PARAMS_REQUIRED = ("alpha", "tau", "rho", "t_final")
+# initial field: (type when "type" is absent, required keys per type)
+_INITIAL_REQUIRED = {
+    "n": ("constant", {"constant": ("value",), "gaussian": ("sigma",),
+                       "snapshot": ("path",)}),
+    "c": ("constant", {"constant": ("value",), "gaussian": ("amplitude", "sigma"),
+                       "snapshot": ("path",)}),
+    "u": ("zero", {"snapshot": ("paths",)}),
+}
 _CASE_ORDER = {"i": 0, "ii": 1, "iii": 2}
 
 
@@ -71,16 +79,43 @@ def _section_problems(cfg: dict) -> list[str]:
             problems.append(f"{key}: unknown section "
                             f"(expected one of {', '.join(sorted(_SECTIONS))})")
     for name, keys in _SECTIONS.items():
-        section = cfg.get(name)
-        if section is None or keys is None:
+        if name not in cfg:
             continue
+        section = cfg[name]
         if not isinstance(section, dict):
             problems.append(f"{name}: must be a JSON object")
+            continue
+        if keys is None:
             continue
         for key in section:
             if key not in keys:
                 problems.append(f"{name}.{key}: unknown key "
                                 f"(expected one of {', '.join(keys)})")
+    return problems
+
+
+def _section(cfg: dict, name: str) -> dict | None:
+    """A copy of section `name`, {} when absent; None when it is not a JSON
+    object, which `_section_problems` has already reported."""
+    section = cfg.get(name, {})
+    return dict(section) if isinstance(section, dict) else None
+
+
+def _initial_problems(init_cfg: dict) -> list[str]:
+    problems = []
+    for name, (default, required) in _INITIAL_REQUIRED.items():
+        if name not in init_cfg:
+            continue
+        spec = init_cfg[name]
+        if not isinstance(spec, dict):
+            problems.append(f"initial.{name}: must be a JSON object")
+            continue
+        kind = spec.get("type", default)
+        problems.extend(f"initial.{name}.{key}: required key missing "
+                        f"for type {kind!r}"
+                        for key in required.get(kind, ()) if key not in spec)
+    if not isinstance(init_cfg.get("perturb", {}), dict):
+        problems.append("initial.perturb: must be a JSON object")
     return problems
 
 
@@ -92,16 +127,23 @@ def _build_problem(cfg: dict):
     genuinely need the real domain (phi_gradient arity) are skipped then.
     """
     problems = _section_problems(cfg)
-    dom_cfg = dict(cfg.get("domain", {}))
-    par_cfg = dict(cfg.get("params", {}))
-    mod_cfg = dict(cfg.get("model", {}))
-    for key in _DOMAIN_REQUIRED:
-        if key not in dom_cfg:
-            problems.append(f"domain.{key}: required key missing")
-    for key in _PARAMS_REQUIRED:
-        if key not in par_cfg:
-            problems.append(f"params.{key}: required key missing")
-    out_cfg = cfg["output"] if isinstance(cfg.get("output"), dict) else {}
+    dom_cfg = _section(cfg, "domain")
+    par_cfg = _section(cfg, "params")
+    mod_cfg = _section(cfg, "model")
+    if dom_cfg is not None:
+        problems.extend(f"domain.{key}: required key missing"
+                        for key in _DOMAIN_REQUIRED if key not in dom_cfg)
+    if par_cfg is not None:
+        problems.extend(f"params.{key}: required key missing"
+                        for key in _PARAMS_REQUIRED if key not in par_cfg)
+    problems.extend(_initial_problems(_section(cfg, "initial") or {}))
+    out_cfg = _section(cfg, "output") or {}
+    out_dir = out_cfg.get("out_dir")
+    if out_dir is not None and type(out_dir) is not str:
+        problems.append(f"output.out_dir: must be a string, got {out_dir!r}")
+    csv = out_cfg.get("csv", "diagnostics.csv")
+    if type(csv) is not str or not csv:
+        problems.append(f"output.csv: must be a nonempty file name, got {csv!r}")
     interval = out_cfg.get("sample_interval", 1.0)
     if type(interval) not in (int, float) or not 0.0 < interval < math.inf:
         problems.append("output.sample_interval: must be a positive number, "
@@ -112,7 +154,7 @@ def _build_problem(cfg: dict):
                         f"got {every!r}")
 
     domain = None
-    if all(key in dom_cfg for key in _DOMAIN_REQUIRED):
+    if dom_cfg is not None and all(key in dom_cfg for key in _DOMAIN_REQUIRED):
         # config convenience: a bare number for lengths/resolution means
         # "the same on every axis"
         if isinstance(dom_cfg.get("dim"), int):
@@ -127,7 +169,7 @@ def _build_problem(cfg: dict):
             problems.append(f"domain: {exc}")
 
     params = None
-    if all(key in par_cfg for key in _PARAMS_REQUIRED):
+    if par_cfg is not None and all(key in par_cfg for key in _PARAMS_REQUIRED):
         check_cfg = dict(par_cfg)
         check_domain = domain
         if check_domain is None:
@@ -143,12 +185,13 @@ def _build_problem(cfg: dict):
             params = None
 
     model = None
-    try:
-        model = ChiKappaModel(**mod_cfg)
-    except ConfigError as exc:
-        problems.extend(f"model: {p}" for p in exc.problems)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"model: {exc}")
+    if mod_cfg is not None:
+        try:
+            model = ChiKappaModel(**mod_cfg)
+        except ConfigError as exc:
+            problems.extend(f"model: {p}" for p in exc.problems)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"model: {exc}")
     return domain, params, model, problems
 
 
@@ -307,7 +350,7 @@ def _cmd_oracle(args) -> int:
     if args.config is not None:
         cfg = _load_json(args.config)
         problems = [p for p in _section_problems(cfg) if p.startswith("oracle")]
-        kwargs = dict(cfg.get("oracle", {}))
+        kwargs = _section(cfg, "oracle") or {}
         allowed = set(inspect.signature(fn).parameters)
         problems += [f"oracle.{k}: unknown key for study {args.study!r} "
                      f"(expected one of {', '.join(sorted(allowed))})"

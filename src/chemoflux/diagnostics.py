@@ -71,18 +71,6 @@ def radial_weight(spec: DomainSpec):
     return np.sqrt(1.0 + r2)
 
 
-@lru_cache(maxsize=64)
-def entropy_bound_constant(spec: DomainSpec) -> float:
-    """C with int n|log n| <= int n log n + 2 int n <x> + C, pointwise-derived.
-
-    For 0 < s < 1, s log(1/s) <= 2 s <x> when s >= e^{-<x>}, and otherwise
-    s log(1/s) <= (2/e) sqrt(s) < (2/e) e^{-<x>/2}; summing cells gives the
-    constant (4/e) int e^{-<x>/2} for the discrete quadrature.
-    """
-    w = radial_weight(spec)
-    return float(4.0 / np.e * np.sum(np.exp(-0.5 * w)) * spec.cell_volume)
-
-
 def _xlogx(n: np.ndarray, absolute: bool) -> np.ndarray:
     if np.min(n) < 0:
         raise ValueError("entropy is undefined for negative cell values")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 DIM = 3  # space dimension of the scaling bookkeeping
@@ -43,7 +44,16 @@ class CatalogError(RuntimeError):
     """An expression is undefined inside its declared region: catalog bug."""
 
 
+# Shared subexpressions are evaluated once per lattice point: checks at one
+# point call a helper with the same (a, p) back to back.  typed=True keeps an
+# int-argument result (an int, or a float from true division) from answering
+# a later call with equal Fraction arguments.
+_per_point = lru_cache(maxsize=4, typed=True)
+
+
 def _rational(value, name: str) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"{name} must be an int or Fraction, got float {value!r}; "
@@ -69,9 +79,9 @@ class Check:
     hi_strict: bool = True
 
     def holds(self, v: Fraction) -> bool:
-        if self.lo is not None and (v < self.lo or (self.lo_strict and v == self.lo)):
+        if self.lo is not None and (v <= self.lo if self.lo_strict else v < self.lo):
             return False
-        if self.hi is not None and (v > self.hi or (self.hi_strict and v == self.hi)):
+        if self.hi is not None and (v >= self.hi if self.hi_strict else v > self.hi):
             return False
         return True
 
@@ -132,12 +142,18 @@ class LedgerEntry:
         if self.uses_p:
             if p is None:
                 raise ValueError(f"entry {self.id!r} requires a p value")
-            lo = self.p_lo(a, None)
-            if p <= lo:
-                return False
-            if self.p_hi is not None and p >= self.p_hi(a, None):
+            lo, hi = _p_bounds(self.p_lo, self.p_hi, a)
+            if p <= lo or (hi is not None and p >= hi):
                 return False
         return True
+
+
+@_per_point
+def _p_bounds(p_lo: Expr, p_hi: Expr | None, a: Fraction
+              ) -> tuple[Fraction, Fraction | None]:
+    """The open p window at `a`; a None upper end leaves it unbounded.
+    Shared by the alpha row of a lattice, so it is evaluated once per row."""
+    return p_lo(a, None), (None if p_hi is None else p_hi(a, None))
 
 
 @dataclass
@@ -214,9 +230,8 @@ def _alpha_range(entry: LedgerEntry) -> tuple[Fraction, Fraction]:
 def _p_window(entry: LedgerEntry, a: Fraction) -> tuple[Fraction, Fraction] | None:
     if not entry.uses_p:
         return None
-    lo = entry.p_lo(a, None)
-    hi = entry.p_hi(a, None) if entry.p_hi is not None else lo + entry.scan_p_span
-    return lo, hi
+    lo, hi = _p_bounds(entry.p_lo, entry.p_hi, a)
+    return lo, (lo + entry.scan_p_span if hi is None else hi)
 
 
 def _identity_grid(entry: LedgerEntry, m: int):
@@ -288,13 +303,16 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
             if res.status == "inapplicable":
                 failures.append((a, p, "<region/lattice mismatch>"))
         for o in res.outcomes:
-            if o.value is None:
+            v = o.value
+            if v is None:
                 continue
             cur = ranges.get(o.name)
             if cur is None:
-                ranges[o.name] = (o.value, o.value)
-            else:
-                ranges[o.name] = (min(cur[0], o.value), max(cur[1], o.value))
+                ranges[o.name] = (v, v)
+            elif v < cur[0]:
+                ranges[o.name] = (v, cur[1])
+            elif v > cur[1]:
+                ranges[o.name] = (cur[0], v)
 
     # collar: just outside every true (declared) boundary
     collar: list[tuple[Fraction, Fraction | None]] = []
@@ -364,33 +382,40 @@ def _grad_c(index: Expr, power: Expr) -> ScaleFactor:
     return ScaleFactor("grad_c", index, power)
 
 
+@_per_point
 def _r2(a: Fraction, p: Fraction) -> Fraction:
     return p - a + 1
 
 
+@_per_point
 def _theta1(a, p):
     return (p + a) * (3 * p - 14 * a + 1) / (2 * (3 * p + 2 * a - 1))
 
 
+@_per_point
 def _theta2(a, p):
     return 3 * (p + a) * (p - 3 * a) / (2 * (1 + a) * (3 * p + 3 * a - 1))
 
 
+@_per_point
 def _theta3(a, p):
     r2 = _r2(a, p)
     return 3 * (p + a) * (p - 2 * a) / (r2 * (3 * p + 2 * a - 1))
 
 
+@_per_point
 def _theta4(a, p):
     r2 = _r2(a, p)
     return (p + a) * (5 * r2 - 6) / (r2 * (6 * p + 6 * a - 2))
 
 
+@_per_point
 def _theta5(a, p):
     r2 = _r2(a, p)
     return 3 * (r2 - 2) / (2 * r2)
 
 
+@_per_point
 def _r1(a, p):
     return (6 + 6 * a) / (5 + 14 * a - 3 * p)
 

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.ndimage import convolve
 
-from .grid import ScalarField, VectorField
 from .model import DomainSpec
 
 
@@ -65,14 +64,3 @@ def mollify_values(values: np.ndarray, spec: DomainSpec, rho: float) -> np.ndarr
         return convolve(values, kern, mode="wrap")
     out = convolve(values, kern, mode="constant", cval=0.0)
     return out / _wall_weight(spec, rho)
-
-
-def mollify_field(f: ScalarField, rho: float) -> ScalarField:
-    """Smooth a scalar field with the radius-rho bump kernel."""
-    return ScalarField(f.domain, mollify_values(f.data, f.domain, rho))
-
-
-def mollify_vector(v: VectorField, rho: float) -> VectorField:
-    out = np.stack([mollify_values(v.data[d], v.domain, rho)
-                    for d in range(v.domain.dim)])
-    return VectorField(v.domain, out)

@@ -77,12 +77,54 @@ class TestConfigValidation:
         assert rc == 0
 
     def test_bad_output_values_listed(self, tmp_path, capsys):
-        cfg = _base_cfg(output={"sample_interval": 0, "snapshot_every": -1})
+        cfg = _base_cfg(output={"sample_interval": 0, "snapshot_every": -1,
+                                "csv": 5, "out_dir": 7})
         rc = cli.main(["run", _write(tmp_path, cfg)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "config problem: output.sample_interval" in err
         assert "config problem: output.snapshot_every" in err
+        assert "config problem: output.csv" in err
+        assert "config problem: output.out_dir" in err
+
+    @pytest.mark.parametrize("section", ["domain", "params", "model",
+                                         "initial", "output"])
+    @pytest.mark.parametrize("value", [[1, 2], None, "x"])
+    def test_non_object_section_listed(self, tmp_path, capsys, section, value):
+        cfg = _base_cfg(**{section: value})
+        rc = cli.main(["run", _write(tmp_path, cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"config problem: {section}: must be a JSON object\n"
+
+    def test_initial_missing_keys_listed(self, tmp_path, capsys):
+        cfg = _base_cfg()
+        cfg["initial"] = {"n": {"type": "gaussian", "mass": 1.0},
+                          "c": {"type": "gaussian", "base": 1.0},
+                          "u": {"type": "snapshot"}, "perturb": 0.1}
+        for cmd in ("run", "classify"):
+            rc = cli.main([cmd, _write(tmp_path, cfg)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.splitlines() == [
+                "config problem: initial.n.sigma: required key missing "
+                "for type 'gaussian'",
+                "config problem: initial.c.amplitude: required key missing "
+                "for type 'gaussian'",
+                "config problem: initial.c.sigma: required key missing "
+                "for type 'gaussian'",
+                "config problem: initial.u.paths: required key missing "
+                "for type 'snapshot'",
+                "config problem: initial.perturb: must be a JSON object",
+            ]
+
+    def test_initial_field_not_object_listed(self, tmp_path, capsys):
+        cfg = _base_cfg()
+        cfg["initial"]["n"] = 3
+        rc = cli.main(["run", _write(tmp_path, cfg)])
+        assert rc == 2
+        assert "config problem: initial.n: must be a JSON object" in \
+            capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -240,6 +282,12 @@ class TestOracleCommand:
         rc = cli.main(["oracle", "uniform", _write(tmp_path, cfg)])
         assert rc == 2
         assert "oracle.resolution" in capsys.readouterr().err
+
+    def test_non_object_study_section_listed(self, tmp_path, capsys):
+        rc = cli.main(["oracle", "uniform", _write(tmp_path, {"oracle": [1]})])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "config problem: oracle: must be a JSON object\n"
 
 
 class TestThreads:

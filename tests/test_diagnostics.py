@@ -82,8 +82,12 @@ class TestEntropyAndMoment:
         vals = 10.0 ** rng.uniform(-9, 1, spec.shape)
         f = cf.ScalarField(spec, vals)
         lhs = dg.abs_entropy(f)
-        rhs = (dg.entropy(f) + 2.0 * dg.weighted_moment(f)
-               + dg.entropy_bound_constant(spec))
+        # C = (4/e) int e^{-<x>/2}: for 0 < s < 1, s log(1/s) <= 2 s <x>
+        # when s >= e^{-<x>}, and otherwise s log(1/s) <= (2/e) sqrt(s)
+        # < (2/e) e^{-<x>/2}
+        const = 4.0 / np.e * np.sum(np.exp(-0.5 * dg.radial_weight(spec))) \
+            * spec.cell_volume
+        rhs = dg.entropy(f) + 2.0 * dg.weighted_moment(f) + const
         assert lhs <= rhs + 1e-12
 
 

@@ -9,6 +9,7 @@ to 4/3 and the mass exponent (1+4a)/(2+3a) to 7/9; at (alpha, p) =
 theta5 = 1/6, delta1 = 4*theta1/(p+a) = 1, delta5 = r2*theta5 = 3/8.
 """
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -211,6 +212,17 @@ class TestScan:
         with pytest.raises(cf.CatalogError):
             cf.check_entry(e, F(1, 4))
 
+    def test_cached_helper_pole_raises_every_time(self):
+        # r1 = (6+6a)/(5+14a-3p) has a pole at p = 17/6 when a = 1/4; a
+        # raised ZeroDivisionError is not cached, so both calls must fail
+        e = lg.LedgerEntry(id="x-r1-pole", title="r1 pole inside window",
+                           alpha_lo=F(1, 6), alpha_hi=F(1, 3),
+                           p_lo=lambda a, p: F(2), p_hi=lambda a, p: F(4),
+                           checks=(lg.Check("r1", lg._r1, lo=F(0)),))
+        for _ in range(2):
+            with pytest.raises(cf.CatalogError):
+                cf.check_entry(e, F(1, 4), F(17, 6))
+
     def test_check_window_semantics(self):
         c = lg.Check("w", lambda a, p: a, lo=F(0), hi=F(1),
                      lo_strict=True, hi_strict=False)
@@ -222,3 +234,43 @@ class TestScan:
                        lo_strict=False, hi_strict=False)
         assert pin.holds(F(1, 3))
         assert not pin.holds(F(1, 3) + F(1, 10 ** 9))
+
+
+def _q(x):
+    return "None" if x is None else f"{x.numerator}/{x.denominator}"
+
+
+def _canonical(rep) -> str:
+    parts = [rep.entry_id, str(rep.interior_points)]
+    parts += [f"{_q(a)},{_q(p)},{name}" for a, p, name in rep.interior_failures]
+    parts += [f"{name}:{_q(lo)}:{_q(hi)}"
+              for name, (lo, hi) in rep.value_ranges.items()]
+    parts += [str(rep.collar_points), str(rep.collar_inapplicable),
+              str(rep.collar_bound_violations), str(rep.scaling_ok)]
+    return ";".join(parts)
+
+
+class TestExactScanReports:
+    """The scan is exact, so every report is pinned bit for bit: the digest
+    covers each entry's counts, failures and value ranges as num/den."""
+
+    # taken before the per-point helper caches were added
+    DIGEST_20 = "be3c620fb777420efad7ea6e59a919f3d108ec2cf84741c67908bf36d870a9f6"
+
+    def test_density_20_reports_pinned(self):
+        h = hashlib.sha256()
+        for e in cf.build_ledger():
+            h.update(_canonical(cf.scan_region(e, density=20)).encode() + b"\n")
+        assert h.hexdigest() == self.DIGEST_20
+
+    @pytest.mark.parametrize("helper", [lg._r1, lg._r2, lg._theta1, lg._theta2,
+                                        lg._theta3, lg._theta4, lg._theta5],
+                             ids=lambda f: f.__name__)
+    def test_int_call_does_not_answer_fraction_call(self, helper):
+        # int arguments give an int (r2) or, by true division, a float; an
+        # untyped cache would hand that value to equal Fraction arguments
+        a, p = 1, 2
+        helper(a, p)
+        value = helper(F(a), F(p))
+        assert type(value) is F
+        assert value == helper.__wrapped__(F(a), F(p))

@@ -84,19 +84,6 @@ class TestKernelStructure:
         np.testing.assert_allclose(out, out[:, ::-1], rtol=0, atol=1e-14)
         np.testing.assert_allclose(out, out.T, rtol=0, atol=1e-14)
 
-    def test_field_and_vector_wrappers(self):
-        spec = _neumann(16)
-        rng = np.random.default_rng(11)
-        f = cf.ScalarField(spec, rng.random(spec.shape))
-        sf = cf.mollify_field(f, rho=0.4)
-        np.testing.assert_array_equal(
-            sf.data, cf.mollify_values(f.data, spec, 0.4))
-        v = cf.VectorField(spec, rng.random((2,) + spec.shape))
-        sv = cf.mollify_vector(v, rho=0.4)
-        for d in range(2):
-            np.testing.assert_array_equal(
-                sv.data[d], cf.mollify_values(v.data[d], spec, 0.4))
-
     def test_neumann_mass_within_tolerance_of_interior(self):
         # wall renormalization keeps the smoothing an average, so total mass
         # moves only through what leaks past walls; an interior bump loses none
