@@ -29,26 +29,47 @@ from .ledger import build_ledger, check_entry, get_entry, scan_region
 from .model import (ChiKappaModel, ConfigError, DomainSpec, SimParams,
                     classify_assumption)
 from .mollify import mollify_values
-from .solver import SolverError, build_initial, run, set_threads
+from .solver import (INITIAL_SCHEMA, SolverError, build_initial, run,
+                     set_threads)
 
 _SECTIONS = {
     "domain": ("dim", "mode", "lengths", "resolution"),
     "params": ("alpha", "tau", "rho", "t_final", "phi_gradient", "em_weight",
                "cfl_safety", "dt_max", "max_steps"),
     "model": ("chi_offset", "chi_slope", "kappa_coeff", "kappa_power"),
-    "initial": ("n", "c", "u", "perturb"),
+    "initial": tuple(INITIAL_SCHEMA),
     "output": ("out_dir", "csv", "sample_interval", "snapshot_every"),
     "oracle": None,                     # validated against the study signature
 }
 _DOMAIN_REQUIRED = ("dim", "mode", "lengths", "resolution")
 _PARAMS_REQUIRED = ("alpha", "tau", "rho", "t_final")
-# initial field: (type when "type" is absent, required keys per type)
-_INITIAL_REQUIRED = {
-    "n": ("constant", {"constant": ("value",), "gaussian": ("sigma",),
-                       "snapshot": ("path",)}),
-    "c": ("constant", {"constant": ("value",), "gaussian": ("amplitude", "sigma"),
-                       "snapshot": ("path",)}),
-    "u": ("zero", {"snapshot": ("paths",)}),
+
+
+def _real(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _path(x) -> bool:
+    return type(x) is str and x != ""
+
+
+def _per_axis(x, dim) -> bool:
+    return type(x) is list and (dim is None or len(x) == dim)
+
+
+# value kinds of INITIAL_SCHEMA: (description, test of a value on `dim` axes;
+# dim is None when the domain is invalid, and then any axis count passes)
+_VALUE_KINDS = {
+    "real": ("a finite number", lambda x, dim: _real(x)),
+    "nonneg": ("a finite number >= 0", lambda x, dim: _real(x) and x >= 0),
+    "positive": ("a finite number > 0", lambda x, dim: _real(x) and x > 0),
+    "fraction": ("a number in [0, 1]", lambda x, dim: _real(x) and 0 <= x <= 1),
+    "count": ("an integer >= 0", lambda x, dim: type(x) is int and x >= 0),
+    "path": ("a nonempty string", lambda x, dim: _path(x)),
+    "point": ("a list of one finite number per axis",
+              lambda x, dim: _per_axis(x, dim) and all(map(_real, x))),
+    "paths": ("a list of one nonempty string per axis",
+              lambda x, dim: _per_axis(x, dim) and all(map(_path, x))),
 }
 _CASE_ORDER = {"i": 0, "ii": 1, "iii": 2}
 
@@ -101,21 +122,39 @@ def _section(cfg: dict, name: str) -> dict | None:
     return dict(section) if isinstance(section, dict) else None
 
 
-def _initial_problems(init_cfg: dict) -> list[str]:
+def _initial_problems(init_cfg: dict, dim: int | None) -> list[str]:
+    """Every way the `initial` section departs from INITIAL_SCHEMA."""
     problems = []
-    for name, (default, required) in _INITIAL_REQUIRED.items():
+    for name, (default, types) in INITIAL_SCHEMA.items():
         if name not in init_cfg:
             continue
-        spec = init_cfg[name]
-        if not isinstance(spec, dict):
-            problems.append(f"initial.{name}: must be a JSON object")
+        field, where = init_cfg[name], f"initial.{name}"
+        if not isinstance(field, dict):
+            problems.append(f"{where}: must be a JSON object")
             continue
-        kind = spec.get("type", default)
-        problems.extend(f"initial.{name}.{key}: required key missing "
-                        f"for type {kind!r}"
-                        for key in required.get(kind, ()) if key not in spec)
-    if not isinstance(init_cfg.get("perturb", {}), dict):
-        problems.append("initial.perturb: must be a JSON object")
+        typed = default is not None
+        kind = field.get("type", default) if typed else None
+        # tuple membership compares by ==, so an unhashable kind is no error
+        if kind not in tuple(types):
+            problems.append(f"{where}.type: unknown type {kind!r} "
+                            f"(expected one of {', '.join(types)})")
+            continue
+        required, optional = types[kind]
+        keys = {**required, **optional}
+        suffix = f" for type {kind!r}" if typed else ""
+        for key, value in field.items():
+            if typed and key == "type":
+                continue
+            if key not in keys:
+                names = (["type"] if typed else []) + list(keys)
+                problems.append(f"{where}.{key}: unknown key{suffix} "
+                                f"(expected one of {', '.join(names)})")
+                continue
+            what, ok = _VALUE_KINDS[keys[key]]
+            if not ok(value, dim):
+                problems.append(f"{where}.{key}: must be {what}, got {value!r}")
+        problems.extend(f"{where}.{key}: required key missing{suffix}"
+                        for key in required if key not in field)
     return problems
 
 
@@ -136,22 +175,6 @@ def _build_problem(cfg: dict):
     if par_cfg is not None:
         problems.extend(f"params.{key}: required key missing"
                         for key in _PARAMS_REQUIRED if key not in par_cfg)
-    problems.extend(_initial_problems(_section(cfg, "initial") or {}))
-    out_cfg = _section(cfg, "output") or {}
-    out_dir = out_cfg.get("out_dir")
-    if out_dir is not None and type(out_dir) is not str:
-        problems.append(f"output.out_dir: must be a string, got {out_dir!r}")
-    csv = out_cfg.get("csv", "diagnostics.csv")
-    if type(csv) is not str or not csv:
-        problems.append(f"output.csv: must be a nonempty file name, got {csv!r}")
-    interval = out_cfg.get("sample_interval", 1.0)
-    if type(interval) not in (int, float) or not 0.0 < interval < math.inf:
-        problems.append("output.sample_interval: must be a positive number, "
-                        f"got {interval!r}")
-    every = out_cfg.get("snapshot_every", 0)
-    if type(every) is not int or every < 0:
-        problems.append("output.snapshot_every: must be a nonnegative integer, "
-                        f"got {every!r}")
 
     domain = None
     if dom_cfg is not None and all(key in dom_cfg for key in _DOMAIN_REQUIRED):
@@ -167,6 +190,24 @@ def _build_problem(cfg: dict):
             problems.extend(f"domain: {p}" for p in exc.problems)
         except (TypeError, ValueError) as exc:
             problems.append(f"domain: {exc}")
+
+    problems.extend(_initial_problems(_section(cfg, "initial") or {},
+                                      None if domain is None else domain.dim))
+    out_cfg = _section(cfg, "output") or {}
+    out_dir = out_cfg.get("out_dir")
+    if out_dir is not None and type(out_dir) is not str:
+        problems.append(f"output.out_dir: must be a string, got {out_dir!r}")
+    csv = out_cfg.get("csv", "diagnostics.csv")
+    if type(csv) is not str or not csv:
+        problems.append(f"output.csv: must be a nonempty file name, got {csv!r}")
+    interval = out_cfg.get("sample_interval", 1.0)
+    if type(interval) not in (int, float) or not 0.0 < interval < math.inf:
+        problems.append("output.sample_interval: must be a positive number, "
+                        f"got {interval!r}")
+    every = out_cfg.get("snapshot_every", 0)
+    if type(every) is not int or every < 0:
+        problems.append("output.snapshot_every: must be a nonnegative integer, "
+                        f"got {every!r}")
 
     params = None
     if par_cfg is not None and all(key in par_cfg for key in _PARAMS_REQUIRED):

@@ -2,14 +2,16 @@
 
 All fields live at cell centers of a uniform grid on an origin-centered box,
 x_i = -L/2 + (i+1/2)h per axis.  Stencils are 2nd-order central differences.
-Boundary closure is by ghost cells:
+Boundary closure is by ghost cells.  Every stencil reads its neighbours
+through `shifted`, which joins the interior cells to one ghost cell per
+line.  The ghost is
 
-  periodic  wrap-around for everything
-  neumann   "mirror" ghosts (copy the adjacent interior cell, so the normal
-            derivative vanishes at the wall) for scalar quantities, "zero"
-            ghosts for velocity components (no-slip walls), "odd" ghosts
-            (sign-flipped mirror) for quantities antisymmetric at a wall,
-            such as the normal component of a scalar's gradient
+  periodic  the cell at the opposite end of the line (wrap-around)
+  neumann   the wall cell itself, "mirror" (so the normal derivative vanishes
+            at the wall), for scalar quantities; 0, "zero", for velocity
+            components (no-slip walls); the negated wall cell, "odd", for
+            quantities antisymmetric at a wall, such as the normal component
+            of a scalar's gradient
 
 `laplacian` is defined literally as divergence(gradient(.)), which makes the
 operator-compatibility identity exact by construction; the price is a wider
@@ -62,43 +64,31 @@ class VectorField:
             raise ValueError(f"vector field shape {self.data.shape}, expected {want}")
 
 
-def _edge(values: np.ndarray, axis: int, last: bool) -> np.ndarray:
-    idx = [slice(None)] * values.ndim
-    idx[axis] = slice(-1, None) if last else slice(0, 1)
-    return values[tuple(idx)]
-
-
 def shifted(values: np.ndarray, spec: DomainSpec, axis: int, offset: int,
             ghost: str = "mirror") -> np.ndarray:
-    """values[i+offset] along `axis` (offset +-1), ghost-filled at the walls.
+    """values[i+offset] along `axis` (offset +-1), one ghost cell at the end.
 
-    `axis` indexes grid axes; pass arrays whose trailing dims are the grid
-    (leading component axes are fine, the axis is counted from the end).
+    The result is the interior slab joined to a one-cell ghost slab: the
+    opposite end's cell in periodic boxes; at walls the wall cell itself
+    ("mirror"), 0 ("zero") or the negated wall cell ("odd").  `axis` indexes
+    grid axes; pass arrays whose trailing dims are the grid (leading
+    component axes are fine, the axis is counted from the end).
     """
-    ax = values.ndim - spec.dim + axis
-    if spec.mode == "periodic":
-        return np.roll(values, -offset, axis=ax)
     if ghost not in ("mirror", "zero", "odd"):
         raise ValueError(f"unknown ghost mode {ghost!r}")
-    idx = [slice(None)] * values.ndim
-
-    def _pad(last: bool) -> np.ndarray:
-        edge = _edge(values, ax, last=last)
-        if ghost == "mirror":
-            return edge
-        if ghost == "odd":            # sign-flipped mirror (odd extension)
-            return -edge
-        return np.zeros_like(edge)
-
-    if offset == 1:
-        idx[ax] = slice(1, None)
-        order = (values[tuple(idx)], _pad(last=True))
-    elif offset == -1:
-        idx[ax] = slice(None, -1)
-        order = (_pad(last=False), values[tuple(idx)])
-    else:
+    if offset not in (1, -1):
         raise ValueError(f"offset must be +-1, got {offset}")
-    return np.concatenate(order, axis=ax)
+    lead = (slice(None),) * (values.ndim - spec.dim + axis)
+    periodic = spec.mode == "periodic"
+    # the ghost comes from the first cell when it wraps past the last one,
+    # or when it mirrors the first one
+    first = (offset == 1) == periodic
+    edge = values[lead + (slice(0, 1) if first else slice(-1, None),)]
+    if not periodic and ghost != "mirror":
+        edge = -edge if ghost == "odd" else np.zeros_like(edge)
+    body = values[lead + (slice(1, None) if offset == 1 else slice(None, -1),)]
+    return np.concatenate((body, edge) if offset == 1 else (edge, body),
+                          axis=len(lead))
 
 
 def diff_central(values: np.ndarray, spec: DomainSpec, axis: int,

@@ -110,7 +110,7 @@ def _helmholtz_periodic(values: np.ndarray, spec: DomainSpec, dt: float) -> np.n
     return _irfftn(vh, spec.shape)
 
 
-def _fluid_spectral(v: list[np.ndarray], spec: DomainSpec, dt: float):
+def _fluid_spectral(v, spec: DomainSpec, dt: float):
     """Implicit viscosity (skipped for dt=0) fused with projection.
 
     Both stages are diagonal in Fourier space, so fusing them is exactly the
@@ -174,7 +174,7 @@ def _helmholtz_walled(values: np.ndarray, spec: DomainSpec, dt: float,
     return _separable(vh, [q.T for q in vecs])
 
 
-def _project_walled(v: np.ndarray, spec: DomainSpec):
+def _project_walled(v, spec: DomainSpec):
     """Correct v by a discrete gradient so the zero-ghost divergence vanishes.
 
     Solves (-sum_d T_d T_d) lam = div0 v, then u = v + T lam, so div0 u = 0
@@ -192,19 +192,37 @@ def _project_walled(v: np.ndarray, spec: DomainSpec):
     return u, p
 
 
+def _fluid_solve(v, spec: DomainSpec, dt: float):
+    """Implicit viscosity (skipped for dt=0), then projection, of the
+    components v; returns the stacked u and p."""
+    if spec.mode == "periodic":
+        u, p = _fluid_spectral(v, spec, dt)
+    else:
+        if dt > 0.0:
+            v = [_helmholtz_walled(comp, spec, dt, "zero") for comp in v]
+        u, p = _project_walled(v, spec)
+    return np.stack(u), p
+
+
 def project(v: VectorField):
     """Discrete Leray projection: returns (u, p) with u discrete
     divergence-free and integrate(p) = 0."""
-    spec = v.domain
-    if spec.mode == "periodic":
-        u, p = _fluid_spectral(list(v.data), spec, dt=0.0)
-    else:
-        u, p = _project_walled(v.data, spec)
-    return VectorField(spec, np.stack(u)), ScalarField(spec, p)
+    u, p = _fluid_solve(v.data, v.domain, 0.0)
+    return VectorField(v.domain, u), ScalarField(v.domain, p)
 
 
 # ---------------------------------------------------------------------------
 # stability bound
+
+def _face_velocity(c: np.ndarray, u: np.ndarray, spec: DomainSpec,
+                   model: ChiKappaModel, d: int) -> np.ndarray:
+    """Drift w = chi(c_face) dc/dx + face-averaged u on the right faces of
+    axis d (mirror ghosts for c, zero ghosts for u)."""
+    c_r = shifted(c, spec, d, 1, "mirror")
+    u_r = shifted(u[d], spec, d, 1, "zero")
+    chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
+    return chi_face * (c_r - c) / spec.spacing[d] + 0.5 * (u[d] + u_r)
+
 
 def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel) -> float:
     """cfl_safety times the positivity/max-principle step bound.
@@ -224,18 +242,22 @@ def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel) -> flo
                         * (float(np.max(n)) + params.rho) ** alpha * inv_h2)
     speed = 0.0
     for d in range(spec.dim):
-        h = spec.spacing[d]
-        c_r = shifted(c, spec, d, 1, "mirror")
-        u_r = shifted(u[d], spec, d, 1, "zero")
-        chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
-        w = chi_face * (c_r - c) / h + 0.5 * (u[d] + u_r)
-        speed += max(float(np.max(np.abs(w))), float(np.max(np.abs(u[d])))) / h
+        w = np.abs(_face_velocity(c, u, spec, model, d))
+        speed += max(float(np.max(w)), float(np.max(np.abs(u[d])))) / spec.spacing[d]
     limit = diff_limit if speed == 0.0 else min(diff_limit, 1.0 / speed)
     return params.cfl_safety * limit
 
 
 # ---------------------------------------------------------------------------
 # one step
+
+def _upwind(q: np.ndarray, a: np.ndarray, spec: DomainSpec, d: int,
+            ghost: str) -> np.ndarray:
+    """a dq/dx along axis d, differenced on the upwind side of a."""
+    q_r = shifted(q, spec, d, 1, ghost)
+    q_l = shifted(q, spec, d, -1, ghost)
+    return np.where(a > 0.0, a * (q - q_l), a * (q_r - q)) / spec.spacing[d]
+
 
 def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
          sources=None, work: dict | None = None) -> FieldState:
@@ -248,9 +270,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     spec = params.domain
     dim = spec.dim
     h = spec.spacing
-    n = state.n.data
-    c = state.c.data
-    u = state.u.data
+    n, c, u = state.n.data, state.c.data, state.u.data
     alpha, rho, tau = params.alpha, params.rho, params.tau
     neumann = spec.mode == "neumann"
     if sources is not None:
@@ -261,16 +281,11 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     flux_div = np.zeros(spec.shape)
     for d in range(dim):
         n_r = shifted(n, spec, d, 1, "mirror")
-        c_r = shifted(c, spec, d, 1, "mirror")
         g_r = shifted(g, spec, d, 1, "mirror")
-        u_r = shifted(u[d], spec, d, 1, "zero")
-        chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
-        w = chi_face * (c_r - c) / h[d] + 0.5 * (u[d] + u_r)
+        w = _face_velocity(c, u, spec, model, d)
         f = np.where(w > 0.0, w * n, w * n_r) - (g_r - g) / h[d]
-        if neumann:
-            wall = [slice(None)] * dim
-            wall[d] = slice(-1, None)
-            f[tuple(wall)] = 0.0
+        if neumann:                   # no flux through the right wall
+            f[(slice(None),) * d + (slice(-1, None),)] = 0.0
         flux_div += (f - shifted(f, spec, d, -1, "zero")) / h[d]
     n_new = n - dt * flux_div
     if sources is not None:
@@ -283,12 +298,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     n_new = np.maximum(n_new, 0.0)
 
     # --- 2. chemical: upwind advection, implicit consumption, diffusion
-    adv = np.zeros(spec.shape)
-    for d in range(dim):
-        c_r = shifted(c, spec, d, 1, "mirror")
-        c_l = shifted(c, spec, d, -1, "mirror")
-        adv += np.where(u[d] > 0.0, u[d] * (c - c_l), u[d] * (c_r - c)) / h[d]
-    c1 = c - dt * adv
+    c1 = c - dt * sum(_upwind(c, u[d], spec, d, "mirror") for d in range(dim))
     if model.kappa_coeff > 0.0:
         if model.kappa_power == 1.0:
             rate = model.kappa_coeff * n
@@ -296,10 +306,8 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
             rate = model.kappa_coeff * n * np.power(np.maximum(c1, 0.0),
                                                     model.kappa_power - 1.0)
         c1 = c1 / (1.0 + dt * rate)
-    if neumann:
-        c2 = _helmholtz_walled(c1, spec, dt, "mirror")
-    else:
-        c2 = _helmholtz_periodic(c1, spec, dt)
+    c2 = (_helmholtz_walled(c1, spec, dt, "mirror") if neumann
+          else _helmholtz_periodic(c1, spec, dt))
     if sources is not None:
         c2 = c2 + dt * s_c
     min_c_raw = float(np.min(c2))
@@ -310,22 +318,12 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     for d in range(dim):
         comp = u[d] - dt * params.phi_gradient[d] * n
         if tau == 1:
-            conv = np.zeros(spec.shape)
-            for e in range(dim):
-                q_r = shifted(u[d], spec, e, 1, "zero")
-                q_l = shifted(u[d], spec, e, -1, "zero")
-                conv += np.where(u[e] > 0.0, u[e] * (u[d] - q_l),
-                                 u[e] * (q_r - u[d])) / h[e]
-            comp = comp - dt * conv
+            comp = comp - dt * sum(_upwind(u[d], u[e], spec, e, "zero")
+                                   for e in range(dim))
         if sources is not None:
             comp = comp + dt * s_u[d]
         v.append(comp)
-    if neumann:
-        v = [_helmholtz_walled(comp, spec, dt, "zero") for comp in v]
-        u_new, p_new = _project_walled(np.stack(v), spec)
-    else:
-        u_new, p_new = _fluid_spectral(v, spec, dt)
-    u_new = np.stack(u_new)
+    u_new, p_new = _fluid_solve(v, spec, dt)
     # np.maximum keeps NaN, so the clipped n and c still show a bad step
     for name, values in (("cell density", n_new), ("chemical", c_new),
                          ("velocity", u_new)):
@@ -333,15 +331,10 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
             raise SolverError(f"non-finite {name} at t={state.t + dt:.6g}")
 
     if work is not None:
-        work["min_n_raw"] = min_n_raw
-        work["min_c_raw"] = min_c_raw
-    return FieldState(
-        t=state.t + dt,
-        n=ScalarField(spec, n_new),
-        c=ScalarField(spec, c_new),
-        u=VectorField(spec, u_new),
-        p=ScalarField(spec, p_new),
-    )
+        work.update(min_n_raw=min_n_raw, min_c_raw=min_c_raw)
+    return FieldState(state.t + dt, ScalarField(spec, n_new),
+                      ScalarField(spec, c_new), VectorField(spec, u_new),
+                      ScalarField(spec, p_new))
 
 
 # ---------------------------------------------------------------------------
@@ -391,24 +384,37 @@ def _vortex(spec: DomainSpec, amplitude: float) -> np.ndarray:
     return out
 
 
-def build_initial(spec: DomainSpec, initial: dict):
-    """Construct (n, c, u) arrays from the `initial` config section.
+# The JSON schema of the `initial` section.  Per field: the type taken when
+# "type" is absent and, per type, its (required, optional) keys, each with
+# the kind of value it takes; `perturb` has no types.  The CLI checks configs
+# against this table.
+INITIAL_SCHEMA = {
+    "n": ("constant", {"constant": ({"value": "nonneg"}, {}),
+                       "gaussian": ({"sigma": "positive"},
+                                    {"mass": "nonneg", "center": "point"}),
+                       "snapshot": ({"path": "path"}, {})}),
+    "c": ("constant", {"constant": ({"value": "nonneg"}, {}),
+                       "gaussian": ({"amplitude": "real", "sigma": "positive"},
+                                    {"base": "nonneg", "center": "point"}),
+                       "snapshot": ({"path": "path"}, {})}),
+    "u": ("zero", {"zero": ({}, {}), "vortex": ({}, {"amplitude": "real"}),
+                   "snapshot": ({"paths": "paths"}, {})}),
+    "perturb": (None, {None: ({}, {"amplitude": "fraction", "seed": "count"})}),
+}
 
-    n: {"type": "gaussian", "sigma", "mass", ["center"]} | {"type": "constant",
-       "value"} | {"type": "snapshot", "path"} | {"type": "array", "values"}
-    c: {"type": "constant", "value"} | {"type": "gaussian", "base",
-       "amplitude", "sigma", ["center"]} | {"type": "snapshot", "path"}
-    u: {"type": "zero"} | {"type": "vortex", "amplitude"} |
-       {"type": "snapshot", "paths": [...]}
-    plus optional {"perturb": {"amplitude", "seed"}} applied multiplicatively
-    to n (mass is re-normalized afterwards when a target mass was given).
+
+def build_initial(spec: DomainSpec, initial: dict):
+    """Construct (n, c, u) arrays from the `initial` config section (see
+    INITIAL_SCHEMA; n may also be {"type": "array", "values"}, a programmatic
+    route outside the JSON schema).  `perturb` multiplies n by 1 + amplitude
+    * U(-1, 1), before a gaussian n is normalized to its mass.
     """
     cfg_n = initial.get("n", {"type": "constant", "value": 1.0})
     cfg_c = initial.get("c", {"type": "constant", "value": 1.0})
     cfg_u = initial.get("u", {"type": "zero"})
     center = tuple(cfg_n.get("center", (0.0,) * spec.dim))
 
-    kind = cfg_n.get("type", "constant")
+    kind = cfg_n.get("type", INITIAL_SCHEMA["n"][0])
     if kind == "gaussian":
         n = _gaussian(spec, float(cfg_n["sigma"]), center)
     elif kind == "constant":
@@ -429,7 +435,7 @@ def build_initial(spec: DomainSpec, initial: dict):
         target = float(cfg_n.get("mass", 1.0))
         n = n * (target / (float(np.sum(n)) * spec.cell_volume))
 
-    kind = cfg_c.get("type", "constant")
+    kind = cfg_c.get("type", INITIAL_SCHEMA["c"][0])
     if kind == "constant":
         c = np.full(spec.shape, float(cfg_c["value"]))
     elif kind == "gaussian":
@@ -442,7 +448,7 @@ def build_initial(spec: DomainSpec, initial: dict):
     else:
         raise ValueError(f"unknown initial c type {kind!r}")
 
-    kind = cfg_u.get("type", "zero")
+    kind = cfg_u.get("type", INITIAL_SCHEMA["u"][0])
     if kind == "zero":
         u = np.zeros((spec.dim,) + spec.shape)
     elif kind == "vortex":

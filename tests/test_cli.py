@@ -1,5 +1,6 @@
 """Command-line interface tests, driven through main() with captured output."""
 
+import itertools
 import json
 import os
 
@@ -98,25 +99,52 @@ class TestConfigValidation:
         assert err == f"config problem: {section}: must be a JSON object\n"
 
     def test_initial_missing_keys_listed(self, tmp_path, capsys):
-        cfg = _base_cfg()
-        cfg["initial"] = {"n": {"type": "gaussian", "mass": 1.0},
-                          "c": {"type": "gaussian", "base": 1.0},
-                          "u": {"type": "snapshot"}, "perturb": 0.1}
-        for cmd in ("run", "classify"):
-            rc = cli.main([cmd, _write(tmp_path, cfg)])
+        # missing keys, unknown types and keys, and bad values are each
+        # listed, every one of them, before anything is built
+        cases = [
+            ({"n": {"type": "gaussian", "mass": 1.0},
+              "c": {"type": "gaussian", "base": 1.0},
+              "u": {"type": "snapshot"}, "perturb": 0.1},
+             ["initial.n.sigma: required key missing for type 'gaussian'",
+              "initial.c.amplitude: required key missing for type 'gaussian'",
+              "initial.c.sigma: required key missing for type 'gaussian'",
+              "initial.u.paths: required key missing for type 'snapshot'",
+              "initial.perturb: must be a JSON object"]),
+            ({"n": {"type": "gausian", "sigma": 0.3},
+              "c": {"type": "constant", "value": -1.0},
+              "u": {"type": "swirl"}},
+             ["initial.n.type: unknown type 'gausian' "
+              "(expected one of constant, gaussian, snapshot)",
+              "initial.c.value: must be a finite number >= 0, got -1.0",
+              "initial.u.type: unknown type 'swirl' "
+              "(expected one of zero, vortex, snapshot)"]),
+            ({"n": {"type": "gaussian", "sigma": "wide", "colour": "red",
+                    "center": [0.0]},
+              "c": {"value": -0.5, "type": ["constant"]},
+              "perturb": {"amplitude": 2, "seed": 1.5, "kind": "x"}},
+             ["initial.n.sigma: must be a finite number > 0, got 'wide'",
+              "initial.n.colour: unknown key for type 'gaussian' "
+              "(expected one of type, sigma, mass, center)",
+              "initial.n.center: must be a list of one finite number per "
+              "axis, got [0.0]",
+              "initial.c.type: unknown type ['constant'] "
+              "(expected one of constant, gaussian, snapshot)",
+              "initial.perturb.amplitude: must be a number in [0, 1], got 2",
+              "initial.perturb.seed: must be an integer >= 0, got 1.5",
+              "initial.perturb.kind: unknown key "
+              "(expected one of amplitude, seed)"]),
+            # the array type is programmatic, outside the JSON schema
+            ({"n": {"type": "array", "values": [1.0] * 256}},
+             ["initial.n.type: unknown type 'array' "
+              "(expected one of constant, gaussian, snapshot)"]),
+        ]
+        for (initial, problems), cmd in itertools.product(
+                cases, ("run", "classify")):
+            rc = cli.main([cmd, _write(tmp_path, _base_cfg(initial=initial))])
             err = capsys.readouterr().err
             assert rc == 2
-            assert err.splitlines() == [
-                "config problem: initial.n.sigma: required key missing "
-                "for type 'gaussian'",
-                "config problem: initial.c.amplitude: required key missing "
-                "for type 'gaussian'",
-                "config problem: initial.c.sigma: required key missing "
-                "for type 'gaussian'",
-                "config problem: initial.u.paths: required key missing "
-                "for type 'snapshot'",
-                "config problem: initial.perturb: must be a JSON object",
-            ]
+            assert err.splitlines() == [f"config problem: {p}"
+                                        for p in problems]
 
     def test_initial_field_not_object_listed(self, tmp_path, capsys):
         cfg = _base_cfg()
@@ -169,7 +197,8 @@ class TestRunCommand:
 
     def test_solver_failure_exits_one(self, tmp_path, capsys):
         cfg = _base_cfg()
-        cfg["initial"]["n"] = {"type": "constant", "value": -1.0}
+        cfg["initial"]["n"] = {"type": "snapshot",
+                               "path": str(tmp_path / "missing")}
         rc = cli.main(["run", _write(tmp_path, cfg)])
         err = capsys.readouterr().err
         assert rc == 1

@@ -26,32 +26,76 @@ def _trig(spec, kvec, phase=0.3):
     return np.sin(arg) + 0.0 * sum(np.broadcast_to(X, spec.shape) for X in xs)
 
 
+GHOSTS = ("mirror", "zero", "odd")
+# odd, even and anisotropic boxes in every dimension
+SHIFT_SHAPES = [(9,), (8,), (9, 10), (8, 8), (8, 11, 13)]
+
+
+def _box(shape, mode):
+    return cf.DomainSpec(len(shape), mode, (2.0,) * len(shape), shape)
+
+
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+def _assert_rejects_bad_arguments(v, spec):
+    # checked in every mode, so a typo fails in periodic boxes too
+    for offset, ghost in ((0, "mirror"), (2, "mirror"), (-2, "zero"),
+                          (1, "zeros"), (-1, "Mirror")):
+        with pytest.raises(ValueError):
+            shifted(v, spec, 0, offset, ghost)
+
+
 class TestShifted:
-    def test_periodic_wrap(self):
-        spec = cf.DomainSpec(1, "periodic", (4.0,), (8,))
-        v = np.arange(8.0)
-        np.testing.assert_array_equal(shifted(v, spec, 0, 1),
-                                      np.roll(v, -1))
-        np.testing.assert_array_equal(shifted(v, spec, 0, -1),
-                                      np.roll(v, 1))
+    @pytest.mark.parametrize("offset", [1, -1], ids=["right", "left"])
+    @pytest.mark.parametrize("shape", SHIFT_SHAPES, ids=_shape_id)
+    def test_periodic_wrap(self, shape, offset):
+        # periodic ghosts wrap around whatever the ghost kind
+        spec = _box(shape, "periodic")
+        v = np.random.default_rng(1).standard_normal(shape)
+        for axis in range(len(shape)):
+            for ghost in GHOSTS:
+                np.testing.assert_array_equal(
+                    shifted(v, spec, axis, offset, ghost),
+                    np.roll(v, -offset, axis=axis))
+        _assert_rejects_bad_arguments(v, spec)
 
-    def test_neumann_mirror_and_zero(self):
-        spec = _neumann(8, dim=2)
-        v = np.arange(64.0).reshape(8, 8)
-        right = shifted(v, spec, 1, 1, "mirror")
-        assert right[0, -1] == v[0, -1]          # mirror: wall repeats itself
-        rz = shifted(v, spec, 1, 1, "zero")
-        assert rz[0, -1] == 0.0
-        left = shifted(v, spec, 1, -1, "mirror")
-        assert left[3, 0] == v[3, 0]
+    @pytest.mark.parametrize("ghost", GHOSTS)
+    @pytest.mark.parametrize("shape", [s for s in SHIFT_SHAPES if len(s) > 1],
+                             ids=_shape_id)
+    def test_neumann_mirror_and_zero(self, shape, ghost):
+        # interior cells shift; the ghost past each wall is the wall cell
+        # (mirror), 0 (zero) or the negated wall cell (odd)
+        spec = _box(shape, "neumann")
+        v = np.random.default_rng(2).standard_normal(shape)
+        sign = {"mirror": 1.0, "zero": 0.0, "odd": -1.0}[ghost]
+        for axis in range(len(shape)):
+            w = np.moveaxis(v, axis, 0)
+            right = np.moveaxis(shifted(v, spec, axis, 1, ghost), axis, 0)
+            left = np.moveaxis(shifted(v, spec, axis, -1, ghost), axis, 0)
+            np.testing.assert_array_equal(right[:-1], w[1:])
+            np.testing.assert_array_equal(right[-1], sign * w[-1])
+            np.testing.assert_array_equal(left[1:], w[:-1])
+            np.testing.assert_array_equal(left[0], sign * w[0])
+        _assert_rejects_bad_arguments(v, spec)
 
-    def test_axis_counted_from_grid_not_array(self):
+    @pytest.mark.parametrize("offset", [1, -1], ids=["right", "left"])
+    @pytest.mark.parametrize("mode", ["periodic", "neumann"])
+    @pytest.mark.parametrize("shape", [(9, 10), (8, 11, 13)], ids=_shape_id)
+    def test_axis_counted_from_grid_not_array(self, shape, mode, offset):
         # vector component arrays carry a leading component axis; `axis`
         # still refers to the grid axis
-        spec = _periodic(8, dim=2)
-        v = np.arange(128.0).reshape(2, 8, 8)
-        out = shifted(v, spec, 0, 1)
-        np.testing.assert_array_equal(out, np.roll(v, -1, axis=1))
+        spec = _box(shape, mode)
+        v = np.random.default_rng(3).standard_normal((len(shape),) + shape)
+        for axis in range(len(shape)):
+            out = shifted(v, spec, axis, offset, "odd")
+            for comp in range(len(shape)):
+                np.testing.assert_array_equal(
+                    out[comp], shifted(v[comp], spec, axis, offset, "odd"))
+            if mode == "periodic":
+                np.testing.assert_array_equal(
+                    out, np.roll(v, -offset, axis=axis + 1))
 
 
 class TestOperators:

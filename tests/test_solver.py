@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import chemoflux as cf
 from chemoflux.grid import shifted
@@ -279,6 +281,56 @@ class TestStepInvariants:
                           np.zeros((2,) + spec.shape))
         with pytest.raises(cf.SolverError, match="non-finite chemical"):
             cf.step(st, _params(spec), MODEL, 1e-3, sources=srcs)
+
+
+@hst.composite
+def _random_problem(draw):
+    """A small random box, model and state: dim 1-3, both boundary modes
+    (walls need dim >= 2), 8-13 cells per axis, tau 0 or 1."""
+    dim = draw(hst.integers(1, 3))
+    mode = draw(hst.sampled_from(["periodic", "neumann"] if dim > 1
+                                 else ["periodic"]))
+    shape = tuple(draw(hst.lists(hst.integers(8, 13), min_size=dim,
+                                 max_size=dim)))
+    lengths = tuple(draw(hst.lists(hst.floats(0.5, 4.0), min_size=dim,
+                                   max_size=dim)))
+    spec = cf.DomainSpec(dim, mode, lengths, shape)
+    params = _params(spec, alpha=draw(hst.floats(0.05, 3.0)),
+                     tau=draw(hst.sampled_from([0, 1])),
+                     rho=draw(hst.floats(1e-3, 0.5)),
+                     phi_gradient=tuple(draw(hst.lists(
+                         hst.floats(-2.0, 2.0), min_size=dim, max_size=dim))))
+    chi_offset = draw(hst.floats(0.0, 3.0))
+    model = cf.ChiKappaModel(
+        chi_offset=chi_offset,
+        chi_slope=draw(hst.floats(0.0 if chi_offset > 0 else 0.1, 3.0)),
+        kappa_coeff=draw(hst.floats(0.0, 3.0)),
+        kappa_power=draw(hst.floats(1.0, 3.0)))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    n = draw(hst.floats(0.1, 5.0)) * rng.random(shape)
+    c = draw(hst.floats(0.1, 5.0)) * rng.random(shape)
+    v = draw(hst.floats(0.0, 3.0)) * rng.standard_normal((dim,) + shape)
+    return spec, params, model, n, c, v
+
+
+class TestStepProperties:
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(_random_problem())
+    def test_one_step_keeps_the_invariants(self, problem):
+        spec, params, model, n, c, v = problem
+        u1, _ = cf.project(cf.VectorField(spec, v))
+        u2, _ = cf.project(u1)
+        assert np.max(np.abs(u2.data - u1.data)) <= 1e-12
+        state = _state(spec, n, c, u1.data)
+        work = {}
+        new = cf.step(state, params, model, cf.stable_dt(state, params, model),
+                      work=work)
+        assert abs(np.sum(new.n.data) - np.sum(n)) <= 1e-12 * np.sum(n)
+        assert work["min_n_raw"] >= 0.0 and work["min_c_raw"] >= 0.0
+        assert np.max(new.c.data) <= np.max(c) + 1e-12
+        assert cf.lp_norm(cf.divergence(new.u), np.inf) <= 1e-11
 
 
 class TestBuildInitial:
