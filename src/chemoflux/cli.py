@@ -5,9 +5,10 @@ diagnostics stream, `classify` reports which structural assumption cases a
 configuration satisfies, `ledger` evaluates or lattice-scans the exact
 exponent catalog, and `oracle` drives the independent convergence studies.
 
-Exit codes: 0 success, 1 runtime or verification failure, 2 configuration or
-usage problems.  Configuration errors are collected and reported together,
-one line each, rather than stopping at the first.
+Exit codes: 0 success, 1 runtime or verification failure (under `run`, also an
+unreadable snapshot file), 2 configuration or usage problems, including initial
+data that are bad only once built.  Configuration problems are collected and
+reported together, one line each, rather than stopping at the first.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import MISSING, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,50 +30,72 @@ from . import __version__
 from .ledger import build_ledger, check_entry, get_entry, scan_region
 from .model import (ChiKappaModel, ConfigError, DomainSpec, SimParams,
                     classify_assumption)
-from .mollify import mollify_values
-from .solver import (INITIAL_SCHEMA, SolverError, build_initial, run,
-                     set_threads)
-
-_SECTIONS = {
-    "domain": ("dim", "mode", "lengths", "resolution"),
-    "params": ("alpha", "tau", "rho", "t_final", "phi_gradient", "em_weight",
-               "cfl_safety", "dt_max", "max_steps"),
-    "model": ("chi_offset", "chi_slope", "kappa_coeff", "kappa_power"),
-    "initial": tuple(INITIAL_SCHEMA),
-    "output": ("out_dir", "csv", "sample_interval", "snapshot_every"),
-    "oracle": None,                     # validated against the study signature
-}
-_DOMAIN_REQUIRED = ("dim", "mode", "lengths", "resolution")
-_PARAMS_REQUIRED = ("alpha", "tau", "rho", "t_final")
+from .solver import (INITIAL_SCHEMA, OUTPUT_SCHEMA, SolverError, initial_state,
+                     run, set_threads)
 
 
 def _real(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
+def _int(x) -> bool:
+    return type(x) is int
+
+
 def _path(x) -> bool:
     return type(x) is str and x != ""
 
 
-def _per_axis(x, dim) -> bool:
-    return type(x) is list and (dim is None or len(x) == dim)
+def _list_of(test, x, dim=None) -> bool:
+    return type(x) is list and (dim is None or len(x) == dim) and all(map(test, x))
 
 
-# value kinds of INITIAL_SCHEMA: (description, test of a value on `dim` axes;
-# dim is None when the domain is invalid, and then any axis count passes)
+# value kinds of every config key: (description, test of a value on `dim`
+# axes; dim is None when the domain is invalid, and then any axis count
+# passes).  A bool is never a number: type(True) is bool, not int.
 _VALUE_KINDS = {
     "real": ("a finite number", lambda x, dim: _real(x)),
     "nonneg": ("a finite number >= 0", lambda x, dim: _real(x) and x >= 0),
     "positive": ("a finite number > 0", lambda x, dim: _real(x) and x > 0),
     "fraction": ("a number in [0, 1]", lambda x, dim: _real(x) and 0 <= x <= 1),
-    "count": ("an integer >= 0", lambda x, dim: type(x) is int and x >= 0),
+    "int": ("an integer", lambda x, dim: _int(x)),
+    "count": ("an integer >= 0", lambda x, dim: _int(x) and x >= 0),
+    "text": ("a string", lambda x, dim: type(x) is str),
     "path": ("a nonempty string", lambda x, dim: _path(x)),
+    "reals": ("a list of finite numbers", lambda x, dim: _list_of(_real, x)),
+    "per-axis real": ("a finite number or a list of them",
+                      lambda x, dim: _real(x) or _list_of(_real, x)),
+    "per-axis int": ("an integer or a list of them",
+                     lambda x, dim: _int(x) or _list_of(_int, x)),
     "point": ("a list of one finite number per axis",
-              lambda x, dim: _per_axis(x, dim) and all(map(_real, x))),
+              lambda x, dim: _list_of(_real, x, dim)),
     "paths": ("a list of one nonempty string per axis",
-              lambda x, dim: _per_axis(x, dim) and all(map(_path, x))),
+              lambda x, dim: _list_of(_path, x, dim)),
 }
 _CASE_ORDER = {"i": 0, "ii": 1, "iii": 2}
+
+
+def _fields(cls, skip=()):
+    """Dataclass `cls` as an untyped schema entry: required keys have no
+    default, and a key whose default is None also takes null (kind "...?")."""
+    required, optional = {}, {}
+    for f in fields(cls):
+        if f.name not in skip:
+            kind = f.metadata["kind"] + ("?" if f.default is None else "")
+            (required if f.default is MISSING else optional)[f.name] = kind
+    return None, {None: (required, optional)}
+
+
+# per section: a schema entry (see INITIAL_SCHEMA), whose keys may take entries
+# (`initial`), or None for any JSON object (`oracle`: the study's signature)
+_SECTIONS = {
+    "domain": _fields(DomainSpec),
+    "params": _fields(SimParams, skip=("domain",)),
+    "model": _fields(ChiKappaModel),
+    "initial": (None, {None: ({}, INITIAL_SCHEMA)}),
+    "output": OUTPUT_SCHEMA,
+    "oracle": None,
+}
 
 
 class UsageError(Exception):
@@ -93,154 +117,91 @@ def _load_json(path: str) -> dict:
     return cfg
 
 
-def _section_problems(cfg: dict) -> list[str]:
+def _schema_problems(where: str, value, schema, dim: int | None) -> list[str]:
+    """Every way `value`, found at `where`, departs from `schema`."""
+    if not isinstance(value, dict):
+        return [f"{where}: must be a JSON object"]
+    if schema is None:
+        return []
+    default, types = schema
+    typed = default is not None
+    kind = value.get("type", default) if typed else None
+    # tuple membership compares by ==, so an unhashable kind is no error
+    if kind not in tuple(types):
+        return [f"{where}.type: unknown type {kind!r} "
+                f"(expected one of {', '.join(types)})"]
+    required, optional = types[kind]
+    keys = {**required, **optional}
+    suffix = f" for type {kind!r}" if typed else ""
     problems = []
-    for key in cfg:
-        if key not in _SECTIONS:
-            problems.append(f"{key}: unknown section "
-                            f"(expected one of {', '.join(sorted(_SECTIONS))})")
-    for name, keys in _SECTIONS.items():
-        if name not in cfg:
+    for key, item in value.items():
+        if typed and key == "type":
             continue
-        section = cfg[name]
-        if not isinstance(section, dict):
-            problems.append(f"{name}: must be a JSON object")
-            continue
-        if keys is None:
-            continue
-        for key in section:
-            if key not in keys:
-                problems.append(f"{name}.{key}: unknown key "
-                                f"(expected one of {', '.join(keys)})")
+        takes = keys.get(key)
+        if takes is None:
+            names = (["type"] if typed else []) + list(keys)
+            problems.append(f"{where}.{key}: unknown key{suffix} "
+                            f"(expected one of {', '.join(names)})")
+        elif isinstance(takes, tuple):
+            problems += _schema_problems(f"{where}.{key}", item, takes, dim)
+        elif not (item is None and takes.endswith("?")):
+            what, ok = _VALUE_KINDS[takes.rstrip("?")]
+            if not ok(item, dim):
+                problems.append(f"{where}.{key}: must be {what}, got {item!r}")
+    problems.extend(f"{where}.{key}: required key missing{suffix}"
+                    for key in required if key not in value)
     return problems
 
 
-def _section(cfg: dict, name: str) -> dict | None:
-    """A copy of section `name`, {} when absent; None when it is not a JSON
-    object, which `_section_problems` has already reported."""
-    section = cfg.get(name, {})
-    return dict(section) if isinstance(section, dict) else None
-
-
-def _initial_problems(init_cfg: dict, dim: int | None) -> list[str]:
-    """Every way the `initial` section departs from INITIAL_SCHEMA."""
-    problems = []
-    for name, (default, types) in INITIAL_SCHEMA.items():
-        if name not in init_cfg:
-            continue
-        field, where = init_cfg[name], f"initial.{name}"
-        if not isinstance(field, dict):
-            problems.append(f"{where}: must be a JSON object")
-            continue
-        typed = default is not None
-        kind = field.get("type", default) if typed else None
-        # tuple membership compares by ==, so an unhashable kind is no error
-        if kind not in tuple(types):
-            problems.append(f"{where}.type: unknown type {kind!r} "
-                            f"(expected one of {', '.join(types)})")
-            continue
-        required, optional = types[kind]
-        keys = {**required, **optional}
-        suffix = f" for type {kind!r}" if typed else ""
-        for key, value in field.items():
-            if typed and key == "type":
-                continue
-            if key not in keys:
-                names = (["type"] if typed else []) + list(keys)
-                problems.append(f"{where}.{key}: unknown key{suffix} "
-                                f"(expected one of {', '.join(names)})")
-                continue
-            what, ok = _VALUE_KINDS[keys[key]]
-            if not ok(value, dim):
-                problems.append(f"{where}.{key}: must be {what}, got {value!r}")
-        problems.extend(f"{where}.{key}: required key missing{suffix}"
-                        for key in required if key not in field)
-    return problems
-
-
-def _build_problem(cfg: dict):
-    """(domain, params, model, problems); any failed piece comes back None.
-
-    Scalar parameter checks still run when the domain is invalid (against a
-    placeholder box), so one pass reports everything; only the checks that
-    genuinely need the real domain (phi_gradient arity) are skipped then.
-    """
-    problems = _section_problems(cfg)
-    dom_cfg = _section(cfg, "domain")
-    par_cfg = _section(cfg, "params")
-    mod_cfg = _section(cfg, "model")
-    if dom_cfg is not None:
-        problems.extend(f"domain.{key}: required key missing"
-                        for key in _DOMAIN_REQUIRED if key not in dom_cfg)
-    if par_cfg is not None:
-        problems.extend(f"params.{key}: required key missing"
-                        for key in _PARAMS_REQUIRED if key not in par_cfg)
-
-    domain = None
-    if dom_cfg is not None and all(key in dom_cfg for key in _DOMAIN_REQUIRED):
-        # config convenience: a bare number for lengths/resolution means
-        # "the same on every axis"
-        if isinstance(dom_cfg.get("dim"), int):
-            for key in ("lengths", "resolution"):
-                if isinstance(dom_cfg.get(key), (int, float)):
-                    dom_cfg[key] = (dom_cfg[key],) * dom_cfg["dim"]
-        try:
-            domain = DomainSpec(**dom_cfg)
-        except ConfigError as exc:
-            problems.extend(f"domain: {p}" for p in exc.problems)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"domain: {exc}")
-
-    problems.extend(_initial_problems(_section(cfg, "initial") or {},
-                                      None if domain is None else domain.dim))
-    out_cfg = _section(cfg, "output") or {}
-    out_dir = out_cfg.get("out_dir")
-    if out_dir is not None and type(out_dir) is not str:
-        problems.append(f"output.out_dir: must be a string, got {out_dir!r}")
-    csv = out_cfg.get("csv", "diagnostics.csv")
-    if type(csv) is not str or not csv:
-        problems.append(f"output.csv: must be a nonempty file name, got {csv!r}")
-    interval = out_cfg.get("sample_interval", 1.0)
-    if type(interval) not in (int, float) or not 0.0 < interval < math.inf:
-        problems.append("output.sample_interval: must be a positive number, "
-                        f"got {interval!r}")
-    every = out_cfg.get("snapshot_every", 0)
-    if type(every) is not int or every < 0:
-        problems.append("output.snapshot_every: must be a nonnegative integer, "
-                        f"got {every!r}")
-
-    params = None
-    if par_cfg is not None and all(key in par_cfg for key in _PARAMS_REQUIRED):
-        check_cfg = dict(par_cfg)
-        check_domain = domain
-        if check_domain is None:
-            check_domain = DomainSpec(1, "periodic", (1.0,), (8,))
-            check_cfg.pop("phi_gradient", None)
-        try:
-            params = SimParams(domain=check_domain, **check_cfg)
-        except ConfigError as exc:
-            problems.extend(f"params: {p}" for p in exc.problems)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"params: {exc}")
-        if domain is None:
-            params = None
-
-    model = None
-    if mod_cfg is not None:
-        try:
-            model = ChiKappaModel(**mod_cfg)
-        except ConfigError as exc:
-            problems.extend(f"model: {p}" for p in exc.problems)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"model: {exc}")
-    return domain, params, model, problems
+def _build(name: str, cls, kwargs: dict, problems: list, **extra):
+    """cls(**kwargs, **extra), or None with its ConfigError listed."""
+    try:
+        return cls(**kwargs, **extra)
+    except ConfigError as exc:
+        problems.extend(f"{name}: {p}" for p in exc.problems)
+        return None
 
 
 def _require(cfg: dict):
-    domain, params, model, problems = _build_problem(cfg)
-    if problems:
+    """(params, model) built from `cfg`, or UsageError listing every problem.
+
+    Each section is checked against its schema, and a dataclass is built
+    only from a section that passes.  Parameter range checks still run when
+    the domain is invalid (against a placeholder box), so one pass reports
+    everything; only phi_gradient's arity needs the real domain.
+    """
+    problems = [f"{key}: unknown section (expected one of {', '.join(sorted(_SECTIONS))})"
+                for key in cfg if key not in _SECTIONS]
+
+    def section(name, dim=None):
+        value = cfg.get(name, {})
+        found = _schema_problems(name, value, _SECTIONS[name], dim)
+        problems.extend(found)
+        return None if found else dict(value)
+
+    domain = None
+    dom_cfg = section("domain")
+    if dom_cfg is not None:
+        # a bare number for lengths/resolution means "the same on every axis"
+        axes = dom_cfg["dim"] if dom_cfg["dim"] in (1, 2, 3) else 1
+        for key in ("lengths", "resolution"):
+            if type(dom_cfg[key]) is not list:
+                dom_cfg[key] = [dom_cfg[key]] * axes
+        domain = _build("domain", DomainSpec, dom_cfg, problems)
+    par_cfg = section("params")
+    if par_cfg is not None:
+        if domain is None:
+            par_cfg.pop("phi_gradient", None)
+        params = _build("params", SimParams, par_cfg, problems,
+                        domain=domain or DomainSpec(1, "periodic", (1.0,), (8,)))
+    mod_cfg = section("model")
+    if mod_cfg is not None:
+        model = _build("model", ChiKappaModel, mod_cfg, problems)
+    for name in ("initial", "output", "oracle"):
+        section(name, None if domain is None else domain.dim)
+    if problems:        # every section or build that failed listed one
         raise UsageError(problems)
-    return domain, params, model
+    return params, model
 
 
 def _fmt_cases(cases) -> str:
@@ -269,13 +230,15 @@ def _print_classification(model, params, c_max: float) -> None:
 
 def _cmd_run(args) -> int:
     cfg = _load_json(args.config)
-    domain, params, model = _require(cfg)
+    params, model = _require(cfg)
     output = dict(cfg.get("output", {}))
     if args.out is not None:
         output["out_dir"] = args.out
     t0 = time.perf_counter()
     try:
         result = run(params, model, cfg.get("initial", {}), output)
+    except ConfigError as exc:
+        raise UsageError([f"initial: {exc}"]) from None
     except (SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -301,13 +264,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_classify(args) -> int:
     cfg = _load_json(args.config)
-    domain, params, model = _require(cfg)
+    params, model = _require(cfg)
     try:
-        _, c0, _ = build_initial(domain, cfg.get("initial", {}))
-    except (ValueError, OSError, KeyError) as exc:
+        state = initial_state(params, cfg.get("initial", {}))
+    except (ValueError, OSError) as exc:
         raise UsageError([f"initial: {exc}"]) from None
-    c_max = float(np.max(mollify_values(c0, domain, params.rho)))
-    _print_classification(model, params, c_max)
+    _print_classification(model, params, float(np.max(state.c.data)))
     return 0
 
 
@@ -390,16 +352,20 @@ def _cmd_oracle(args) -> int:
     kwargs = {}
     if args.config is not None:
         cfg = _load_json(args.config)
-        problems = [p for p in _section_problems(cfg) if p.startswith("oracle")]
-        kwargs = _section(cfg, "oracle") or {}
+        kwargs = cfg.get("oracle", {})
         allowed = set(inspect.signature(fn).parameters)
-        problems += [f"oracle.{k}: unknown key for study {args.study!r} "
-                     f"(expected one of {', '.join(sorted(allowed))})"
-                     for k in sorted(set(kwargs) - allowed)]
+        problems = _schema_problems("oracle", kwargs, None, None) or [
+            f"oracle.{k}: unknown key for study {args.study!r} "
+            f"(expected one of {', '.join(sorted(allowed))})"
+            for k in sorted(set(kwargs) - allowed)]
         if problems:
             raise UsageError(problems)
 
-    rows = fn(**kwargs)
+    try:
+        rows = fn(**kwargs)
+    except (ConfigError, TypeError, ValueError) as exc:
+        # a study builds its inputs from the kwargs as it goes
+        raise UsageError([f"oracle: {exc}"]) from None
     print(f"{args.study} study ({len(rows)} runs)")
     prev = None
     orders = []

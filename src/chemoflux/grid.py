@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import DomainSpec
+from .model import ConfigError, DomainSpec
 
 __all__ = [
     "ScalarField", "VectorField", "shifted", "diff_central", "gradient",
@@ -185,20 +185,30 @@ def save_field(f: ScalarField, path, name: str, time: float) -> Path:
 
 
 def load_field(path, domain: DomainSpec | None = None) -> tuple[ScalarField, dict]:
-    """Read a snapshot back; validates shape against `domain` when given."""
+    """Read a snapshot back; validates shape against `domain` when given.
+
+    Raises ConfigError for a sidecar that is not a JSON object holding
+    `resolution` and `lengths` or that differs from `domain`, and for a raw
+    file without one value per cell; OSError for a file it cannot read.
+    """
     raw, side = _paths(path)
-    meta = json.loads(side.read_text(encoding="utf-8"))
-    shape = tuple(meta["resolution"])
-    data = np.frombuffer(raw.read_bytes(), dtype="<f8").reshape(shape)
-    if domain is not None:
-        if tuple(domain.resolution) != shape:
-            raise ValueError(
-                f"snapshot resolution {shape} does not match domain {domain.resolution}")
-        if list(domain.lengths) != [float(L) for L in meta["lengths"]]:
-            raise ValueError(
-                f"snapshot lengths {meta['lengths']} do not match domain {domain.lengths}")
-        spec = domain
-    else:
-        spec = DomainSpec(meta["dim"], meta.get("mode", "periodic"),
-                          tuple(meta["lengths"]), shape)
-    return ScalarField(spec, data.copy()), meta
+    try:
+        meta = json.loads(side.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"snapshot sidecar {side} is not valid JSON: {exc}"]) from None
+    if not isinstance(meta, dict) or not {"resolution", "lengths"} <= meta.keys():
+        raise ConfigError([f"snapshot sidecar {side} must be a JSON object "
+                           "holding resolution and lengths"])
+    if domain is None:
+        domain = DomainSpec(meta.get("dim"), meta.get("mode", "periodic"),
+                            tuple(meta["lengths"]), tuple(meta["resolution"]))
+    for key in ("resolution", "lengths"):
+        if meta[key] != list(getattr(domain, key)):
+            raise ConfigError([f"snapshot {key} {meta[key]} does not match "
+                               f"domain {getattr(domain, key)}"])
+    data = raw.read_bytes()
+    if len(data) != 8 * int(np.prod(domain.shape)):
+        raise ConfigError([f"snapshot {raw} holds {len(data)} bytes, not 8 per "
+                           f"cell of resolution {domain.resolution}"])
+    values = np.frombuffer(data, dtype="<f8").reshape(domain.shape)
+    return ScalarField(domain, values.copy()), meta

@@ -23,6 +23,7 @@ import numpy as np
 
 VALID_MODES = ("periodic", "neumann")
 
+# Config fields carry their JSON value kind (cli._VALUE_KINDS) in metadata.
 # Structural thresholds for the diffusion exponent.  Case (i) relies on
 # degenerate-diffusion dissipation alone; cases (ii)/(iii) trade a strictly
 # monotone sensitivity or consumption rate against a weaker alpha.
@@ -53,10 +54,10 @@ class DomainSpec:
     requires dim >= 2.
     """
 
-    dim: int
-    mode: str
-    lengths: tuple[float, ...]
-    resolution: tuple[int, ...]
+    dim: int = field(metadata={"kind": "int"})
+    mode: str = field(metadata={"kind": "text"})
+    lengths: tuple[float, ...] = field(metadata={"kind": "per-axis real"})
+    resolution: tuple[int, ...] = field(metadata={"kind": "per-axis int"})
 
     def __post_init__(self):
         problems = []
@@ -73,6 +74,9 @@ class DomainSpec:
                 problems.append(f"resolution must have {self.dim} entries, got {len(self.resolution)}")
         if any(not (L > 0) or not np.isfinite(L) for L in self.lengths):
             problems.append(f"lengths must be positive and finite, got {self.lengths}")
+        elif min(self.resolution, default=8) >= 8 and not 0 < self.cell_volume < np.inf:
+            problems.append(f"lengths {self.lengths} give a cell volume of "
+                            f"{self.cell_volume:g}; it must be positive and finite")
         if any(N < 8 for N in self.resolution):
             problems.append(f"resolution must be >= 8 along every axis, got {self.resolution}")
         if self.mode == "neumann" and self.dim == 1:
@@ -112,16 +116,16 @@ class SimParams:
     max_steps    optional hard cap on step count
     """
 
-    alpha: float
-    tau: int
-    rho: float
-    t_final: float
+    alpha: float = field(metadata={"kind": "real"})
+    tau: int = field(metadata={"kind": "int"})
+    rho: float = field(metadata={"kind": "real"})
+    t_final: float = field(metadata={"kind": "real"})
     domain: DomainSpec
-    phi_gradient: tuple[float, ...] = ()
-    em_weight: float = 1.0
-    cfl_safety: float = 0.4
-    dt_max: float | None = None
-    max_steps: int | None = None
+    phi_gradient: tuple[float, ...] = field(default=(), metadata={"kind": "reals"})
+    em_weight: float = field(default=1.0, metadata={"kind": "real"})
+    cfl_safety: float = field(default=0.4, metadata={"kind": "real"})
+    dt_max: float | None = field(default=None, metadata={"kind": "real"})
+    max_steps: int | None = field(default=None, metadata={"kind": "int"})
 
     def __post_init__(self):
         problems = []
@@ -164,10 +168,10 @@ class ChiKappaModel:
     term would vanish and the model silently collapse to a different system.
     """
 
-    chi_offset: float = 1.0
-    chi_slope: float = 0.0
-    kappa_coeff: float = 1.0
-    kappa_power: float = 1.0
+    chi_offset: float = field(default=1.0, metadata={"kind": "real"})
+    chi_slope: float = field(default=0.0, metadata={"kind": "real"})
+    kappa_coeff: float = field(default=1.0, metadata={"kind": "real"})
+    kappa_power: float = field(default=1.0, metadata={"kind": "real"})
 
     def __post_init__(self):
         problems = []

@@ -36,7 +36,8 @@ from .diagnostics import DiagnosticsRecord, compute_record, write_csv
 from .grid import (ScalarField, VectorField, diff_central, divergence, mesh,
                    save_field, load_field, lp_norm, shifted)
 from .mollify import mollify_values
-from .model import ChiKappaModel, DomainSpec, SimParams, classify_assumption
+from .model import (ChiKappaModel, ConfigError, DomainSpec, SimParams,
+                    classify_assumption)
 
 NEG_TOL = -1e-13          # below this, the cell update is declared unstable
 _workers = 1
@@ -344,6 +345,8 @@ def _gaussian(spec: DomainSpec, sigma: float, center) -> np.ndarray:
     """Separable Gaussian bump; periodic boxes sum the +-1 axis images so the
     profile stays smooth across the seam (further images are below roundoff
     for any sigma << L)."""
+    if not sigma * sigma > 0:
+        raise ConfigError([f"gaussian sigma {sigma} squares to 0"])
     xs = mesh(spec)
     out = np.ones(spec.shape)
     inv = 1.0 / (2.0 * sigma * sigma)
@@ -387,7 +390,7 @@ def _vortex(spec: DomainSpec, amplitude: float) -> np.ndarray:
 # The JSON schema of the `initial` section.  Per field: the type taken when
 # "type" is absent and, per type, its (required, optional) keys, each with
 # the kind of value it takes; `perturb` has no types.  The CLI checks configs
-# against this table.
+# against this table and OUTPUT_SCHEMA.
 INITIAL_SCHEMA = {
     "n": ("constant", {"constant": ({"value": "nonneg"}, {}),
                        "gaussian": ({"sigma": "positive"},
@@ -401,6 +404,9 @@ INITIAL_SCHEMA = {
                    "snapshot": ({"paths": "paths"}, {})}),
     "perturb": (None, {None: ({}, {"amplitude": "fraction", "seed": "count"})}),
 }
+OUTPUT_SCHEMA = (None, {None: ({}, {"out_dir": "text", "csv": "path",
+                                    "sample_interval": "positive",
+                                    "snapshot_every": "count"})})
 
 
 def build_initial(spec: DomainSpec, initial: dict):
@@ -408,6 +414,10 @@ def build_initial(spec: DomainSpec, initial: dict):
     INITIAL_SCHEMA; n may also be {"type": "array", "values"}, a programmatic
     route outside the JSON schema).  `perturb` multiplies n by 1 + amplitude
     * U(-1, 1), before a gaussian n is normalized to its mass.
+
+    Raises ConfigError for data bad only once built: a gaussian sigma that
+    squares to 0 or n without mass, non-finite data, negative n or c, and a
+    snapshot `load_field` rejects; OSError for a snapshot it cannot read.
     """
     cfg_n = initial.get("n", {"type": "constant", "value": 1.0})
     cfg_c = initial.get("c", {"type": "constant", "value": 1.0})
@@ -432,8 +442,11 @@ def build_initial(spec: DomainSpec, initial: dict):
         rng = np.random.default_rng(int(perturb.get("seed", 0)))
         n = n * (1.0 + float(perturb["amplitude"]) * (2.0 * rng.random(spec.shape) - 1.0))
     if kind == "gaussian":
-        target = float(cfg_n.get("mass", 1.0))
-        n = n * (target / (float(np.sum(n)) * spec.cell_volume))
+        total = float(np.sum(n)) * spec.cell_volume
+        if not total > 0:
+            raise ConfigError([f"initial n: a gaussian of sigma {cfg_n['sigma']} "
+                               "has no mass on this grid"])
+        n = n * (float(cfg_n.get("mass", 1.0)) / total)
 
     kind = cfg_c.get("type", INITIAL_SCHEMA["c"][0])
     if kind == "constant":
@@ -458,9 +471,23 @@ def build_initial(spec: DomainSpec, initial: dict):
     else:
         raise ValueError(f"unknown initial u type {kind!r}")
 
+    if not all(np.all(np.isfinite(f)) for f in (n, c, u)):
+        raise ConfigError(["initial n, c and u must be finite"])
     if np.min(n) < 0 or np.min(c) < 0:
-        raise ValueError("initial n and c must be nonnegative")
+        raise ConfigError(["initial n and c must be nonnegative"])
     return n, c, u
+
+
+def initial_state(params: SimParams, initial: dict) -> FieldState:
+    """The t = 0 state: `build_initial`'s data mollified at radius rho, with
+    the velocity projected.  Raises what `build_initial` raises."""
+    spec = params.domain
+    n0, c0, u0 = build_initial(spec, initial)
+    n0 = mollify_values(n0, spec, params.rho)
+    c0 = mollify_values(c0, spec, params.rho)
+    u0 = np.stack([mollify_values(u0[d], spec, params.rho) for d in range(spec.dim)])
+    return FieldState(0.0, ScalarField(spec, n0), ScalarField(spec, c0),
+                      *project(VectorField(spec, u0)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +523,9 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
     sample_interval = float(output.get("sample_interval", params.t_final / 50.0))
     snapshot_every = int(output.get("snapshot_every", 0))
 
-    n0, c0, u0 = build_initial(spec, initial)
-    n0 = mollify_values(n0, spec, params.rho)
-    c0 = mollify_values(c0, spec, params.rho)
-    u0 = np.stack([mollify_values(u0[d], spec, params.rho) for d in range(spec.dim)])
-    u_field, p_field = project(VectorField(spec, u0))
-    state = FieldState(0.0, ScalarField(spec, n0), ScalarField(spec, c0),
-                       u_field, p_field)
-
+    state = initial_state(params, initial)
     warnings = []
-    cls = classify_assumption(model, params, float(np.max(c0)))
+    cls = classify_assumption(model, params, float(np.max(state.c.data)))
     if not cls.weak_cases and not cls.bounded_cases:
         warnings.append("no structural assumption case is satisfied; "
                         "no a priori bound backs this run")

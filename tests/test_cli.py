@@ -1,7 +1,9 @@
 """Command-line interface tests, driven through main() with captured output."""
 
+import dataclasses
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -145,6 +147,83 @@ class TestConfigValidation:
             assert rc == 2
             assert err.splitlines() == [f"config problem: {p}"
                                         for p in problems]
+
+    def test_built_data_problems_listed_by_run_and_classify(self, tmp_path,
+                                                            capsys):
+        # problems that show only once a field is built: the same line,
+        # exit 2, under both commands
+        spec = cf.DomainSpec(2, "periodic", (2.0, 2.0), (16, 16))
+        coarse = cf.DomainSpec(2, "periodic", (2.0, 2.0), (8, 8))
+        cf.save_field(cf.ScalarField(coarse, np.ones(coarse.shape)),
+                      tmp_path / "coarse", "n", 0.0)
+        cf.save_field(cf.ScalarField(spec, np.full(spec.shape, np.nan)),
+                      tmp_path / "nan", "c", 0.0)
+        (tmp_path / "bare.json").write_text('{"field": "n"}')
+        (tmp_path / "bare.f64").write_bytes(bytes(8 * 256))
+        cases = [
+            ({"c": {"type": "gaussian", "base": 0.1, "amplitude": -1.0,
+                    "sigma": 0.3}},
+             "initial n and c must be nonnegative"),
+            ({"n": {"type": "snapshot", "path": str(tmp_path / "bare")}},
+             "must be a JSON object holding resolution and lengths"),
+            ({"n": {"type": "snapshot", "path": str(tmp_path / "coarse")}},
+             "snapshot resolution [8, 8] does not match domain (16, 16)"),
+            ({"c": {"type": "snapshot", "path": str(tmp_path / "nan")}},
+             "initial n, c and u must be finite"),
+            ({"n": {"type": "gaussian", "sigma": 1e-3}},
+             "initial n: a gaussian of sigma 0.001 has no mass on this grid"),
+            ({"c": {"type": "gaussian", "amplitude": 1.0, "sigma": 1e-300}},
+             "gaussian sigma 1e-300 squares to 0"),
+        ]
+        for initial, message in cases:
+            errs = []
+            for cmd in ("run", "classify"):
+                rc = cli.main([cmd, _write(tmp_path, _base_cfg(initial=initial))])
+                errs.append(capsys.readouterr().err)
+                assert rc == 2, (cmd, initial)
+            assert errs[0] == errs[1]
+            assert errs[0].startswith("config problem: initial: ")
+            assert message in errs[0]
+
+    def test_bad_value_sweep(self, tmp_path, capsys):
+        # every domain/params/model key takes each bad JSON value in turn:
+        # a listed problem or a clean classification, never a traceback.
+        # No large integers: a drawn resolution must stay a small grid.
+        bad = [None, True, False, "x", "", [], [1], [1, 2, 3], {}, {"a": 1},
+               math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e-300, 12,
+               [16.5, 16], ["a", 2.0], [None, None]]
+        sections = {"domain": cf.DomainSpec, "params": cf.SimParams,
+                    "model": cf.ChiKappaModel}
+        for section, cls in sections.items():
+            for f, value in itertools.product(dataclasses.fields(cls), bad):
+                if f.name == "domain":
+                    continue
+                cfg = _base_cfg()
+                cfg[section][f.name] = value
+                rc = cli.main(["classify", _write(tmp_path, cfg)])
+                capsys.readouterr()
+                listed = (
+                    type(value) is bool and f.name != "mode"
+                    or type(value) is float and not math.isfinite(value)
+                    or f.name in ("resolution", "max_steps", "tau")
+                    and value in (2.5, [16.5, 16])
+                    or f.name == "phi_gradient" and type(value) is not list
+                    or f.name == "lengths" and value == 1e-300)
+                assert rc in ((2,) if listed else (0, 2)), \
+                    (section, f.name, value, rc)
+
+    def test_every_key_has_a_known_kind(self):
+        # the schema's single source: a field added without a kind fails here
+        from chemoflux.solver import INITIAL_SCHEMA, OUTPUT_SCHEMA
+        kinds = {f"{cls.__name__}.{f.name}": f.metadata.get("kind")
+                 for cls in (cf.DomainSpec, cf.SimParams, cf.ChiKappaModel)
+                 for f in dataclasses.fields(cls) if f.name != "domain"}
+        for name, (_, types) in [*INITIAL_SCHEMA.items(), ("output", OUTPUT_SCHEMA)]:
+            for required, optional in types.values():
+                kinds.update((f"{name}.{k}", v)
+                             for k, v in {**required, **optional}.items())
+        assert {k: v for k, v in kinds.items()
+                if v not in cli._VALUE_KINDS} == {}
 
     def test_initial_field_not_object_listed(self, tmp_path, capsys):
         cfg = _base_cfg()
@@ -307,10 +386,19 @@ class TestOracleCommand:
         assert "uniform study (2 runs)" in out
 
     def test_unknown_study_kwarg_rejected(self, tmp_path, capsys):
-        cfg = {"oracle": {"resolution": 99}}
-        rc = cli.main(["oracle", "uniform", _write(tmp_path, cfg)])
-        assert rc == 2
-        assert "oracle.resolution" in capsys.readouterr().err
+        cases = [
+            ("uniform", {"resolution": 99}, "oracle.resolution"),
+            # values the study rejects while it sets up its inputs
+            ("uniform", {"dts": "abc"}, "oracle: could not convert"),
+            ("uniform", {"t_final": -1}, "oracle: t_final must be > 0"),
+            ("barenblatt", {"resolutions": [4]},
+             "oracle: resolution must be >= 8"),
+        ]
+        for study, section, message in cases:
+            cfg = {"oracle": section}
+            rc = cli.main(["oracle", study, _write(tmp_path, cfg)])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
     def test_non_object_study_section_listed(self, tmp_path, capsys):
         rc = cli.main(["oracle", "uniform", _write(tmp_path, {"oracle": [1]})])

@@ -241,6 +241,16 @@ class TestSnapshotIO:
         side = json.loads((tmp_path / "s.json").read_text())
         assert side["resolution"] == [8]
 
+    @pytest.mark.parametrize("sidecar, nbytes", [
+        ("{not json", 128), ("[16]", 128), ('{"resolution": [16]}', 128),
+        ('{"resolution": [16], "lengths": [1.0]}', 64)])
+    def test_malformed_snapshot_is_a_config_error(self, tmp_path, sidecar,
+                                                  nbytes):
+        (tmp_path / "s.json").write_text(sidecar)
+        (tmp_path / "s.f64").write_bytes(bytes(nbytes))
+        with pytest.raises(cf.ConfigError):
+            cf.load_field(tmp_path / "s", cf.DomainSpec(1, "periodic", (1.0,), (16,)))
+
     def test_load_validates_domain(self, tmp_path):
         spec = _periodic(16)
         cf.save_field(cf.ScalarField(spec, np.zeros(spec.shape)),
