@@ -16,9 +16,8 @@ from .grid import (ScalarField, VectorField, cell_centers, diff_central,
                    lp_norm, mesh, save_field)
 from .mollify import mollify_values
 from .diagnostics import (DiagnosticsRecord, bounded_class_check,
-                          compute_record, dissipation_functional,
-                          energy_functional, read_csv, weak_class_check,
-                          write_csv)
+                          compute_record, dissipation_functional, read_csv,
+                          weak_class_check, write_csv)
 from .solver import (FieldState, RunResult, SolverError, build_initial,
                      project, run, set_threads, stable_dt, step)
 from .ledger import (CatalogError, LedgerEntry, build_ledger, check_entry,
@@ -35,7 +34,7 @@ __all__ = [
     "lp_norm", "mesh", "save_field",
     "mollify_values",
     "DiagnosticsRecord", "bounded_class_check", "compute_record",
-    "dissipation_functional", "energy_functional", "read_csv",
+    "dissipation_functional", "read_csv",
     "weak_class_check", "write_csv",
     "FieldState", "RunResult", "SolverError", "build_initial", "project",
     "run", "set_threads", "stable_dt", "step",

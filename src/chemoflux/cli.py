@@ -395,6 +395,27 @@ def _fraction_arg(text: str) -> Fraction:
             f"{text!r} is not an exact rational (use forms like 1/3 or 0.25)")
 
 
+def _positive_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+
+
+def _threads(flag: int | None) -> int:
+    """--threads, else CHEMOFLUX_THREADS, else 1."""
+    if flag is not None:
+        return flag
+    text = os.environ.get("CHEMOFLUX_THREADS") or "1"
+    try:
+        return _positive_int_arg(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError([f"CHEMOFLUX_THREADS: {exc}"]) from None
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chemoflux",
@@ -403,7 +424,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     parser.add_argument(
-        "--threads", type=int, default=None,
+        "--threads", type=_positive_int_arg, default=None,
         help="FFT worker count (default: CHEMOFLUX_THREADS or 1; results are "
              "bit-identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -428,8 +449,9 @@ def _parser() -> argparse.ArgumentParser:
     p_led.add_argument("--p", type=_fraction_arg, default=None,
                        help="exact rational integrability index (entries with "
                             "a p-window)")
-    p_led.add_argument("--scan", type=int, default=None, metavar="DENSITY",
-                       help="lattice-scan regions at this density")
+    p_led.add_argument("--scan", type=_positive_int_arg, default=None,
+                       metavar="DENSITY",
+                       help="lattice-scan regions at this density (>= 1)")
     p_led.set_defaults(fn=_cmd_ledger)
 
     p_orc = sub.add_parser(
@@ -444,11 +466,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("CHEMOFLUX_THREADS", "1") or "1")
-    set_threads(threads)
     try:
+        set_threads(_threads(args.threads))
         return args.fn(args)
     except UsageError as exc:
         for line in exc.problems:

@@ -96,20 +96,6 @@ def weighted_moment(f: ScalarField) -> float:
     return float(np.sum(f.data * radial_weight(f.domain))) * f.domain.cell_volume
 
 
-def _energy(a_ent, mom, n_l1a, gc, ul2, params: SimParams) -> float:
-    """E from its component norms (mom = 0 in neumann mode)."""
-    return (a_ent + 2.0 * mom + n_l1a ** (1.0 + params.alpha)
-            + gc * gc + 0.5 * (params.em_weight + 2.0) * ul2 * ul2)
-
-
-def energy_functional(state, params: SimParams) -> float:
-    """Recompute E from a FieldState (same formula the records use)."""
-    mom = 0.0 if params.domain.mode == "neumann" else weighted_moment(state.n)
-    return _energy(abs_entropy(state.n), mom,
-                   lp_norm(state.n, 1.0 + params.alpha),
-                   lp_norm(gradient(state.c), 2), lp_norm(state.u, 2), params)
-
-
 def dissipation_functional(state, params: SimParams) -> float:
     spec = params.domain
     n = state.n.data
@@ -144,8 +130,9 @@ def compute_record(state, params: SimParams,
     n_linf = lp_norm(n, np.inf)
     gc = lp_norm(gradient(c), 2)
     ul2 = lp_norm(u, 2)
-    e_m = _energy(a_ent, 0.0 if spec.mode == "neumann" else mom, n_l1a, gc,
-                  ul2, params)
+    e_m = (a_ent + 2.0 * (0.0 if spec.mode == "neumann" else mom)
+           + n_l1a ** (1.0 + params.alpha) + gc * gc
+           + 0.5 * (params.em_weight + 2.0) * ul2 * ul2)
     d = dissipation_functional(state, params)
     if prev is None:
         d_accum = 0.0

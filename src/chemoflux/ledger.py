@@ -23,9 +23,9 @@ n -> n(lambda x),
 asserted inequality agree identically as rational functions: the difference
 is evaluated on a 21x21 rational grid in (a, s) with p = p_lo(a) +
 (p_hi(a)-p_lo(a))*s.  Every exponent in the catalog is a ratio of polynomials
-of total degree <= 4, so the difference has numerator degree far below 21 in
-each variable; vanishing on the grid therefore proves the identity exactly,
-it does not sample it.
+of total degree <= 4 (tests/test_ledger.py checks this on sympy symbols), so
+the difference has numerator degree far below 21 in each variable; vanishing
+on the grid therefore proves the identity exactly, it does not sample it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import Callable
 
 DIM = 3  # space dimension of the scaling bookkeeping
+SCAN_P_SPAN = Fraction(5)  # lattice span of an unbounded p window
 
 Expr = Callable[[Fraction, Fraction | None], Fraction]
 
@@ -126,8 +127,6 @@ class LedgerEntry:
     checks: tuple[Check, ...] = ()
     scalings: tuple[Scaling, ...] = ()
     scan_alpha_hi: Fraction | None = None  # lattice cap for unbounded regions
-    scan_p_span: Fraction = Fraction(5)    # lattice span for unbounded p windows
-    note: str = ""
 
     @property
     def uses_p(self) -> bool:
@@ -211,7 +210,7 @@ def scaling_check(entry: LedgerEntry) -> bool:
     (identical lambda-exponents on both sides); vacuously true without one."""
     if not entry.scalings:
         return True
-    for a, p in _identity_grid(entry, 21):
+    for a, p in _lattice(entry, 21)[2]:
         for sc in entry.scalings:
             lhs = sum((f.lam_exponent(a, p) for f in sc.lhs), Fraction(0))
             rhs = sum((f.lam_exponent(a, p) for f in sc.rhs), Fraction(0))
@@ -231,15 +230,23 @@ def _p_window(entry: LedgerEntry, a: Fraction) -> tuple[Fraction, Fraction] | No
     if not entry.uses_p:
         return None
     lo, hi = _p_bounds(entry.p_lo, entry.p_hi, a)
-    return lo, (lo + entry.scan_p_span if hi is None else hi)
+    return lo, (lo + SCAN_P_SPAN if hi is None else hi)
 
 
-def _identity_grid(entry: LedgerEntry, m: int):
-    """Cartesian m x m rational grid in (a, s), mapped into the region."""
+def _lattice(entry: LedgerEntry, m: int, closed: bool = False):
+    """(alpha step, alpha rows, points) of the m x m rational grid in (a, s)
+    mapped into the region: m rows evenly inside the alpha range, plus its
+    closed endpoints when `closed`, each with m points evenly inside its p
+    window, or the one point (a, None) for an entry without a p window."""
     a_lo, a_hi = _alpha_range(entry)
-    points = []
-    for i in range(1, m + 1):
-        a = a_lo + (a_hi - a_lo) * Fraction(i, m + 1)
+    step_a = (a_hi - a_lo) / (m + 1)
+    alphas = [a_lo + step_a * i for i in range(1, m + 1)]
+    if closed and entry.alpha_hi is not None and not entry.alpha_hi_strict:
+        alphas.append(entry.alpha_hi)
+    if closed and not entry.alpha_lo_strict:
+        alphas.insert(0, entry.alpha_lo)
+    points: list[tuple[Fraction, Fraction | None]] = []
+    for a in alphas:
         win = _p_window(entry, a)
         if win is None:
             points.append((a, None))
@@ -247,9 +254,9 @@ def _identity_grid(entry: LedgerEntry, m: int):
         lo, hi = win
         if hi <= lo:
             continue
-        for j in range(1, m + 1):
-            points.append((a, lo + (hi - lo) * Fraction(j, m + 1)))
-    return points
+        step_p = (hi - lo) / (m + 1)
+        points.extend((a, lo + step_p * j) for j in range(1, m + 1))
+    return step_a, alphas, points
 
 
 @dataclass
@@ -274,26 +281,9 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     all pass; a collar of points just outside each true boundary must come
     back inapplicable.  Value ranges are tracked per check, exactly.
     """
-    a_lo, a_hi = _alpha_range(entry)
-    step_a = (a_hi - a_lo) / (density + 1)
-    alphas = [a_lo + step_a * i for i in range(1, density + 1)]
-    if entry.alpha_hi is not None and not entry.alpha_hi_strict:
-        alphas.append(entry.alpha_hi)
-    if not entry.alpha_lo_strict:
-        alphas.insert(0, entry.alpha_lo)
-
-    interior: list[tuple[Fraction, Fraction | None]] = []
-    for a in alphas:
-        win = _p_window(entry, a)
-        if win is None:
-            interior.append((a, None))
-            continue
-        lo, hi = win
-        if hi <= lo:
-            continue
-        step_p = (hi - lo) / (density + 1)
-        interior.extend((a, lo + step_p * j) for j in range(1, density + 1))
-
+    if density < 1:
+        raise ValueError(f"scan density must be an integer >= 1, got {density!r}")
+    step_a, alphas, interior = _lattice(entry, density, closed=True)
     failures = []
     ranges: dict[str, tuple[Fraction, Fraction]] = {}
     for a, p in interior:
@@ -378,8 +368,30 @@ def _grad_pow(power: Expr) -> ScaleFactor:
     return ScaleFactor("grad_pow", _const(Fraction(1)), power)
 
 
-def _grad_c(index: Expr, power: Expr) -> ScaleFactor:
-    return ScaleFactor("grad_c", index, power)
+def _gn(q: Expr, e: Expr, mass_index: Expr, mass: Expr, grad: Expr) -> Scaling:
+    """||n||_q^e <= ||n||_{mass_index}^mass ||grad n^s||_2^grad."""
+    return Scaling(lhs=(_lp(q, e),), rhs=(_lp(mass_index, mass), _grad_pow(grad)))
+
+
+def _interpolation(id: str, title: str, kind: str, q: Expr, q0: Expr, q1: Expr,
+                   theta: Expr, e: Expr, pre: tuple[Check, ...] = (),
+                   **region) -> LedgerEntry:
+    """||f||_q^e <= ||f||_{q0}^{e(1-theta)} ||f||_{q1}^{e theta}, all three
+    norms of ScaleFactor `kind`: the `pre` checks, then the index identity
+    1/q = (1-theta)/q0 + theta/q1, and the dilation scaling of both sides."""
+    def index(a, p):
+        t = theta(a, p)
+        return 1 / q(a, p) - (1 - t) / q0(a, p) - t / q1(a, p)
+
+    return LedgerEntry(
+        id=id, title=title, **region,
+        checks=pre + (Check("interp-index", index, lo=Fraction(0), hi=Fraction(0),
+                            lo_strict=False, hi_strict=False),),
+        scalings=(Scaling(
+            lhs=(ScaleFactor(kind, q, e),),
+            rhs=(ScaleFactor(kind, q0, lambda a, p: e(a, p) * (1 - theta(a, p))),
+                 ScaleFactor(kind, q1, lambda a, p: e(a, p) * theta(a, p)))),),
+    )
 
 
 @_per_point
@@ -415,71 +427,79 @@ def _theta5(a, p):
     return 3 * (r2 - 2) / (2 * r2)
 
 
+def _r1_denominator(a, p):
+    return 5 + 14 * a - 3 * p
+
+
 @_per_point
 def _r1(a, p):
-    return (6 + 6 * a) / (5 + 14 * a - 3 * p)
+    return (6 + 6 * a) / _r1_denominator(a, p)
 
 
 def build_ledger() -> tuple[LedgerEntry, ...]:
     """The full catalog.  Ids are stable; tests and the CLI key on them."""
     zero, one, two = _f(0), _f(1), _f(2)
+    c1, c2 = _const(one), _const(two)
+    # indices and exponents shared by several entries (or by a check and a
+    # scaling power of one entry), each written once
+    one_a: Expr = lambda a, p: 1 + a         # L^{1+a}; lower end of the p windows
+    one_4a: Expr = lambda a, p: 1 + 4 * a    # upper end of the low band's p window
+    one_minus_a: Expr = lambda a, p: 1 - a
+    sobolev: Expr = lambda a, p: 3 + 6 * a   # endpoint Sobolev index
+    q_iter: Expr = lambda a, p: 6 * p / (2 * p + 3 * a)  # iteration's interpolated index
+    q_top: Expr = lambda a, p: 3 * p + 3 * a  # upper interpolation index
+    p0: Expr = lambda a, p: _f(3, 2) - 3 * a / 4  # second-stage start index
+    # the index 6r/(6+r) lowered from r against L^1
+    lowered = lambda r: lambda a, p: 6 * r(a, p) / (6 + r(a, p))
+    gn_l2: Expr = lambda a, p: 6 / (2 + 6 * a)
+    l2_scaling = _gn(c2, c2, c1, lambda a, p: (1 + 6 * a) / (2 + 6 * a), gn_l2)
     entries = []
 
     # ---- degenerate-diffusion branch, low exponent window
+    case_low = dict(alpha_lo=_f(1, 6), alpha_hi=_f(1, 3), alpha_hi_strict=False)
     entries.append(LedgerEntry(
         id="case-i-low",
         title="entropy-route exponent windows on the low-diffusion branch",
-        alpha_lo=_f(1, 6), alpha_hi=_f(1, 3), alpha_hi_strict=False,
+        **case_low,
         checks=(
             Check("one-minus-3a", lambda a, p: 1 - 3 * a,
                   lo=zero, lo_strict=False, hi=_f(2, 3)),
             Check("one-minus-2a", lambda a, p: 1 - 2 * a, lo=zero, hi=_f(2, 3)),
         ),
     ))
+    gn_2ma: Expr = lambda a, p: (6 - 6 * a) / (2 + 3 * a)
+    mass_2ma: Expr = lambda a, p: (1 + 4 * a) / (2 + 3 * a)
+    two_ma: Expr = lambda a, p: 2 - a
     entries.append(LedgerEntry(
         id="case-i-low-gn-2minus-alpha",
         title="interpolation of ||n||_{2-a}^{2-a} against the (1+a)/2 gradient power",
-        alpha_lo=_f(1, 6), alpha_hi=_f(1, 3), alpha_hi_strict=False,
+        **case_low,
         checks=(
-            Check("gn-exponent", lambda a, p: (6 - 6 * a) / (2 + 3 * a),
-                  lo=_f(4, 3), lo_strict=False, hi=two),
-            Check("mass-exponent", lambda a, p: (1 + 4 * a) / (2 + 3 * a),
-                  lo=zero, hi=one),
+            Check("gn-exponent", gn_2ma, lo=_f(4, 3), lo_strict=False, hi=two),
+            Check("mass-exponent", mass_2ma, lo=zero, hi=one),
         ),
-        scalings=(Scaling(
-            lhs=(_lp(lambda a, p: 2 - a, lambda a, p: 2 - a),),
-            rhs=(_lp(_const(one), lambda a, p: (1 + 4 * a) / (2 + 3 * a)),
-                 _grad_pow(lambda a, p: (6 - 6 * a) / (2 + 3 * a))),
-        ),),
+        scalings=(_gn(two_ma, two_ma, c1, mass_2ma, gn_2ma),),
     ))
     entries.append(LedgerEntry(
         id="case-i-low-gn-l2",
         title="interpolation of ||n||_2^2 against the (1+2a)/2 gradient power",
-        alpha_lo=_f(1, 6), alpha_hi=_f(1, 3), alpha_hi_strict=False,
+        **case_low,
         checks=(
-            Check("gn-exponent", lambda a, p: Fraction(6) / (2 + 6 * a),
-                  lo=_f(3, 2), lo_strict=False, hi=two),
+            Check("gn-exponent", gn_l2, lo=_f(3, 2), lo_strict=False, hi=two),
         ),
-        scalings=(Scaling(
-            lhs=(_lp(_const(two), _const(two)),),
-            rhs=(_lp(_const(one), lambda a, p: (1 + 6 * a) / (2 + 6 * a)),
-                 _grad_pow(lambda a, p: Fraction(6) / (2 + 6 * a))),
-        ),),
+        scalings=(l2_scaling,),
     ))
+    gn_65: Expr = lambda a, p: 2 / (2 + 6 * a)
     entries.append(LedgerEntry(
         id="case-i-low-gn-6-5",
         title="interpolation of ||n||_{6/5}^2 for the fluid forcing pairing",
-        alpha_lo=_f(1, 6), alpha_hi=_f(1, 3), alpha_hi_strict=False,
+        **case_low,
         checks=(
-            Check("gn-exponent", lambda a, p: Fraction(2) / (2 + 6 * a),
-                  lo=zero, hi=two),
-            Check("q-upper-gap", lambda a, p: 3 + 6 * a - _f(6, 5), lo=zero),
+            Check("gn-exponent", gn_65, lo=zero, hi=two),
+            Check("q-upper-gap", lambda a, p: sobolev(a, p) - _f(6, 5), lo=zero),
         ),
-        scalings=(Scaling(
-            lhs=(_lp(_const(_f(6, 5)), _const(two)),),
-            rhs=(_lp(_const(one), lambda a, p: (3 + 10 * a) / (2 + 6 * a)),
-                 _grad_pow(lambda a, p: Fraction(2) / (2 + 6 * a))),
-        ),),
+        scalings=(_gn(_const(_f(6, 5)), c2, c1,
+                      lambda a, p: (3 + 10 * a) / (2 + 6 * a), gn_65),),
     ))
 
     # ---- middle and high diffusion branches
@@ -488,63 +508,54 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
         title="exponent windows on the middle branch",
         alpha_lo=_f(1, 3), alpha_hi=one, alpha_hi_strict=False,
         checks=(
-            Check("one-minus-a", lambda a, p: 1 - a,
+            Check("one-minus-a", one_minus_a,
                   lo=zero, lo_strict=False, hi=_f(2, 3)),
-            Check("gn-exponent", lambda a, p: Fraction(6) / (2 + 6 * a),
-                  lo=zero, hi=two),
+            Check("gn-exponent", gn_l2, lo=zero, hi=two),
         ),
-        scalings=(Scaling(
-            lhs=(_lp(_const(two), _const(two)),),
-            rhs=(_lp(_const(one), lambda a, p: (1 + 6 * a) / (2 + 6 * a)),
-                 _grad_pow(lambda a, p: Fraction(6) / (2 + 6 * a))),
-        ),),
+        scalings=(l2_scaling,),
     ))
+    # the companion L2 interpolation lacks a dilation-homogeneous exponent
+    # pair; only the exponent window is asserted here
     entries.append(LedgerEntry(
         id="case-i-high",
         title="vorticity-route window on the high branch",
         alpha_lo=one, alpha_hi=None, scan_alpha_hi=_f(4),
         checks=(
-            Check("vorticity-exponent", lambda a, p: Fraction(6) / (2 + 3 * a),
+            Check("vorticity-exponent", lambda a, p: 6 / (2 + 3 * a),
                   lo=zero, hi=two),
         ),
-        note=("the companion L2 interpolation lacks a dilation-homogeneous "
-              "exponent pair; only the exponent window is asserted here"),
     ))
+    # region capped at 2 above by catalog policy; the window check itself
+    # holds for every positive a (6a < 4+6a), so the cap is conservative,
+    # not forced by the arithmetic
+    gn_high: Expr = lambda a, p: 6 * a / (2 + 3 * a)
     entries.append(LedgerEntry(
         id="case-i-high-gn",
         title="interpolation of ||n||_{1+a}^{1+a} on the high branch",
         alpha_lo=one, alpha_hi=two,
         checks=(
-            Check("gn-exponent", lambda a, p: 6 * a / (2 + 3 * a),
-                  lo=zero, hi=two),
+            Check("gn-exponent", gn_high, lo=zero, hi=two),
         ),
-        scalings=(Scaling(
-            lhs=(_lp(lambda a, p: 1 + a, lambda a, p: 1 + a),),
-            rhs=(_lp(_const(one), lambda a, p: (2 + 2 * a) / (2 + 3 * a)),
-                 _grad_pow(lambda a, p: 6 * a / (2 + 3 * a))),
-        ),),
-        note=("region capped at 2 above by catalog policy; the window check "
-              "itself holds for every positive a (6a < 4+6a), so the cap is "
-              "conservative, not forced by the arithmetic"),
+        scalings=(_gn(one_a, one_a, c1,
+                      lambda a, p: (2 + 2 * a) / (2 + 3 * a), gn_high),),
     ))
     entries.append(LedgerEntry(
         id="case-ii-iii-small-alpha",
         title="monotone-sensitivity branches: windows for arbitrarily small a",
         alpha_lo=zero, alpha_hi=_f(1, 6), alpha_hi_strict=False,
         checks=(
-            Check("one-minus-a", lambda a, p: 1 - a, lo=zero, hi=one),
-            Check("half-one-minus-a", lambda a, p: (1 - a) / 2,
+            Check("one-minus-a", one_minus_a, lo=zero, hi=one),
+            Check("half-one-minus-a", lambda a, p: one_minus_a(a, p) / 2,
                   lo=zero, hi=_f(1, 2)),
         ),
     ))
 
     # ---- L^p iteration, high-diffusion branch (a > 1/3)
-    p_above_1a: Expr = lambda a, p: 1 + a
+    high = dict(alpha_lo=_f(1, 3), alpha_hi=None, scan_alpha_hi=_f(3), p_lo=one_a)
     entries.append(LedgerEntry(
         id="moser-high-windows",
         title="iteration absorption windows, high branch",
-        alpha_lo=_f(1, 3), alpha_hi=None, scan_alpha_hi=_f(3),
-        p_lo=p_above_1a,
+        **high,
         checks=(
             Check("delta-p",
                   lambda a, p: (2 * p * (3 * a - 1) + 3 * a) / (p * (1 + 3 * a)),
@@ -554,70 +565,63 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
                   lo=zero, hi=two),
         ),
     ))
+    kappa: Expr = lambda a, p: (1 + 2 * a) * (4 * p - 3 * a) / (2 * p * (1 + 3 * a))
     entries.append(LedgerEntry(
         id="moser-high-gn-interp",
         title="two-endpoint interpolation feeding the high-branch iteration",
-        alpha_lo=_f(1, 3), alpha_hi=None, scan_alpha_hi=_f(3),
-        p_lo=p_above_1a,
+        **high,
         checks=(
-            Check("kappa-interp",
-                  lambda a, p: (1 + 2 * a) * (4 * p - 3 * a) / (2 * p * (1 + 3 * a)),
-                  lo=zero, hi=two),
+            Check("kappa-interp", kappa, lo=zero, hi=two),
         ),
         scalings=(Scaling(
-            lhs=(_lp(lambda a, p: 6 * p / (2 * p + 3 * a), _const(two)),),
-            rhs=(_lp(_const(one),
-                     lambda a, p: 2 - (1 + 2 * a) * (4 * p - 3 * a)
-                     / (2 * p * (1 + 3 * a))),
-                 _lp(lambda a, p: 3 + 6 * a,
-                     lambda a, p: (1 + 2 * a) * (4 * p - 3 * a)
-                     / (2 * p * (1 + 3 * a)))),
+            lhs=(_lp(q_iter, c2),),
+            rhs=(_lp(c1, lambda a, p: 2 - kappa(a, p)), _lp(sobolev, kappa)),
         ),),
     ))
     entries.append(LedgerEntry(
         id="moser-high-interp-window",
         title="validity window of the interpolation index, high branch",
-        alpha_lo=_f(1, 3), alpha_hi=None, scan_alpha_hi=_f(3),
-        p_lo=p_above_1a,
+        **high,
         checks=(
-            Check("q-above-one",
-                  lambda a, p: (4 * p - 3 * a) / (2 * p + 3 * a), lo=zero),
+            Check("q-above-one", lambda a, p: q_iter(a, p) - 1, lo=zero),
             Check("q-below-sobolev",
-                  lambda a, p: (3 + 6 * a) - 6 * p / (2 * p + 3 * a), lo=zero),
+                  lambda a, p: sobolev(a, p) - q_iter(a, p), lo=zero),
         ),
     ))
+    embedding: Expr = lambda a, p: 2 / (1 + 2 * a)
     entries.append(LedgerEntry(
         id="sobolev-grad-power",
         title="endpoint Sobolev control of ||n||_{3+6a} by the gradient power",
         alpha_lo=zero, alpha_hi=None, scan_alpha_hi=two,
         checks=(
-            Check("embedding-exponent", lambda a, p: Fraction(2) / (1 + 2 * a),
-                  lo=zero, hi=two),
+            Check("embedding-exponent", embedding, lo=zero, hi=two),
         ),
         scalings=(Scaling(
-            lhs=(_lp(lambda a, p: 3 + 6 * a, _const(one)),),
-            rhs=(_grad_pow(lambda a, p: Fraction(2) / (1 + 2 * a)),),
+            lhs=(_lp(sobolev, c1),),
+            rhs=(_grad_pow(embedding),),
         ),),
     ))
 
     # ---- L^p iteration, low-diffusion window (1/8 < a <= 1/3)
     low = dict(alpha_lo=_f(1, 8), alpha_hi=_f(1, 3), alpha_hi_strict=False)
-    p_win = dict(p_lo=lambda a, p: 1 + a, p_hi=lambda a, p: 1 + 4 * a)
+    p_win = dict(p_lo=one_a, p_hi=one_4a)
+    p_minus_3a: Expr = lambda a, p: p - 3 * a
+    # the Hoelder exponent conjugate to (p-3a)/(1+a)
+    holder: Expr = lambda a, p: (one_4a(a, p) - p) / one_a(a, p)
     entries.append(LedgerEntry(
         id="moser-window",
         title="iteration window bookkeeping on the low band: indices, "
               "conjugacy, and the five interpolation fractions",
         **low, **p_win,
         checks=(
-            Check("r1-denominator", lambda a, p: 5 + 14 * a - 3 * p, lo=zero),
+            Check("r1-denominator", _r1_denominator, lo=zero),
             Check("r1-window", _r1, lo=one, lo_strict=False, hi=_f(3)),
-            Check("p-minus-3a", lambda a, p: p - 3 * a, lo=zero),
+            Check("p-minus-3a", p_minus_3a, lo=zero),
             Check("holder-conjugacy",
-                  lambda a, p: (p - 3 * a) / (1 + a) + (1 + 4 * a - p) / (1 + a),
+                  lambda a, p: p_minus_3a(a, p) / one_a(a, p) + holder(a, p),
                   lo=one, hi=one, lo_strict=False, hi_strict=False),
             Check("r1-sobolev-index",
-                  lambda a, p: 1 / _r1(a, p) - (1 + 4 * a - p) / (2 * (1 + a))
-                  - _f(1, 3),
+                  lambda a, p: 1 / _r1(a, p) - holder(a, p) / 2 - _f(1, 3),
                   lo=zero, hi=zero, lo_strict=False, hi_strict=False),
             Check("r2-window", _r2, lo=two, hi=_f(3)),
             Check("theta1", _theta1, lo=zero, hi=one),
@@ -637,119 +641,48 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
                   lo=zero, hi=two),
         ),
     ))
-    entries.append(LedgerEntry(
-        id="moser-window-gn-theta1",
-        title="interpolation ||n||_{r1}^2 between L^{1+a} and L^{3p+3a}",
-        **low, **p_win,
-        checks=(
-            Check("interp-index",
-                  lambda a, p: 1 / _r1(a, p) - (1 - _theta1(a, p)) / (1 + a)
-                  - _theta1(a, p) / (3 * p + 3 * a),
-                  lo=zero, hi=zero, lo_strict=False, hi_strict=False),
-        ),
-        scalings=(Scaling(
-            lhs=(_lp(_r1, _const(two)),),
-            rhs=(_lp(lambda a, p: 1 + a, lambda a, p: 2 * (1 - _theta1(a, p))),
-                 _lp(lambda a, p: 3 * p + 3 * a, lambda a, p: 2 * _theta1(a, p))),
-        ),),
-    ))
-    entries.append(LedgerEntry(
-        id="moser-window-gn-theta2",
-        title="interpolation at the lowered index 6 r1/(6+r1) against L^1",
-        **low, **p_win,
-        checks=(
-            Check("q-above-one", lambda a, p: _r1(a, p) - _f(6, 5), lo=zero),
-            Check("interp-index",
-                  lambda a, p: (6 + _r1(a, p)) / (6 * _r1(a, p))
-                  - (1 - _theta2(a, p)) - _theta2(a, p) / (3 * p + 3 * a),
-                  lo=zero, hi=zero, lo_strict=False, hi_strict=False),
-        ),
-        scalings=(Scaling(
-            lhs=(_lp(lambda a, p: 6 * _r1(a, p) / (6 + _r1(a, p)), _const(two)),),
-            rhs=(_lp(_const(one), lambda a, p: 2 * (1 - _theta2(a, p))),
-                 _lp(lambda a, p: 3 * p + 3 * a, lambda a, p: 2 * _theta2(a, p))),
-        ),),
-    ))
-    entries.append(LedgerEntry(
-        id="moser-window-gn-theta3",
-        title="interpolation ||n||_{r2}^{r2} between L^{1+a} and L^{3p+3a}",
-        **low, **p_win,
-        checks=(
-            Check("interp-index",
-                  lambda a, p: 1 / _r2(a, p) - (1 - _theta3(a, p)) / (1 + a)
-                  - _theta3(a, p) / (3 * p + 3 * a),
-                  lo=zero, hi=zero, lo_strict=False, hi_strict=False),
-        ),
-        scalings=(Scaling(
-            lhs=(_lp(_r2, _r2),),
-            rhs=(_lp(lambda a, p: 1 + a,
-                     lambda a, p: _r2(a, p) * (1 - _theta3(a, p))),
-                 _lp(lambda a, p: 3 * p + 3 * a,
-                     lambda a, p: _r2(a, p) * _theta3(a, p))),
-        ),),
-    ))
-    entries.append(LedgerEntry(
-        id="moser-window-gn-theta4",
-        title="interpolation at the lowered index 6 r2/(6+r2) against L^1",
-        **low, **p_win,
-        checks=(
-            Check("interp-index",
-                  lambda a, p: (6 + _r2(a, p)) / (6 * _r2(a, p))
-                  - (1 - _theta4(a, p)) - _theta4(a, p) / (3 * p + 3 * a),
-                  lo=zero, hi=zero, lo_strict=False, hi_strict=False),
-        ),
-        scalings=(Scaling(
-            lhs=(_lp(lambda a, p: 6 * _r2(a, p) / (6 + _r2(a, p)), _r2),),
-            rhs=(_lp(_const(one), lambda a, p: _r2(a, p) * (1 - _theta4(a, p))),
-                 _lp(lambda a, p: 3 * p + 3 * a,
-                     lambda a, p: _r2(a, p) * _theta4(a, p))),
-        ),),
-    ))
-    entries.append(LedgerEntry(
-        id="moser-window-gn-theta5",
-        title="gradient-of-c interpolation ||grad c||_{r2}^{r2} between "
-              "L^2 and L^6",
-        **low, **p_win,
-        checks=(
-            Check("interp-index",
-                  lambda a, p: 1 / _r2(a, p) - (1 - _theta5(a, p)) / 2
-                  - _theta5(a, p) / 6,
-                  lo=zero, hi=zero, lo_strict=False, hi_strict=False),
-        ),
-        scalings=(Scaling(
-            lhs=(_grad_c(_r2, _r2),),
-            rhs=(_grad_c(_const(two),
-                         lambda a, p: _r2(a, p) * (1 - _theta5(a, p))),
-                 _grad_c(_const(Fraction(6)),
-                         lambda a, p: _r2(a, p) * _theta5(a, p))),
-        ),),
-    ))
+    entries.append(_interpolation(
+        "moser-window-gn-theta1",
+        "interpolation ||n||_{r1}^2 between L^{1+a} and L^{3p+3a}",
+        "lp", _r1, one_a, q_top, _theta1, c2, **low, **p_win))
+    entries.append(_interpolation(
+        "moser-window-gn-theta2",
+        "interpolation at the lowered index 6 r1/(6+r1) against L^1",
+        "lp", lowered(_r1), c1, q_top, _theta2, c2,
+        pre=(Check("q-above-one", lambda a, p: _r1(a, p) - _f(6, 5), lo=zero),),
+        **low, **p_win))
+    entries.append(_interpolation(
+        "moser-window-gn-theta3",
+        "interpolation ||n||_{r2}^{r2} between L^{1+a} and L^{3p+3a}",
+        "lp", _r2, one_a, q_top, _theta3, _r2, **low, **p_win))
+    entries.append(_interpolation(
+        "moser-window-gn-theta4",
+        "interpolation at the lowered index 6 r2/(6+r2) against L^1",
+        "lp", lowered(_r2), c1, q_top, _theta4, _r2, **low, **p_win))
+    entries.append(_interpolation(
+        "moser-window-gn-theta5",
+        "gradient-of-c interpolation ||grad c||_{r2}^{r2} between L^2 and L^6",
+        "grad_c", _r2, c2, _const(_f(6)), _theta5, _r2, **low, **p_win))
+    gn_vort: Expr = lambda a, p: (6 - 6 * a) / (2 + 5 * a)
+    mass_vort: Expr = lambda a, p: (1 + a) * (1 + 6 * a) / (2 + 5 * a)
     entries.append(LedgerEntry(
         id="moser-low-vorticity",
         title="vorticity-route interpolation of ||n||_2^2 on the low band",
         **low,
         checks=(
-            Check("gn-exponent", lambda a, p: (6 - 6 * a) / (2 + 5 * a),
-                  lo=zero, hi=two),
-            Check("mass-exponent",
-                  lambda a, p: (1 + a) * (1 + 6 * a) / (2 + 5 * a),
-                  lo=zero, hi=two),
+            Check("gn-exponent", gn_vort, lo=zero, hi=two),
+            Check("mass-exponent", mass_vort, lo=zero, hi=two),
         ),
-        scalings=(Scaling(
-            lhs=(_lp(_const(two), _const(two)),),
-            rhs=(_lp(lambda a, p: 1 + a,
-                     lambda a, p: (1 + a) * (1 + 6 * a) / (2 + 5 * a)),
-                 _grad_pow(lambda a, p: (6 - 6 * a) / (2 + 5 * a))),
-        ),),
+        scalings=(_gn(c2, c2, one_a, mass_vort, gn_vort),),
     ))
     entries.append(LedgerEntry(
         id="moser-low-r1-range",
         title="sub-window of the low band where r1 stays in [2, 6]",
         **low,
-        p_lo=lambda a, p: (2 + 11 * a) / 3, p_hi=lambda a, p: 1 + 4 * a,
+        p_lo=lambda a, p: (2 + 11 * a) / 3, p_hi=one_4a,
         checks=(
             Check("r1-sub-range", _r1,
-                  lo=two, lo_strict=False, hi=Fraction(6), hi_strict=False),
+                  lo=two, lo_strict=False, hi=_f(6), hi_strict=False),
         ),
     ))
     entries.append(LedgerEntry(
@@ -757,13 +690,11 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
         title="the collapsing start index p0 = 3/2 - 3a/4 of the second stage",
         **low,
         checks=(
-            Check("p0-above-one", lambda a, p: _f(1, 2) - 3 * a / 4,
-                  lo=zero, hi=_f(1, 2)),
-            Check("p0-inside-window", lambda a, p: 19 * a / 4 - _f(1, 2),
+            Check("p0-above-one", lambda a, p: p0(a, p) - 1, lo=zero, hi=_f(1, 2)),
+            Check("p0-inside-window", lambda a, p: one_4a(a, p) - p0(a, p),
                   lo=zero),
             Check("collapse-identity",
-                  lambda a, p: (12 - 4 * (_f(3, 2) - 3 * a / 4))
-                  / (2 * (_f(3, 2) - 3 * a / 4) + 3 * a),
+                  lambda a, p: (12 - 4 * p0(a, p)) / (2 * p0(a, p) + 3 * a),
                   lo=two, hi=two, lo_strict=False, hi_strict=False),
         ),
     ))
@@ -771,7 +702,7 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
         id="moser-low-p0-tail",
         title="second-stage absorption windows seeded at p0, low band",
         **low,
-        p_lo=lambda a, p: 1 + a,
+        p_lo=one_a,
         checks=(
             Check("second-delta-p",
                   lambda a, p: 3 * a * (2 - a) / (p * (2 + a)), lo=zero, hi=two),
@@ -779,13 +710,10 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
                   lambda a, p: (16 * a - 2) / (2 + 5 * a)
                   + (6 * a + 6 * a * a) / (p * (2 + 5 * a)),
                   lo=zero, hi=two),
-            Check("interp-above-p0",
-                  lambda a, p: 6 * p / (2 * p + 3 * a) - (_f(3, 2) - 3 * a / 4),
+            Check("interp-above-p0", lambda a, p: q_iter(a, p) - p0(a, p),
                   lo=zero),
             Check("interp-below-sobolev",
-                  lambda a, p: (3 * (_f(3, 2) - 3 * a / 4) + 3 * a)
-                  - 6 * p / (2 * p + 3 * a),
-                  lo=zero),
+                  lambda a, p: q_top(a, p0(a, p)) - q_iter(a, p), lo=zero),
         ),
     ))
     ids = [e.id for e in entries]

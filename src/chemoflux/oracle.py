@@ -24,7 +24,7 @@ from .model import ChiKappaModel, DomainSpec, SimParams
 
 __all__ = [
     "uniform_state_ode", "barenblatt", "ManufacturedProblem",
-    "manufactured_problem", "discrete_residuals",
+    "manufactured_problem",
     "uniform_consumption_study", "barenblatt_convergence",
     "manufactured_convergence",
 ]
@@ -162,44 +162,6 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
         return sn, sc, su
 
     return ManufacturedProblem(params, model, fields, sources)
-
-
-def discrete_residuals(mp: ManufacturedProblem, t: float, delta: float = 1e-5):
-    """Second-order finite-difference residual of the PDE on the exact fields.
-
-    Independent check that the symbolic forcings are right: residual minus
-    forcing must shrink as O(h^2) (plus O(delta^2) from the time difference).
-    """
-    from .grid import VectorField, divergence, gradient, laplacian
-
-    spec = mp.params.domain
-    rho, alpha, tau = mp.params.rho, mp.params.alpha, mp.params.tau
-    n0, c0, u0 = mp.fields(t)
-    n_p, c_p, u_p = mp.fields(t + delta)
-    n_m, c_m, u_m = mp.fields(t - delta)
-
-    def ddt(fp, fm):
-        return (fp - fm) / (2.0 * delta)
-
-    sf = lambda a: ScalarField(spec, a)
-    grad_n = gradient(sf(n0)).data
-    grad_c = gradient(sf(c0)).data
-    chi = mp.model.eval_chi(c0)
-    flux = VectorField(spec, np.stack([chi * n0 * grad_c[d] for d in range(2)]))
-    r_n = (ddt(n_p, n_m)
-           + sum(u0[d] * grad_n[d] for d in range(2))
-           - laplacian(sf(np.power(n0 + rho, 1.0 + alpha))).data
-           + divergence(flux).data)
-    r_c = (ddt(c_p, c_m)
-           + sum(u0[d] * grad_c[d] for d in range(2))
-           - laplacian(sf(c0)).data
-           + mp.model.eval_kappa(c0) * n0)
-    r_u = []
-    for d in range(2):
-        grad_ud = gradient(sf(u0[d]), ghost="zero").data
-        conv = sum(u0[e] * grad_ud[e] for e in range(2))
-        r_u.append(ddt(u_p[d], u_m[d]) + tau * conv - laplacian(sf(u0[d])).data)
-    return r_n, r_c, np.stack(r_u)
 
 
 # ---------------------------------------------------------------------------

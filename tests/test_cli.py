@@ -1,6 +1,7 @@
 """Command-line interface tests, driven through main() with captured output."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -368,6 +369,33 @@ class TestLedgerCommand:
             cli.main(["ledger", "--entry", "moser-window", "--alpha", "0.25x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--entry", "moser-high-windows", "--scan", "0"],  # no alpha row at all
+        ["--entry", "moser-window", "--scan", "0"],  # no point on its closed end
+        ["--scan", "-3"],                            # rows outside the region
+    ], ids=["zero-open-region", "zero-closed-end", "negative"])
+    def test_scan_density_below_one_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ledger", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scan" in err and "integer >= 1" in err
+
+    # sha256 of the stdout of `chemoflux ledger ARGS`: titles, windows,
+    # check and scaling counts and point values of every catalog entry
+    GOLDEN = {
+        (): "f9f21b9ca9cd686cff293cccd9e09bbf6a7f90042e4cbed36fdba18a19e429a9",
+        ("--alpha", "1/5", "--p", "3/2"):
+            "04a8f052a1656203b44cb87569a36b18deda95f23b2bc62654ca8379853b2daf",
+    }
+
+    @pytest.mark.parametrize("args", list(GOLDEN), ids=["listing", "point"])
+    def test_catalog_output_pinned(self, args, capsys):
+        rc = cli.main(["ledger", *args])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[args]
+
 
 class TestOracleCommand:
 
@@ -442,3 +470,21 @@ class TestThreads:
             assert solver._workers == 4
         finally:
             cf.set_threads(before)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_threads_env_listed(self, value, capsys, monkeypatch):
+        from chemoflux import solver
+        before = solver._workers
+        monkeypatch.setenv("CHEMOFLUX_THREADS", value)
+        rc = cli.main(["ledger", "--entry", "case-i-mid", "--alpha", "1/2"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config problem: CHEMOFLUX_THREADS: {value!r} is not an integer >= 1\n")
+        assert solver._workers == before
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_threads_flag_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--threads", value, "ledger"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err

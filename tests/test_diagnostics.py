@@ -101,8 +101,14 @@ class TestRecordAssembly:
                     u=0.1 * rng.standard_normal((2,) + spec.shape))
         params = _params(spec, em_weight=3.0)
         rec = dg.compute_record(st, params)
-        assert rec.e_m == pytest.approx(cf.energy_functional(st, params),
-                                        rel=1e-14)
+        # E = int n|log n| + 2 int n<x> + ||n||_{1+a}^{1+a} + ||grad c||_2^2
+        #     + (M+2)/2 ||u||_2^2, summed here from its component functionals
+        q = 1.0 + params.alpha
+        energy = (dg.abs_entropy(st.n) + 2.0 * dg.weighted_moment(st.n)
+                  + cf.lp_norm(st.n, q) ** q
+                  + cf.lp_norm(cf.gradient(st.c), 2) ** 2
+                  + 0.5 * (params.em_weight + 2.0) * cf.lp_norm(st.u, 2) ** 2)
+        assert rec.e_m == pytest.approx(energy, rel=1e-14)
         assert rec.d == pytest.approx(cf.dissipation_functional(st, params),
                                       rel=1e-14)
 

@@ -13,6 +13,7 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 
 import chemoflux as cf
 from chemoflux import ledger as lg
@@ -223,6 +224,11 @@ class TestScan:
             with pytest.raises(cf.CatalogError):
                 cf.check_entry(e, F(1, 4), F(17, 6))
 
+    @pytest.mark.parametrize("density", [0, -3])
+    def test_density_below_one_rejected(self, density):
+        with pytest.raises(ValueError):
+            cf.scan_region(cf.get_entry("moser-window"), density=density)
+
     def test_check_window_semantics(self):
         c = lg.Check("w", lambda a, p: a, lo=F(0), hi=F(1),
                      lo_strict=True, hi_strict=False)
@@ -274,3 +280,34 @@ class TestExactScanReports:
         value = helper(F(a), F(p))
         assert type(value) is F
         assert value == helper.__wrapped__(F(a), F(p))
+
+
+class TestSymbolicExactness:
+    """The module docstring's exactness claim, checked in sympy: every check
+    value, scale index and power is a ratio of polynomials of total degree
+    <= 4 in (a, p), so vanishing on the 21 x 21 grid proves an identity; and
+    each Scaling's lambda-exponents cancel identically, not just there."""
+
+    def test_catalog_is_rational_of_low_degree_and_scalings_cancel(self):
+        a, p = sp.symbols("a p")
+        for e in cf.build_ledger():
+            pv = p if e.uses_p else None
+            exprs = [c.value(a, pv) for c in e.checks]
+            for sc in e.scalings:
+                factors = sc.lhs + sc.rhs
+                exprs += [f.index(a, pv) for f in factors]
+                exprs += [f.power(a, pv) for f in factors]
+                gap = (sum(f.lam_exponent(a, pv) for f in sc.lhs)
+                       - sum(f.lam_exponent(a, pv) for f in sc.rhs))
+                assert sp.cancel(gap) == 0, e.id
+            for expr in exprs:
+                for part in sp.fraction(sp.cancel(sp.sympify(expr))):
+                    assert sp.Poly(part, a, p).total_degree() <= 4, (e.id, expr)
+
+    def test_pinned_identities_hold_identically(self):
+        a, p = sp.symbols("a p")
+        for e in cf.build_ledger():
+            pv = p if e.uses_p else None
+            for c in e.checks:
+                if c.lo == c.hi and not (c.lo_strict or c.hi_strict):
+                    assert sp.cancel(c.value(a, pv) - c.lo) == 0, (e.id, c.name)
