@@ -17,7 +17,6 @@ import argparse
 import inspect
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import MISSING, fields
@@ -214,15 +213,14 @@ def _fmt_witnesses(witnesses: dict) -> str:
     return "  ".join(f"{k}={v:g}" for k, v in sorted(witnesses.items()))
 
 
-def _print_classification(model, params, c_max: float) -> None:
+def _print_classification(model, params, c_max: float):
+    """Print the case table of the configuration and return its cases."""
     cls = classify_assumption(model, params, c_max)
     print(f"c_max:         {c_max:g}")
     print(f"weak cases:    {_fmt_cases(cls.weak_cases)}")
     print(f"bounded cases: {_fmt_cases(cls.bounded_cases)}")
     print(f"witnesses:     {_fmt_witnesses(cls.witnesses)}")
-    if not cls.weak_cases and not cls.bounded_cases:
-        print("note: no structural assumption case is satisfied; "
-              "no a priori bound backs this configuration")
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +267,10 @@ def _cmd_classify(args) -> int:
         state = initial_state(params, cfg.get("initial", {}))
     except (ValueError, OSError) as exc:
         raise UsageError([f"initial: {exc}"]) from None
-    _print_classification(model, params, float(np.max(state.c.data)))
+    cls = _print_classification(model, params, float(np.max(state.c.data)))
+    if not cls.weak_cases and not cls.bounded_cases:
+        print("note: no structural assumption case is satisfied; "
+              "no a priori bound backs this configuration")
     return 0
 
 
@@ -291,6 +292,9 @@ def _cmd_ledger(args) -> int:
                 from None
     else:
         entries = list(catalog)
+    if args.p is not None and args.alpha is None:
+        raise UsageError(["--p needs --alpha (it is the integrability index of "
+                          "a point evaluation)"])
 
     rc = 0
     acted = False
@@ -332,7 +336,7 @@ def _cmd_ledger(args) -> int:
                 rc = 1
 
     if not acted:
-        for entry in catalog:
+        for entry in entries:
             pw = "  p-window" if entry.uses_p else ""
             print(f"{entry.id:32s} alpha in {_alpha_window(entry):14s} "
                   f"checks {len(entry.checks):2d}  scalings {len(entry.scalings)}{pw}")
@@ -405,17 +409,6 @@ def _positive_int_arg(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
 
 
-def _threads(flag: int | None) -> int:
-    """--threads, else CHEMOFLUX_THREADS, else 1."""
-    if flag is not None:
-        return flag
-    text = os.environ.get("CHEMOFLUX_THREADS") or "1"
-    try:
-        return _positive_int_arg(text)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError([f"CHEMOFLUX_THREADS: {exc}"]) from None
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chemoflux",
@@ -424,9 +417,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     parser.add_argument(
-        "--threads", type=_positive_int_arg, default=None,
-        help="FFT worker count (default: CHEMOFLUX_THREADS or 1; results are "
-             "bit-identical for any value)")
+        "--threads", type=_positive_int_arg, default=1,
+        help="FFT worker count (default 1; results are bit-identical for any "
+             "value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate a configured problem")
@@ -466,8 +459,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    set_threads(args.threads)
     try:
-        set_threads(_threads(args.threads))
         return args.fn(args)
     except UsageError as exc:
         for line in exc.problems:

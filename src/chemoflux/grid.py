@@ -184,8 +184,8 @@ def save_field(f: ScalarField, path, name: str, time: float) -> Path:
     return raw
 
 
-def load_field(path, domain: DomainSpec | None = None) -> tuple[ScalarField, dict]:
-    """Read a snapshot back; validates shape against `domain` when given.
+def load_field(path, domain: DomainSpec) -> tuple[ScalarField, dict]:
+    """Read a snapshot back, validating its grid against `domain`.
 
     Raises ConfigError for a sidecar that is not a JSON object holding
     `resolution` and `lengths` or that differs from `domain`, and for a raw
@@ -199,9 +199,6 @@ def load_field(path, domain: DomainSpec | None = None) -> tuple[ScalarField, dic
     if not isinstance(meta, dict) or not {"resolution", "lengths"} <= meta.keys():
         raise ConfigError([f"snapshot sidecar {side} must be a JSON object "
                            "holding resolution and lengths"])
-    if domain is None:
-        domain = DomainSpec(meta.get("dim"), meta.get("mode", "periodic"),
-                            tuple(meta["lengths"]), tuple(meta["resolution"]))
     for key in ("resolution", "lengths"):
         if meta[key] != list(getattr(domain, key)):
             raise ConfigError([f"snapshot {key} {meta[key]} does not match "

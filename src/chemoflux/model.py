@@ -188,25 +188,6 @@ class ChiKappaModel:
         if problems:
             raise ConfigError(problems)
 
-    def eval_chi(self, c):
-        """chi at concentration c (scalar or array). Rejects negative c."""
-        c = np.asarray(c, dtype=float)
-        if np.any(c < 0):
-            raise ValueError("chi is only defined for c >= 0")
-        out = self.chi_offset + self.chi_slope * c
-        return out if out.ndim else float(out)
-
-    def eval_kappa(self, c):
-        """kappa at concentration c (scalar or array). Rejects negative c."""
-        c = np.asarray(c, dtype=float)
-        if np.any(c < 0):
-            raise ValueError("kappa is only defined for c >= 0")
-        if self.kappa_power == 1.0:
-            out = self.kappa_coeff * c
-        else:
-            out = self.kappa_coeff * np.power(c, self.kappa_power)
-        return out if out.ndim else float(out)
-
     def min_chi_prime(self, c_max: float) -> float:
         # chi' is the constant chi_slope; no c dependence.
         return self.chi_slope

@@ -33,8 +33,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from .diagnostics import DiagnosticsRecord, compute_record, write_csv
-from .grid import (ScalarField, VectorField, diff_central, divergence, mesh,
-                   save_field, load_field, lp_norm, shifted)
+from .grid import (ScalarField, VectorField, diff_central, divergence, integrate,
+                   mesh, save_field, load_field, lp_norm, shifted)
 from .mollify import mollify_values
 from .model import (ChiKappaModel, ConfigError, DomainSpec, SimParams,
                     classify_assumption)
@@ -507,21 +507,20 @@ class RunResult:
 def run(params: SimParams, model: ChiKappaModel, initial: dict,
         output: dict | None = None) -> RunResult:
     """Mollify and project the initial data, advance adaptively to t_final
-    (or max_steps), record diagnostics at the sample cadence, and optionally
-    write the CSV stream and field snapshots.
+    (or max_steps), record diagnostics at the sample cadence and the final
+    state, and optionally write the CSV stream and field snapshots (of every
+    `snapshot_every`-th record and of the final state).
 
     The `guards` dict tracks per-step (not just per-sample) invariants:
     max_div_residual, mass_drift, max_c_increase, min_n_raw, min_c_raw, steps.
     """
-    spec = params.domain
     output = dict(output or {})
-    out_dir = output.get("out_dir")
-    out = None
-    if out_dir is not None:
-        out = Path(out_dir)
+    out = output.get("out_dir")
+    if out is not None:
+        out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
     sample_interval = float(output.get("sample_interval", params.t_final / 50.0))
-    snapshot_every = int(output.get("snapshot_every", 0))
+    snapshot_every = int(output.get("snapshot_every", 0)) if out is not None else 0
 
     state = initial_state(params, initial)
     warnings = []
@@ -530,72 +529,57 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
         warnings.append("no structural assumption case is satisfied; "
                         "no a priori bound backs this run")
 
-    records = [compute_record(state, params)]
-    if out is not None and snapshot_every > 0:
-        _write_snapshots(out, state, params, 0)
-    guards = {
-        "max_div_residual": records[0].div_residual,
-        "mass_drift": 0.0,
-        "max_c_increase": 0.0,
-        "min_n_raw": records[0].min_n,
-        "min_c_raw": records[0].min_c,
-        "steps": 0,
-    }
-    mass0 = records[0].mass
-    prev_max_c = records[0].max_c
-
-    work: dict = {}
-    next_sample = sample_interval
+    guards = {"max_div_residual": 0.0, "mass_drift": 0.0, "max_c_increase": 0.0,
+              "min_n_raw": np.inf, "min_c_raw": np.inf, "steps": 0}
+    work = {"min_n_raw": float(np.min(state.n.data)),
+            "min_c_raw": float(np.min(state.c.data))}
+    mass0 = integrate(state.n)
+    prev_max_c = np.inf           # no increase is counted at t = 0
+    records: list[DiagnosticsRecord] = []
+    next_sample = 0.0
     eps = 1e-12 * max(params.t_final, 1.0)
-    while state.t < params.t_final - eps:
-        if params.max_steps is not None and guards["steps"] >= params.max_steps:
-            break
-        dt = stable_dt(state, params, model)
-        if params.dt_max is not None:
-            dt = min(dt, params.dt_max)
-        dt = min(dt, params.t_final - state.t, max(next_sample - state.t, 0.0))
-        if dt <= 0.0:
-            raise SolverError(f"stability bound collapsed to dt={dt} at t={state.t}")
-        state = step(state, params, model, dt, work=work)
-        guards["steps"] += 1
-
-        mass = float(np.sum(state.n.data)) * spec.cell_volume
+    while True:
+        mass = integrate(state.n)
         guards["mass_drift"] = max(guards["mass_drift"],
                                    abs(mass - mass0) / max(abs(mass0), 1e-300))
-        guards["min_n_raw"] = min(guards["min_n_raw"], work.get("min_n_raw", 0.0))
-        guards["min_c_raw"] = min(guards["min_c_raw"], work.get("min_c_raw", 0.0))
+        guards["min_n_raw"] = min(guards["min_n_raw"], work["min_n_raw"])
+        guards["min_c_raw"] = min(guards["min_c_raw"], work["min_c_raw"])
         max_c = float(np.max(state.c.data))
         guards["max_c_increase"] = max(guards["max_c_increase"], max_c - prev_max_c)
         prev_max_c = max_c
         div_res = lp_norm(divergence(state.u), np.inf)
         guards["max_div_residual"] = max(guards["max_div_residual"], div_res)
 
-        if state.t >= next_sample - eps or state.t >= params.t_final - eps:
-            records.append(compute_record(state, params, prev=records[-1]))
-            if out is not None and snapshot_every > 0 \
-                    and (len(records) - 1) % snapshot_every == 0:
-                _write_snapshots(out, state, params, len(records) - 1)
+        done = state.t >= params.t_final - eps or guards["steps"] == params.max_steps
+        if state.t >= next_sample - eps or done:
+            records.append(compute_record(state, params,
+                                          prev=records[-1] if records else None))
             while next_sample <= state.t + eps:
                 next_sample += sample_interval
-    if records[-1].t < state.t - eps or guards["steps"] == 0:
-        records.append(compute_record(state, params, prev=records[-1]))
+            idx = len(records) - 1
+            if snapshot_every and (idx % snapshot_every == 0 or done):
+                _write_snapshots(out, state, idx)
+        if done:
+            break
+        dt = min(stable_dt(state, params, model), params.dt_max or np.inf,
+                 params.t_final - state.t, next_sample - state.t)
+        if dt <= 0.0:
+            raise SolverError(f"stability bound collapsed to dt={dt} at t={state.t}")
+        state = step(state, params, model, dt, work=work)
+        guards["steps"] += 1
 
     csv_path = None
     if out is not None:
         csv_path = write_csv(records, out / output.get("csv", "diagnostics.csv"),
                              warnings)
-        if snapshot_every > 0:
-            _write_snapshots(out, state, params, len(records) - 1)
     return RunResult(params, model, records, state, warnings, guards, csv_path)
 
 
-def _write_snapshots(out: Path, state: FieldState, params: SimParams,
-                     idx: int) -> None:
-    spec = params.domain
-    tag = f"{idx:05d}"
-    save_field(state.n, out / f"n_{tag}", "n", state.t)
-    save_field(state.c, out / f"c_{tag}", "c", state.t)
-    save_field(state.p, out / f"p_{tag}", "p", state.t)
-    for d in range(spec.dim):
-        save_field(ScalarField(spec, state.u.data[d]), out / f"u{d}_{tag}",
-                   f"u{d}", state.t)
+def _write_snapshots(out: Path, state: FieldState, idx: int) -> None:
+    """One snapshot round: n, c, p and each velocity component u0, u1, ..."""
+    spec = state.n.domain
+    fields = {"n": state.n.data, "c": state.c.data, "p": state.p.data,
+              **{f"u{d}": state.u.data[d] for d in range(spec.dim)}}
+    for name, values in fields.items():
+        save_field(ScalarField(spec, values), out / f"{name}_{idx:05d}", name,
+                   state.t)

@@ -271,9 +271,21 @@ class TestRunCommand:
                        str(tmp_path / "snap")])
         capsys.readouterr()
         assert rc == 0
-        f, meta = cf.load_field(tmp_path / "snap" / "n_00000.f64")
+        f, meta = cf.load_field(tmp_path / "snap" / "n_00000.f64",
+                                cf.DomainSpec(2, "periodic", (2.0, 2.0), (16, 16)))
         assert meta["field"] == "n"
         assert f.data.shape == (16, 16)
+
+    def test_run_states_empty_classification_once(self, tmp_path, capsys):
+        cfg = _base_cfg()
+        cfg["params"]["alpha"] = 0.1
+        cfg["model"] = {"chi_offset": 1.0, "chi_slope": 0.0,
+                        "kappa_coeff": 1.0, "kappa_power": 2.0}
+        rc = cli.main(["run", _write(tmp_path, cfg)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("no structural assumption case is satisfied") == 1
+        assert "warning: no structural assumption case" in out
 
     def test_solver_failure_exits_one(self, tmp_path, capsys):
         cfg = _base_cfg()
@@ -364,6 +376,24 @@ class TestLedgerCommand:
         assert rc == 2
         assert "--p" in capsys.readouterr().err
 
+    def test_entry_listing_shows_only_that_entry(self, capsys):
+        rc = cli.main(["ledger", "--entry", "moser-window"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert len(lines) == 2
+        assert lines[0].startswith("moser-window ") and "alpha in" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "3/2"],
+        ["--entry", "moser-window", "--scan", "5", "--p", "3/2"],
+    ], ids=["alone", "with-scan"])
+    def test_p_without_alpha_rejected(self, argv, capsys):
+        rc = cli.main(["ledger", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--p needs --alpha" in captured.err
+
     def test_malformed_fraction_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ledger", "--entry", "moser-window", "--alpha", "0.25x"])
@@ -447,40 +477,6 @@ class TestThreads:
             assert solver._workers == 2
         finally:
             cf.set_threads(before)
-
-    def test_threads_env(self, capsys, monkeypatch):
-        from chemoflux import solver
-        before = solver._workers
-        monkeypatch.setenv("CHEMOFLUX_THREADS", "3")
-        try:
-            rc = cli.main(["ledger", "--entry", "case-i-mid",
-                           "--alpha", "1/2"])
-            assert rc == 0
-            assert solver._workers == 3
-        finally:
-            cf.set_threads(before)
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        from chemoflux import solver
-        before = solver._workers
-        monkeypatch.setenv("CHEMOFLUX_THREADS", "3")
-        try:
-            cli.main(["--threads", "4", "ledger", "--entry",
-                      "case-i-mid", "--alpha", "1/2"])
-            assert solver._workers == 4
-        finally:
-            cf.set_threads(before)
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_threads_env_listed(self, value, capsys, monkeypatch):
-        from chemoflux import solver
-        before = solver._workers
-        monkeypatch.setenv("CHEMOFLUX_THREADS", value)
-        rc = cli.main(["ledger", "--entry", "case-i-mid", "--alpha", "1/2"])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"config problem: CHEMOFLUX_THREADS: {value!r} is not an integer >= 1\n")
-        assert solver._workers == before
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_threads_flag_rejected(self, value, capsys):

@@ -243,7 +243,8 @@ class TestSnapshotIO:
 
     @pytest.mark.parametrize("sidecar, nbytes", [
         ("{not json", 128), ("[16]", 128), ('{"resolution": [16]}', 128),
-        ('{"resolution": [16], "lengths": [1.0]}', 64)])
+        ('{"resolution": [16], "lengths": [1.0]}', 64),
+        ('{"resolution": [16], "lengths": 5}', 128)])
     def test_malformed_snapshot_is_a_config_error(self, tmp_path, sidecar,
                                                   nbytes):
         (tmp_path / "s.json").write_text(sidecar)

@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 import chemoflux as cf
@@ -74,37 +73,6 @@ class TestClassification:
     def test_negative_c_max_rejected(self):
         with pytest.raises(ValueError):
             cf.classify_assumption(cf.ChiKappaModel(), _params(0.5), c_max=-0.1)
-
-
-class TestEvalFunctions:
-    @pytest.mark.parametrize("power", [1.0, 1.5, 2.0, 3.0])
-    def test_kappa_vanishes_at_zero(self, power):
-        model = cf.ChiKappaModel(1.0, 0.0, 2.5, power)
-        assert model.eval_kappa(0.0) == 0.0
-
-    def test_constant_chi(self):
-        assert cf.ChiKappaModel(1.0, 0.0, 1.0, 1.0).eval_chi(0.7) == 1.0
-
-    def test_linear_kappa(self):
-        assert cf.ChiKappaModel(1.0, 0.0, 2.0, 1.0).eval_kappa(0.5) == 1.0
-
-    def test_negative_c_rejected(self):
-        model = cf.ChiKappaModel(1.0, 0.5, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            model.eval_chi(-1e-6)
-        with pytest.raises(ValueError):
-            model.eval_kappa(np.array([0.3, -0.2]))
-
-    def test_array_evaluation(self):
-        rng = np.random.default_rng(7)
-        c = rng.random((5, 4)) * 3.0
-        model = cf.ChiKappaModel(0.2, 1.5, 0.8, 2.5)
-        chi = model.eval_chi(c)
-        kap = model.eval_kappa(c)
-        assert chi.shape == c.shape and kap.shape == c.shape
-        assert np.all(kap >= 0.0)
-        np.testing.assert_allclose(chi, 0.2 + 1.5 * c, rtol=0, atol=0)
-        np.testing.assert_allclose(kap, 0.8 * c ** 2.5, rtol=1e-15)
 
 
 class TestValidation:

@@ -37,7 +37,8 @@ def discrete_residuals(mp, t: float, delta: float = 1e-5):
     sf = lambda a: cf.ScalarField(spec, a)
     grad_n = cf.gradient(sf(n0)).data
     grad_c = cf.gradient(sf(c0)).data
-    chi = mp.model.eval_chi(c0)
+    model = mp.model
+    chi = model.chi_offset + model.chi_slope * c0
     flux = cf.VectorField(spec, np.stack([chi * n0 * grad_c[d] for d in range(2)]))
     r_n = (ddt(n_p, n_m)
            + sum(u0[d] * grad_n[d] for d in range(2))
@@ -46,7 +47,7 @@ def discrete_residuals(mp, t: float, delta: float = 1e-5):
     r_c = (ddt(c_p, c_m)
            + sum(u0[d] * grad_c[d] for d in range(2))
            - cf.laplacian(sf(c0)).data
-           + mp.model.eval_kappa(c0) * n0)
+           + model.kappa_coeff * np.power(c0, model.kappa_power) * n0)
     r_u = []
     for d in range(2):
         grad_ud = cf.gradient(sf(u0[d]), ghost="zero").data

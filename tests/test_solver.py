@@ -2,6 +2,7 @@
 the implicit consumption identity, and run-level determinism."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,10 +419,23 @@ class TestRun:
         np.testing.assert_array_equal(r1.state.n.data, r2.state.n.data)
         np.testing.assert_array_equal(r1.state.u.data, r2.state.u.data)
 
-    def test_csv_and_snapshots_written(self, tmp_path):
+    def test_csv_and_snapshots_written(self, tmp_path, monkeypatch):
+        from chemoflux import solver
+        real_save, saved = solver.save_field, []
+
+        def counting_save(f, path, name, time):
+            saved.append(Path(path).name)
+            return real_save(f, path, name, time)
+
+        monkeypatch.setattr(solver, "save_field", counting_save)
         res = _small_run(tmp=tmp_path,
                          output={"sample_interval": 0.005,
                                  "snapshot_every": 2})
+        # records 0-4: the final index 4 is also a multiple of
+        # snapshot_every, and its round is written once
+        assert len(res.records) == 5
+        assert saved == [f"{name}_{idx:05d}" for idx in (0, 2, 4)
+                         for name in ("n", "c", "p", "u0", "u1")]
         assert res.csv_path is not None and res.csv_path.exists()
         recs, _ = cf.read_csv(res.csv_path)
         assert len(recs) == len(res.records)
@@ -443,12 +457,21 @@ class TestRun:
             {"sample_interval": 0.01})
         assert any("no structural assumption case" in w for w in res.warnings)
 
-    def test_max_steps_cuts_run_short(self):
+    def test_max_steps_cuts_run_short(self, tmp_path):
         spec = _spec(n=16)
         params = _params(spec, t_final=10.0, max_steps=7)
         res = cf.run(params, MODEL, {
             "n": {"type": "gaussian", "sigma": 0.35, "mass": 1.0},
             "c": {"type": "constant", "value": 1.0}},
-            {"sample_interval": 10.0})
+            {"sample_interval": 10.0, "snapshot_every": 5,
+             "out_dir": str(tmp_path)})
         assert res.guards["steps"] == 7
         assert res.state.t < 10.0
+        # the cut state is recorded and snapshotted, though no sample is due
+        # and its record index 1 is not a multiple of snapshot_every
+        assert [r.t for r in res.records] == [0.0, res.state.t]
+        f, meta = cf.load_field(tmp_path / "n_00001", spec)
+        assert meta["time"] == res.state.t
+        np.testing.assert_array_equal(f.data, res.state.n.data)
+        assert sorted(p.name for p in tmp_path.glob("n_*.f64")) == [
+            "n_00000.f64", "n_00001.f64"]
