@@ -295,6 +295,9 @@ def _cmd_ledger(args) -> int:
     if args.p is not None and args.alpha is None:
         raise UsageError(["--p needs --alpha (it is the integrability index of "
                           "a point evaluation)"])
+    if args.p is not None and args.entry is not None and not entries[0].uses_p:
+        raise UsageError([f"entry {args.entry!r} takes no --p (its window does "
+                          "not depend on the integrability index)"])
 
     rc = 0
     acted = False

@@ -8,7 +8,8 @@ pins one such step: its validity region, the window/identity checks its
 exponents must satisfy there, and (where the entry asserts an inequality
 between norms) the dilation-scaling bookkeeping of both sides.
 
-Everything here is computed in fractions.Fraction.  Floats are rejected at
+Everything here is exact: a Fraction at a point, a ratio of integer
+polynomials in the point index along a lattice row.  Floats are rejected at
 the boundary: a single float would silently turn exact window checks into
 approximate ones.
 
@@ -20,19 +21,20 @@ n -> n(lambda x),
     ||grad c||_q^e     -> lambda^{e(1-3/q)}
 
 `scaling_check` verifies that the lambda-exponents of both sides of an
-asserted inequality agree identically as rational functions: the difference
-is evaluated on a 21x21 rational grid in (a, s) with p = p_lo(a) +
-(p_hi(a)-p_lo(a))*s.  Every exponent in the catalog is a ratio of polynomials
-of total degree <= 4 (tests/test_ledger.py checks this on sympy symbols), so
-the difference has numerator degree far below 21 in each variable; vanishing
-on the grid therefore proves the identity exactly, it does not sample it.
+asserted inequality agree identically as rational functions: on each of 21
+rational alpha rows the difference is traced as a rational function of p
+and its numerator must be the zero polynomial.  Every exponent in the
+catalog is a ratio of polynomials of total degree <= 4 in (a, p)
+(tests/test_ledger.py checks this on sympy symbols), so the difference has
+numerator degree far below 21 in a; vanishing identically on 21 rows
+therefore proves the identity exactly, it does not sample it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable
 
 DIM = 3  # space dimension of the scaling bookkeeping
@@ -43,13 +45,6 @@ Expr = Callable[[Fraction, Fraction | None], Fraction]
 
 class CatalogError(RuntimeError):
     """An expression is undefined inside its declared region: catalog bug."""
-
-
-# Shared subexpressions are evaluated once per lattice point: checks at one
-# point call a helper with the same (a, p) back to back.  typed=True keeps an
-# int-argument result (an int, or a float from true division) from answering
-# a later call with equal Fraction arguments.
-_per_point = lru_cache(maxsize=4, typed=True)
 
 
 def _rational(value, name: str) -> Fraction:
@@ -80,11 +75,15 @@ class Check:
     hi_strict: bool = True
 
     def holds(self, v: Fraction) -> bool:
-        if self.lo is not None and (v <= self.lo if self.lo_strict else v < self.lo):
-            return False
-        if self.hi is not None and (v >= self.hi if self.hi_strict else v > self.hi):
-            return False
-        return True
+        return self.holds_ratio(*v.as_integer_ratio())
+
+    def holds_ratio(self, n: int, d: int) -> bool:
+        """holds(n/d) for integers n and d > 0, by integer sign tests: an
+        integer gap is > 0 iff it is >= 1, so `>= strict` decides both kinds."""
+        lo, hi = self.lo, self.hi
+        above = lo is None or n * lo.denominator - lo.numerator * d >= self.lo_strict
+        below = hi is None or hi.numerator * d - n * hi.denominator >= self.hi_strict
+        return above and below
 
 
 @dataclass(frozen=True)
@@ -141,18 +140,10 @@ class LedgerEntry:
         if self.uses_p:
             if p is None:
                 raise ValueError(f"entry {self.id!r} requires a p value")
-            lo, hi = _p_bounds(self.p_lo, self.p_hi, a)
-            if p <= lo or (hi is not None and p >= hi):
+            if p <= self.p_lo(a, None) or (self.p_hi is not None
+                                           and p >= self.p_hi(a, None)):
                 return False
         return True
-
-
-@_per_point
-def _p_bounds(p_lo: Expr, p_hi: Expr | None, a: Fraction
-              ) -> tuple[Fraction, Fraction | None]:
-    """The open p window at `a`; a None upper end leaves it unbounded.
-    Shared by the alpha row of a lattice, so it is evaluated once per row."""
-    return p_lo(a, None), (None if p_hi is None else p_hi(a, None))
 
 
 @dataclass
@@ -205,16 +196,91 @@ def check_entry(entry: LedgerEntry, alpha, p=None) -> CheckResult:
     return CheckResult(entry.id, a, pv, "pass" if ok_all else "fail", outcomes)
 
 
+def _padd(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c + e for c, e in zip_longest(x, y, fillvalue=0))
+
+
+def _pmul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(x) + len(y) - 1)
+    for i, c in enumerate(x):
+        for k, e in enumerate(y):
+            out[i + k] += c * e
+    return tuple(out)
+
+
+def _at(coeffs: tuple[int, ...], j: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = v * j + c
+    return v
+
+
+class _RowValue:
+    """An expression traced along a lattice row: N(j)/D(j) in the row's point
+    index j, as integer coefficient tuples (constant term first).  Division
+    keeps the divisor's denominator in D, so D is a product of nonzero
+    constants and of every divisor's numerator and denominator: where D(j) is
+    0 the expression's Fraction evaluation at point j divides by zero, and
+    elsewhere it equals N(j)/D(j).  Dividing by the zero polynomial raises."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...]):
+        self.num, self.den = num, den
+
+    def __neg__(self) -> _RowValue:
+        return _RowValue(tuple(-c for c in self.num), self.den)
+
+    def __add__(self, other) -> _RowValue:
+        o = _lift(other)
+        return _RowValue(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
+                         _pmul(self.den, o.den))
+
+    def __sub__(self, other) -> _RowValue:
+        return self + -other
+
+    def __rsub__(self, other) -> _RowValue:
+        return -self + other
+
+    def __mul__(self, other) -> _RowValue:
+        o = _lift(other)
+        return _RowValue(_pmul(self.num, o.num), _pmul(self.den, o.den))
+
+    def __truediv__(self, other) -> _RowValue:
+        o = _lift(other)
+        if not any(o.num):
+            raise ZeroDivisionError("divisor vanishes along the whole row")
+        return _RowValue(_pmul(self.num, _pmul(o.den, o.den)),
+                         _pmul(self.den, _pmul(o.num, o.den)))
+
+    def __rtruediv__(self, other) -> _RowValue:
+        return _lift(other) / self
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _lift(x) -> _RowValue:
+    if type(x) is _RowValue:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _RowValue((x.numerator,), (x.denominator,))
+    raise TypeError(f"row values take int or Fraction operands, not {type(x).__name__}")
+
+
+_J = _RowValue((0, 1), (1,))  # the point index j of a row
+
+
 def scaling_check(entry: LedgerEntry) -> bool:
     """True iff every asserted inequality of the entry is dilation-consistent
     (identical lambda-exponents on both sides); vacuously true without one."""
     if not entry.scalings:
         return True
-    for a, p in _lattice(entry, 21)[2]:
+    p = _J if entry.uses_p else None  # p itself, traced along each row
+    for a in _alpha_rows(entry, 21)[1]:
         for sc in entry.scalings:
             lhs = sum((f.lam_exponent(a, p) for f in sc.lhs), Fraction(0))
             rhs = sum((f.lam_exponent(a, p) for f in sc.rhs), Fraction(0))
-            if lhs != rhs:
+            if any(_lift(lhs - rhs).num):  # not identically zero on the row
                 return False
     return True
 
@@ -229,15 +295,16 @@ def _alpha_range(entry: LedgerEntry) -> tuple[Fraction, Fraction]:
 def _p_window(entry: LedgerEntry, a: Fraction) -> tuple[Fraction, Fraction] | None:
     if not entry.uses_p:
         return None
-    lo, hi = _p_bounds(entry.p_lo, entry.p_hi, a)
-    return lo, (lo + SCAN_P_SPAN if hi is None else hi)
+    lo = entry.p_lo(a, None)
+    return lo, (lo + SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None))
 
 
-def _lattice(entry: LedgerEntry, m: int, closed: bool = False):
-    """(alpha step, alpha rows, points) of the m x m rational grid in (a, s)
-    mapped into the region: m rows evenly inside the alpha range, plus its
-    closed endpoints when `closed`, each with m points evenly inside its p
-    window, or the one point (a, None) for an entry without a p window."""
+def _alpha_rows(entry: LedgerEntry, m: int, closed: bool = False
+                ) -> tuple[Fraction, list[Fraction]]:
+    """(alpha step, alpha rows) of the m x m rational lattice in (a, s): m
+    rows evenly inside the alpha range, plus its closed endpoints when
+    `closed`.  A row holds m points evenly inside its p window, or the one
+    point (a, None) for an entry without a p window."""
     a_lo, a_hi = _alpha_range(entry)
     step_a = (a_hi - a_lo) / (m + 1)
     alphas = [a_lo + step_a * i for i in range(1, m + 1)]
@@ -245,18 +312,7 @@ def _lattice(entry: LedgerEntry, m: int, closed: bool = False):
         alphas.append(entry.alpha_hi)
     if closed and not entry.alpha_lo_strict:
         alphas.insert(0, entry.alpha_lo)
-    points: list[tuple[Fraction, Fraction | None]] = []
-    for a in alphas:
-        win = _p_window(entry, a)
-        if win is None:
-            points.append((a, None))
-            continue
-        lo, hi = win
-        if hi <= lo:
-            continue
-        step_p = (hi - lo) / (m + 1)
-        points.extend((a, lo + step_p * j) for j in range(1, m + 1))
-    return step_a, alphas, points
+    return step_a, alphas
 
 
 @dataclass
@@ -276,6 +332,59 @@ class ScanReport:
                 and self.collar_inapplicable == self.collar_points)
 
 
+def _widen(ranges: dict, name: str, lo: Fraction, hi: Fraction) -> None:
+    cur = ranges.get(name)
+    ranges[name] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
+
+
+def _scan_points(entry: LedgerEntry, a: Fraction, ps, failures: list,
+                 ranges: dict) -> None:
+    """Check the points (a, p), p in `ps`, one at a time in Fractions."""
+    for p in ps:
+        res = check_entry(entry, a, p)
+        if res.status != "pass":
+            failures.extend((a, p, o.name) for o in res.outcomes if o.ok is False)
+            if res.status == "inapplicable":
+                failures.append((a, p, "<region/lattice mismatch>"))
+        for o in res.outcomes:
+            if o.value is not None:
+                _widen(ranges, o.name, o.value, o.value)
+
+
+def _scan_row(entry: LedgerEntry, a: Fraction, lo: Fraction, step: Fraction,
+              m: int, failures: list, ranges: dict) -> None:
+    """_scan_points on the points (a, lo + step*j), j = 1..m, of a row inside
+    the region: each check is traced once on the row, then decided at every
+    j by integer polynomial evaluations and sign tests."""
+    p, poles, failed = lo + step * _J, [], []
+    for k, chk in enumerate(entry.checks):
+        try:
+            v = _lift(chk.value(a, p))
+        except ZeroDivisionError:  # a divisor vanishes on the whole row
+            poles.append(1)
+            continue
+        lo_v = hi_v = None
+        for j in range(1, m + 1):
+            n, d = _at(v.num, j), _at(v.den, j)
+            if d < 0:
+                n, d = -n, -d
+            elif d == 0:
+                poles.append(j)
+                break
+            if not chk.holds_ratio(n, d):
+                failed.append((j, k))
+            if lo_v is None or n * lo_v[1] < lo_v[0] * d:
+                lo_v = n, d
+            if hi_v is None or n * hi_v[1] > hi_v[0] * d:
+                hi_v = n, d
+        else:
+            _widen(ranges, chk.name, Fraction(*lo_v), Fraction(*hi_v))
+    if poles:  # raises the CatalogError that a point-by-point scan meets first
+        check_entry(entry, a, lo + step * min(poles))
+    failures.extend((a, lo + step * j, entry.checks[k].name)
+                    for j, k in sorted(failed))
+
+
 def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     """Lattice-verify an entry: interior points (plus closed endpoints) must
     all pass; a collar of points just outside each true boundary must come
@@ -283,26 +392,21 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     """
     if density < 1:
         raise ValueError(f"scan density must be an integer >= 1, got {density!r}")
-    step_a, alphas, interior = _lattice(entry, density, closed=True)
-    failures = []
-    ranges: dict[str, tuple[Fraction, Fraction]] = {}
-    for a, p in interior:
-        res = check_entry(entry, a, p)
-        if res.status != "pass":
-            failures.extend((a, p, o.name) for o in res.outcomes if o.ok is False)
-            if res.status == "inapplicable":
-                failures.append((a, p, "<region/lattice mismatch>"))
-        for o in res.outcomes:
-            v = o.value
-            if v is None:
-                continue
-            cur = ranges.get(o.name)
-            if cur is None:
-                ranges[o.name] = (v, v)
-            elif v < cur[0]:
-                ranges[o.name] = (v, cur[1])
-            elif v > cur[1]:
-                ranges[o.name] = (cur[0], v)
+    step_a, alphas = _alpha_rows(entry, density, closed=True)
+    points, failures, ranges = 0, [], {}
+    for a in alphas:
+        win = _p_window(entry, a)
+        if win is None:
+            points += 1
+            _scan_points(entry, a, (None,), failures, ranges)
+        elif win[0] < win[1]:
+            lo, step = win[0], (win[1] - win[0]) / (density + 1)
+            points += density
+            if entry.contains(a, lo + step):
+                _scan_row(entry, a, lo, step, density, failures, ranges)
+            else:
+                _scan_points(entry, a, (lo + step * j for j in range(1, density + 1)),
+                             failures, ranges)
 
     # collar: just outside every true (declared) boundary
     collar: list[tuple[Fraction, Fraction | None]] = []
@@ -338,7 +442,7 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
             bound_violations += sum(1 for o in res.outcomes if o.ok is False)
     return ScanReport(
         entry_id=entry.id,
-        interior_points=len(interior),
+        interior_points=points,
         interior_failures=failures,
         value_ranges=ranges,
         collar_points=len(collar),
@@ -394,34 +498,28 @@ def _interpolation(id: str, title: str, kind: str, q: Expr, q0: Expr, q1: Expr,
     )
 
 
-@_per_point
 def _r2(a: Fraction, p: Fraction) -> Fraction:
     return p - a + 1
 
 
-@_per_point
 def _theta1(a, p):
     return (p + a) * (3 * p - 14 * a + 1) / (2 * (3 * p + 2 * a - 1))
 
 
-@_per_point
 def _theta2(a, p):
     return 3 * (p + a) * (p - 3 * a) / (2 * (1 + a) * (3 * p + 3 * a - 1))
 
 
-@_per_point
 def _theta3(a, p):
     r2 = _r2(a, p)
     return 3 * (p + a) * (p - 2 * a) / (r2 * (3 * p + 2 * a - 1))
 
 
-@_per_point
 def _theta4(a, p):
     r2 = _r2(a, p)
     return (p + a) * (5 * r2 - 6) / (r2 * (6 * p + 6 * a - 2))
 
 
-@_per_point
 def _theta5(a, p):
     r2 = _r2(a, p)
     return 3 * (r2 - 2) / (2 * r2)
@@ -431,7 +529,6 @@ def _r1_denominator(a, p):
     return 5 + 14 * a - 3 * p
 
 
-@_per_point
 def _r1(a, p):
     return (6 + 6 * a) / _r1_denominator(a, p)
 

@@ -394,6 +394,17 @@ class TestLedgerCommand:
         assert captured.out == ""
         assert "--p needs --alpha" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "1/2", "--p", "3/2"],
+        ["--scan", "5", "--alpha", "1/2", "--p", "3/2"],
+    ], ids=["point", "with-scan"])
+    def test_p_rejected_for_entry_without_window(self, argv, capsys):
+        rc = cli.main(["ledger", "--entry", "case-i-mid", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "'case-i-mid' takes no --p" in captured.err
+
     def test_malformed_fraction_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["ledger", "--entry", "moser-window", "--alpha", "0.25x"])
@@ -425,6 +436,15 @@ class TestLedgerCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[args]
+
+    def test_entry_scan_ranges_pinned(self, capsys):
+        # sha256 of every value range of the densest scan the benchmark
+        # runs, printed as num/den
+        rc = cli.main(["ledger", "--entry", "moser-window", "--scan", "60"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "30693bf38ecd72cbbdbc4c90ffa1c64421b5a052612f3d50ebadcccb0ede6347")
 
 
 class TestOracleCommand:

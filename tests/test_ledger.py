@@ -9,11 +9,14 @@ to 4/3 and the mass exponent (1+4a)/(2+3a) to 7/9; at (alpha, p) =
 theta5 = 1/6, delta1 = 4*theta1/(p+a) = 1, delta5 = r2*theta5 = 3/8.
 """
 
+import dataclasses
 import hashlib
 from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import chemoflux as cf
 from chemoflux import ledger as lg
@@ -214,8 +217,8 @@ class TestScan:
             cf.check_entry(e, F(1, 4))
 
     def test_cached_helper_pole_raises_every_time(self):
-        # r1 = (6+6a)/(5+14a-3p) has a pole at p = 17/6 when a = 1/4; a
-        # raised ZeroDivisionError is not cached, so both calls must fail
+        # r1 = (6+6a)/(5+14a-3p) has a pole at p = 17/6 when a = 1/4, and
+        # every call that meets it must fail
         e = lg.LedgerEntry(id="x-r1-pole", title="r1 pole inside window",
                            alpha_lo=F(1, 6), alpha_hi=F(1, 3),
                            p_lo=lambda a, p: F(2), p_hi=lambda a, p: F(4),
@@ -223,6 +226,43 @@ class TestScan:
         for _ in range(2):
             with pytest.raises(cf.CatalogError):
                 cf.check_entry(e, F(1, 4), F(17, 6))
+
+    @pytest.mark.parametrize("check", [lg._r1, lambda a, p: 1 / lg._r1(a, p)],
+                             ids=["r1", "reciprocal-r1"])
+    def test_lattice_point_on_p_pole_raises(self, check):
+        # density 3 puts a row at a = 1/4 and the point p = 17/6, r1's pole
+        # there, on it; the reciprocal no longer divides by 5+14a-3p, but its
+        # Fraction evaluation divides by r1 = 0 at that point
+        e = lg.LedgerEntry(id="x-r1-pole", title="r1 pole on a lattice point",
+                           alpha_lo=F(1, 6), alpha_hi=F(1, 3),
+                           p_lo=lambda a, p: F(5, 2), p_hi=lambda a, p: F(19, 6),
+                           checks=(lg.Check("r1", check, lo=F(0)),))
+        with pytest.raises(cf.CatalogError, match=r"alpha=1/4, p=17/6"):
+            cf.scan_region(e, density=3)
+
+    def test_alpha_pole_on_a_row_raises(self):
+        pole = lambda a, p: p / (a - F(1, 4))
+        e = lg.LedgerEntry(id="x-alpha-pole", title="pole on an alpha row",
+                           alpha_lo=F(1, 6), alpha_hi=F(1, 3),
+                           p_lo=lambda a, p: F(2), p_hi=lambda a, p: F(4),
+                           checks=(lg.Check("v", pole, lo=F(0)),))
+        with pytest.raises(cf.CatalogError, match=r"alpha=1/4, p=5/2"):
+            cf.scan_region(e, density=3)
+
+    def test_failures_listed_point_major(self):
+        e = lg.LedgerEntry(id="x-fails", title="checks failing on the lattice",
+                           alpha_lo=F(0), alpha_hi=F(1),
+                           p_lo=lambda a, p: F(0), p_hi=lambda a, p: F(1),
+                           checks=(lg.Check("p-low", lambda a, p: p, lo=F(1, 2)),
+                                   lg.Check("sum", lambda a, p: a + p, hi=F(1))))
+        rep = cf.scan_region(e, density=3)
+        q1, q2, q3 = F(1, 4), F(1, 2), F(3, 4)
+        assert rep.interior_failures == [
+            (q1, q1, "p-low"), (q1, q2, "p-low"), (q1, q3, "sum"),
+            (q2, q1, "p-low"), (q2, q2, "p-low"), (q2, q2, "sum"), (q2, q3, "sum"),
+            (q3, q1, "p-low"), (q3, q1, "sum"), (q3, q2, "p-low"), (q3, q2, "sum"),
+            (q3, q3, "sum")]
+        assert rep.value_ranges == {"p-low": (q1, q3), "sum": (q2, F(3, 2))}
 
     @pytest.mark.parametrize("density", [0, -3])
     def test_density_below_one_rejected(self, density):
@@ -260,32 +300,97 @@ class TestExactScanReports:
     """The scan is exact, so every report is pinned bit for bit: the digest
     covers each entry's counts, failures and value ranges as num/den."""
 
-    # taken before the per-point helper caches were added
+    # taken from the point-by-point Fraction scan, before the row scan
     DIGEST_20 = "be3c620fb777420efad7ea6e59a919f3d108ec2cf84741c67908bf36d870a9f6"
+    DIGEST_60 = "7c127d9c874edffbda10bc3e80827f0f105764a2708501c03500c59abf91b79a"
 
-    def test_density_20_reports_pinned(self):
+    @staticmethod
+    def _digest(density):
         h = hashlib.sha256()
         for e in cf.build_ledger():
-            h.update(_canonical(cf.scan_region(e, density=20)).encode() + b"\n")
-        assert h.hexdigest() == self.DIGEST_20
+            h.update(_canonical(cf.scan_region(e, density=density)).encode() + b"\n")
+        return h.hexdigest()
 
-    @pytest.mark.parametrize("helper", [lg._r1, lg._r2, lg._theta1, lg._theta2,
-                                        lg._theta3, lg._theta4, lg._theta5],
-                             ids=lambda f: f.__name__)
-    def test_int_call_does_not_answer_fraction_call(self, helper):
-        # int arguments give an int (r2) or, by true division, a float; an
-        # untyped cache would hand that value to equal Fraction arguments
-        a, p = 1, 2
-        helper(a, p)
-        value = helper(F(a), F(p))
-        assert type(value) is F
-        assert value == helper.__wrapped__(F(a), F(p))
+    def test_density_20_reports_pinned(self):
+        assert self._digest(20) == self.DIGEST_20
+
+    def test_density_60_reports_pinned(self):
+        assert self._digest(60) == self.DIGEST_60
+
+
+_CATALOG = cf.build_ledger()
+_CUTS = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3)]
+
+
+def _reference_interior(entry, density):
+    """scan_region's interior fields, rebuilt one point at a time with
+    check_entry: (points, failures, value ranges in insertion order)."""
+    _, alphas = lg._alpha_rows(entry, density, closed=True)
+    points = []
+    for a in alphas:
+        win = lg._p_window(entry, a)
+        if win is None:
+            points.append((a, None))
+        elif win[1] > win[0]:
+            step = (win[1] - win[0]) / (density + 1)
+            points += [(a, win[0] + step * j) for j in range(1, density + 1)]
+    failures, ranges = [], {}
+    for a, p in points:
+        res = cf.check_entry(entry, a, p)
+        failures += [(a, p, o.name) for o in res.outcomes if o.ok is False]
+        if res.status == "inapplicable":
+            failures.append((a, p, "<region/lattice mismatch>"))
+        for o in res.outcomes:
+            if o.value is not None:
+                lo, hi = ranges.get(o.name, (o.value, o.value))
+                ranges[o.name] = (min(lo, o.value), max(hi, o.value))
+    return len(points), failures, list(ranges.items())
+
+
+@hst.composite
+def _entry_with_cut_bounds(draw):
+    """A catalog entry with its checks' bounds redrawn, so that checks fail
+    at some lattice points and pass at others."""
+    entry = draw(hst.sampled_from(_CATALOG))
+    checks = []
+    for chk in entry.checks:
+        lo, hi = sorted(draw(hst.lists(hst.sampled_from(_CUTS + [None]),
+                                       min_size=2, max_size=2)),
+                        key=lambda x: (x is None, x))
+        checks.append(dataclasses.replace(chk, lo=lo, hi=hi,
+                                          lo_strict=draw(hst.booleans()),
+                                          hi_strict=draw(hst.booleans())))
+    return dataclasses.replace(entry, checks=tuple(checks))
+
+
+class TestRowScanAgainstPoints:
+    """The row scan traces each check once per lattice row; every point's
+    value and verdict must be the one check_entry gives there."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_entry_with_cut_bounds(), hst.integers(1, 9))
+    def test_row_scan_matches_check_entry(self, entry, density):
+        rep = cf.scan_region(entry, density=density)
+        assert (rep.interior_points, rep.interior_failures,
+                list(rep.value_ranges.items())) == _reference_interior(entry, density)
+        for a in lg._alpha_rows(entry, density, closed=True)[1]:
+            win = lg._p_window(entry, a)
+            if win is None or win[1] <= win[0]:
+                continue
+            step = (win[1] - win[0]) / (density + 1)
+            row_p = win[0] + step * lg._J
+            traced = [lg._lift(c.value(a, row_p)) for c in entry.checks]
+            for j in range(1, density + 1):
+                res = cf.check_entry(entry, a, win[0] + step * j)
+                assert [F(lg._at(v.num, j), lg._at(v.den, j)) for v in traced] \
+                    == [o.value for o in res.outcomes]
 
 
 class TestSymbolicExactness:
     """The module docstring's exactness claim, checked in sympy: every check
     value, scale index and power is a ratio of polynomials of total degree
-    <= 4 in (a, p), so vanishing on the 21 x 21 grid proves an identity; and
+    <= 4 in (a, p), so vanishing identically on 21 alpha rows proves an
+    identity; and
     each Scaling's lambda-exponents cancel identically, not just there."""
 
     def test_catalog_is_rational_of_low_degree_and_scalings_cancel(self):
