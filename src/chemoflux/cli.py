@@ -6,9 +6,10 @@ configuration satisfies, `ledger` evaluates or lattice-scans the exact
 exponent catalog, and `oracle` drives the independent convergence studies.
 
 Exit codes: 0 success, 1 runtime or verification failure (under `run`, also an
-unreadable snapshot file), 2 configuration or usage problems, including initial
-data that are bad only once built.  Configuration problems are collected and
-reported together, one line each, rather than stopping at the first.
+unreadable snapshot file) or a standard output closed by its reader, 2
+configuration or usage problems, including initial data that are bad only
+once built.  Configuration problems are collected and reported together, one
+line each, rather than stopping at the first.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import MISSING, fields
@@ -469,6 +471,11 @@ def main(argv=None) -> int:
         for line in exc.problems:
             print(f"config problem: {line}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point stdout at devnull so the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

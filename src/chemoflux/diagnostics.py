@@ -35,6 +35,8 @@ from .grid import (ScalarField, VectorField, divergence, gradient, integrate,
 from .model import ChiKappaModel, DomainSpec, SimParams
 
 ENTROPY_FLOOR = 1e-300
+ENERGY_CEILING = 100.0  # class checks: sup E <= ENERGY_CEILING * max(E(0), 1)
+LINF_FACTOR = 2.0       # bounded class check: sup max_n <= LINF_FACTOR * max_n(0)
 
 
 @dataclass
@@ -208,11 +210,10 @@ def _mass_tolerance(spec: DomainSpec) -> float:
     return 1e-12 if spec.mode == "periodic" else 1e-10
 
 
-def weak_class_check(records, params: SimParams,
-                     energy_ceiling: float = 100.0) -> ClassCheckReport:
+def weak_class_check(records, params: SimParams) -> ClassCheckReport:
     """Verify the weak-regime a priori structure against a record stream:
     conserved mass, finite entropy/moment, and energy bounded by
-    energy_ceiling * max(E(0), 1).
+    ENERGY_CEILING * max(E(0), 1).
     """
     failures, warns = [], []
     if not records:
@@ -229,30 +230,28 @@ def weak_class_check(records, params: SimParams,
     if params.domain.mode == "periodic":
         if not all(np.isfinite(r.moment) for r in records):
             failures.append("moment not finite")
-    cap = energy_ceiling * max(records[0].e_m, 1.0)
+    cap = ENERGY_CEILING * max(records[0].e_m, 1.0)
     worst = max(r.e_m for r in records)
     if not np.isfinite(worst) or worst > cap:
         failures.append(f"energy sup {worst:.6g} exceeds ceiling {cap:.6g}")
     return ClassCheckReport(not failures, failures, warns)
 
 
-def bounded_class_check(records, params: SimParams,
-                        energy_ceiling: float = 100.0,
-                        linf_factor: float = 2.0) -> ClassCheckReport:
+def bounded_class_check(records, params: SimParams) -> ClassCheckReport:
     """weak_class_check plus uniform L^inf control of n.
 
     The bounded regime's theory is stated for the tau = 0 fluid; with tau = 1
     the check still runs but carries a warning.
     """
-    rep = weak_class_check(records, params, energy_ceiling)
+    rep = weak_class_check(records, params)
     failures, warns = list(rep.failures), list(rep.warnings)
     if params.tau == 1:
         warns.append("bounded-regime check applied to tau=1 dynamics; "
                      "the uniform bound is only backed by tau=0 analysis")
     if records:
-        cap = linf_factor * records[0].max_n
+        cap = LINF_FACTOR * records[0].max_n
         worst = max(r.max_n for r in records)
         if not np.isfinite(worst) or worst > cap:
-            failures.append(f"max_n sup {worst:.6g} exceeds {linf_factor} * initial "
+            failures.append(f"max_n sup {worst:.6g} exceeds {LINF_FACTOR} * initial "
                             f"({cap:.6g})")
     return ClassCheckReport(not failures, failures, warns)

@@ -9,7 +9,7 @@ exponents must satisfy there, and (where the entry asserts an inequality
 between norms) the dilation-scaling bookkeeping of both sides.
 
 Everything here is exact: a Fraction at a point, a ratio of integer
-polynomials in the point index along a lattice row.  Floats are rejected at
+polynomials in the point index along a lattice line.  Floats are rejected at
 the boundary: a single float would silently turn exact window checks into
 approximate ones.
 
@@ -21,10 +21,12 @@ n -> n(lambda x),
     ||grad c||_q^e     -> lambda^{e(1-3/q)}
 
 `scaling_check` verifies that the lambda-exponents of both sides of an
-asserted inequality agree identically as rational functions: on each of 21
-rational alpha rows the difference is traced as a rational function of p
-and its numerator must be the zero polynomial.  Every exponent in the
-catalog is a ratio of polynomials of total degree <= 4 in (a, p)
+asserted inequality agree identically as rational functions: it traces
+their difference along each line of the scan lattice, and its numerator
+must be the zero polynomial.  For an entry without a p window the one line
+runs along alpha, so it proves the identity in alpha outright.  Otherwise
+the lines run along p on at least 21 rational alpha rows.  Every exponent
+in the catalog is a ratio of polynomials of total degree <= 4 in (a, p)
 (tests/test_ledger.py checks this on sympy symbols), so the difference has
 numerator degree far below 21 in a; vanishing identically on 21 rows
 therefore proves the identity exactly, it does not sample it.
@@ -216,12 +218,13 @@ def _at(coeffs: tuple[int, ...], j: int) -> int:
 
 
 class _RowValue:
-    """An expression traced along a lattice row: N(j)/D(j) in the row's point
-    index j, as integer coefficient tuples (constant term first).  Division
-    keeps the divisor's denominator in D, so D is a product of nonzero
-    constants and of every divisor's numerator and denominator: where D(j) is
-    0 the expression's Fraction evaluation at point j divides by zero, and
-    elsewhere it equals N(j)/D(j).  Dividing by the zero polynomial raises."""
+    """An expression traced along a lattice line: N(j)/D(j) in the line's
+    point index j, as integer coefficient tuples (constant term first).
+    Division keeps the divisor's denominator in D, so D is a product of
+    nonzero constants and of every divisor's numerator and denominator: where
+    D(j) is 0 the expression's Fraction evaluation at point j divides by zero,
+    and elsewhere it equals N(j)/D(j).  Dividing by the zero polynomial
+    raises."""
 
     __slots__ = ("num", "den")
 
@@ -249,7 +252,7 @@ class _RowValue:
     def __truediv__(self, other) -> _RowValue:
         o = _lift(other)
         if not any(o.num):
-            raise ZeroDivisionError("divisor vanishes along the whole row")
+            raise ZeroDivisionError("divisor vanishes along the whole line")
         return _RowValue(_pmul(self.num, _pmul(o.den, o.den)),
                          _pmul(self.den, _pmul(o.num, o.den)))
 
@@ -267,7 +270,54 @@ def _lift(x) -> _RowValue:
     raise TypeError(f"row values take int or Fraction operands, not {type(x).__name__}")
 
 
-_J = _RowValue((0, 1), (1,))  # the point index j of a row
+_J = _RowValue((0, 1), (1,))  # the point index j of a line
+
+
+def _on(x, j: int):
+    """x at point j of a lattice line: x itself unless it is traced in j."""
+    return Fraction(_at(x.num, j), _at(x.den, j)) if type(x) is _RowValue else x
+
+
+def _lattice(entry: LedgerEntry, m: int) -> list[tuple]:
+    """The density-m scan lattice as lines (a, p, inner, collar): one of a, p
+    is traced in the point index j, and `inner` and `collar` hold the j of
+    the line's points inside the region and just outside a true boundary.
+
+    Alpha rows sit at a = alpha_lo + step*j, step = (cap - alpha_lo)/(m+1),
+    for j = 1..m plus 0 and m+1 where those are closed ends of the region;
+    the alpha collar is j = -1..-3 where a > 0, and m+2..m+4 when alpha_hi is
+    declared.  An entry without a p window is one line along alpha.  Else
+    each row with a nonempty p window is a line p = lo + (hi - lo)/(m+1)*j,
+    j = 1..m, with the p collar j = -1..-3 (and m+2..m+4 when p_hi is
+    declared) on the first, middle and last rows; the alpha collar is a line
+    along alpha at the middle row's mid-window p."""
+    cap = entry.alpha_hi if entry.alpha_hi is not None else entry.scan_alpha_hi
+    cap = entry.alpha_lo + 1 if cap is None else cap
+    if cap <= entry.alpha_lo:
+        raise CatalogError(f"entry {entry.id!r}: empty alpha scan range "
+                           f"({entry.alpha_lo}, {cap})")
+    a_line = entry.alpha_lo + (cap - entry.alpha_lo) / (m + 1) * _J
+    rows = list(range(entry.alpha_lo_strict, m + 1))  # j = 0 iff a closed end
+    if entry.alpha_hi is not None and not entry.alpha_hi_strict:
+        rows.append(m + 1)
+    beyond = (m + 2, m + 3, m + 4)
+    alpha_collar = [j for j in (-1, -2, -3) if _on(a_line, j) > 0]
+    if entry.alpha_hi is not None:
+        alpha_collar += beyond
+    if not entry.uses_p:
+        return [(a_line, None, rows, alpha_collar)]
+    lines, mid = [], rows[len(rows) // 2]
+    p_collar = (-1, -2, -3) + (beyond if entry.p_hi is not None else ())
+    for j in rows:
+        a = _on(a_line, j)
+        lo = entry.p_lo(a, None)
+        hi = lo + SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None)
+        if j == mid:
+            mid_p = (lo + hi) / 2
+        if lo < hi:
+            lines.append((a, lo + (hi - lo) / (m + 1) * _J, range(1, m + 1),
+                          p_collar if j in (rows[0], mid, rows[-1]) else ()))
+    return lines + [(a_line, mid_p, (), alpha_collar)]
 
 
 def scaling_check(entry: LedgerEntry) -> bool:
@@ -275,44 +325,13 @@ def scaling_check(entry: LedgerEntry) -> bool:
     (identical lambda-exponents on both sides); vacuously true without one."""
     if not entry.scalings:
         return True
-    p = _J if entry.uses_p else None  # p itself, traced along each row
-    for a in _alpha_rows(entry, 21)[1]:
+    for a, p, _, _ in _lattice(entry, 21):
         for sc in entry.scalings:
             lhs = sum((f.lam_exponent(a, p) for f in sc.lhs), Fraction(0))
             rhs = sum((f.lam_exponent(a, p) for f in sc.rhs), Fraction(0))
-            if any(_lift(lhs - rhs).num):  # not identically zero on the row
+            if any(_lift(lhs - rhs).num):  # not identically zero on the line
                 return False
     return True
-
-
-def _alpha_range(entry: LedgerEntry) -> tuple[Fraction, Fraction]:
-    hi = entry.alpha_hi if entry.alpha_hi is not None else entry.scan_alpha_hi
-    if hi is None:
-        hi = entry.alpha_lo + 1
-    return entry.alpha_lo, hi
-
-
-def _p_window(entry: LedgerEntry, a: Fraction) -> tuple[Fraction, Fraction] | None:
-    if not entry.uses_p:
-        return None
-    lo = entry.p_lo(a, None)
-    return lo, (lo + SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None))
-
-
-def _alpha_rows(entry: LedgerEntry, m: int, closed: bool = False
-                ) -> tuple[Fraction, list[Fraction]]:
-    """(alpha step, alpha rows) of the m x m rational lattice in (a, s): m
-    rows evenly inside the alpha range, plus its closed endpoints when
-    `closed`.  A row holds m points evenly inside its p window, or the one
-    point (a, None) for an entry without a p window."""
-    a_lo, a_hi = _alpha_range(entry)
-    step_a = (a_hi - a_lo) / (m + 1)
-    alphas = [a_lo + step_a * i for i in range(1, m + 1)]
-    if closed and entry.alpha_hi is not None and not entry.alpha_hi_strict:
-        alphas.append(entry.alpha_hi)
-    if closed and not entry.alpha_lo_strict:
-        alphas.insert(0, entry.alpha_lo)
-    return step_a, alphas
 
 
 @dataclass
@@ -337,117 +356,66 @@ def _widen(ranges: dict, name: str, lo: Fraction, hi: Fraction) -> None:
     ranges[name] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
 
 
-def _scan_points(entry: LedgerEntry, a: Fraction, ps, failures: list,
-                 ranges: dict) -> None:
-    """Check the points (a, p), p in `ps`, one at a time in Fractions."""
-    for p in ps:
-        res = check_entry(entry, a, p)
-        if res.status != "pass":
-            failures.extend((a, p, o.name) for o in res.outcomes if o.ok is False)
-            if res.status == "inapplicable":
-                failures.append((a, p, "<region/lattice mismatch>"))
-        for o in res.outcomes:
-            if o.value is not None:
-                _widen(ranges, o.name, o.value, o.value)
-
-
-def _scan_row(entry: LedgerEntry, a: Fraction, lo: Fraction, step: Fraction,
-              m: int, failures: list, ranges: dict) -> None:
-    """_scan_points on the points (a, lo + step*j), j = 1..m, of a row inside
-    the region: each check is traced once on the row, then decided at every
-    j by integer polynomial evaluations and sign tests."""
-    p, poles, failed = lo + step * _J, [], []
-    for k, chk in enumerate(entry.checks):
-        try:
-            v = _lift(chk.value(a, p))
-        except ZeroDivisionError:  # a divisor vanishes on the whole row
-            poles.append(1)
-            continue
-        lo_v = hi_v = None
-        for j in range(1, m + 1):
-            n, d = _at(v.num, j), _at(v.den, j)
-            if d < 0:
-                n, d = -n, -d
-            elif d == 0:
-                poles.append(j)
-                break
-            if not chk.holds_ratio(n, d):
-                failed.append((j, k))
-            if lo_v is None or n * lo_v[1] < lo_v[0] * d:
-                lo_v = n, d
-            if hi_v is None or n * hi_v[1] > hi_v[0] * d:
-                hi_v = n, d
-        else:
-            _widen(ranges, chk.name, Fraction(*lo_v), Fraction(*hi_v))
-    if poles:  # raises the CatalogError that a point-by-point scan meets first
-        check_entry(entry, a, lo + step * min(poles))
-    failures.extend((a, lo + step * j, entry.checks[k].name)
-                    for j, k in sorted(failed))
+def _ratio(v: _RowValue, j: int) -> tuple[int, int]:
+    """v at point j as n/d with d >= 0; d is 0 where v is undefined."""
+    n, d = _at(v.num, j), _at(v.den, j)
+    return (-n, -d) if d < 0 else (n, d)
 
 
 def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     """Lattice-verify an entry: interior points (plus closed endpoints) must
     all pass; a collar of points just outside each true boundary must come
-    back inapplicable.  Value ranges are tracked per check, exactly.
+    back inapplicable.  Value ranges are tracked per check, exactly.  Each
+    check is traced once per lattice line, then decided at every point of
+    the line by integer polynomial evaluations and sign tests.
     """
     if density < 1:
         raise ValueError(f"scan density must be an integer >= 1, got {density!r}")
-    step_a, alphas = _alpha_rows(entry, density, closed=True)
-    points, failures, ranges = 0, [], {}
-    for a in alphas:
-        win = _p_window(entry, a)
-        if win is None:
-            points += 1
-            _scan_points(entry, a, (None,), failures, ranges)
-        elif win[0] < win[1]:
-            lo, step = win[0], (win[1] - win[0]) / (density + 1)
-            points += density
-            if entry.contains(a, lo + step):
-                _scan_row(entry, a, lo, step, density, failures, ranges)
-            else:
-                _scan_points(entry, a, (lo + step * j for j in range(1, density + 1)),
-                             failures, ranges)
-
-    # collar: just outside every true (declared) boundary
-    collar: list[tuple[Fraction, Fraction | None]] = []
-    mid_p = None
-    if entry.uses_p:
-        mid_a = alphas[len(alphas) // 2]
-        win = _p_window(entry, mid_a)
-        mid_p = (win[0] + win[1]) / 2 if win else None
-    for k in (1, 2, 3):
-        a_out = entry.alpha_lo - step_a * k
-        if a_out > 0:
-            collar.append((a_out, mid_p))
-        if entry.alpha_hi is not None:
-            collar.append((entry.alpha_hi + step_a * k, mid_p))
-    if entry.uses_p:
-        for a in (alphas[0], alphas[len(alphas) // 2], alphas[-1]):
-            win = _p_window(entry, a)
-            if win is None or win[1] <= win[0]:
+    points = collar_points = inapplicable = violations = 0
+    failures, ranges = [], {}
+    for a, p, inner, collar in _lattice(entry, density):
+        poles, failed, violated = [], [], dict.fromkeys(collar, 0)
+        for k, chk in enumerate(entry.checks):
+            try:
+                v = _lift(chk.value(a, p))
+            except ZeroDivisionError:  # a divisor vanishes on the whole line
+                poles.extend(inner[:1])
                 continue
-            lo, hi = win
-            width = hi - lo
-            for k in (1, 2, 3):
-                collar.append((a, lo - width * Fraction(k, density + 1)))
-                if entry.p_hi is not None:
-                    collar.append((a, hi + width * Fraction(k, density + 1)))
-
-    inapplicable = 0
-    bound_violations = 0
-    for a, p in collar:
-        res = check_entry(entry, a, p)
-        if res.status == "inapplicable":
-            inapplicable += 1
-            bound_violations += sum(1 for o in res.outcomes if o.ok is False)
+            lo_v = hi_v = None
+            for j in inner:
+                n, d = _ratio(v, j)
+                if d == 0:
+                    poles.append(j)
+                    break
+                if not chk.holds_ratio(n, d):
+                    failed.append((j, k))
+                if lo_v is None or n * lo_v[1] < lo_v[0] * d:
+                    lo_v = n, d
+                if hi_v is None or n * hi_v[1] > hi_v[0] * d:
+                    hi_v = n, d
+            if lo_v is not None:
+                _widen(ranges, chk.name, Fraction(*lo_v), Fraction(*hi_v))
+            for j in collar:
+                n, d = _ratio(v, j)
+                if d and not chk.holds_ratio(n, d):
+                    violated[j] += 1
+        if poles:  # raises the CatalogError a point-by-point scan meets first
+            check_entry(entry, _on(a, min(poles)), _on(p, min(poles)))
+        failures += [(_on(a, j), _on(p, j), entry.checks[k].name)
+                     for j, k in sorted(failed)]
+        outside = [j for j in collar if not entry.contains(_on(a, j), _on(p, j))]
+        points += len(inner)
+        collar_points += len(collar)
+        inapplicable += len(outside)
+        violations += sum(violated[j] for j in outside)
     return ScanReport(
         entry_id=entry.id,
         interior_points=points,
         interior_failures=failures,
         value_ranges=ranges,
-        collar_points=len(collar),
+        collar_points=collar_points,
         collar_inapplicable=inapplicable,
-        collar_bound_violations=bound_violations,
+        collar_bound_violations=violations,
         scaling_ok=scaling_check(entry),
     )
 

@@ -188,21 +188,6 @@ class ChiKappaModel:
         if problems:
             raise ConfigError(problems)
 
-    def min_chi_prime(self, c_max: float) -> float:
-        # chi' is the constant chi_slope; no c dependence.
-        return self.chi_slope
-
-    def min_kappa_prime(self, c_max: float) -> float:
-        """inf of kappa'(c) = kappa_coeff*kappa_power*c^(kappa_power-1) over [0, c_max].
-
-        kappa' is nondecreasing on [0, inf) for kappa_power >= 1, so the inf
-        sits at c = 0: it is kappa_coeff for kappa_power == 1 and exactly 0
-        for any kappa_power > 1.
-        """
-        if self.kappa_power == 1.0:
-            return self.kappa_coeff
-        return 0.0
-
 
 @dataclass(frozen=True)
 class AssumptionCase:
@@ -234,8 +219,12 @@ def classify_assumption(model: ChiKappaModel, params: SimParams,
     if not (c_max >= 0):
         raise ValueError(f"c_max must be >= 0, got {c_max}")
     alpha = params.alpha
-    chi0 = model.min_chi_prime(c_max)
-    kappa0 = model.min_kappa_prime(c_max)
+    # chi' is the constant chi_slope.  kappa'(c) =
+    # kappa_coeff*kappa_power*c^(kappa_power-1) is nondecreasing on [0, inf)
+    # for kappa_power >= 1, so its inf over [0, c_max] sits at c = 0: it is
+    # kappa_coeff for kappa_power == 1 and exactly 0 for any kappa_power > 1.
+    chi0 = model.chi_slope
+    kappa0 = model.kappa_coeff if model.kappa_power == 1.0 else 0.0
 
     weak = set()
     bounded = set()

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -445,6 +447,20 @@ class TestLedgerCommand:
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "30693bf38ecd72cbbdbc4c90ffa1c64421b5a052612f3d50ebadcccb0ede6347")
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # the reader leaves after one line, as `| head -1` does; -u makes
+        # every line its own write, so a later print meets the closed pipe
+        src = os.path.dirname(os.path.dirname(cf.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "chemoflux.cli", "ledger", "--scan", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline().startswith(b"case-i-low ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err, err
 
 
 class TestOracleCommand:

@@ -215,6 +215,17 @@ class TestScan:
                            checks=(lg.Check("v", pole, lo=F(0)),))
         with pytest.raises(cf.CatalogError):
             cf.check_entry(e, F(1, 4))
+        # density 1 puts the one interior point of the alpha line on the pole
+        with pytest.raises(cf.CatalogError, match=r"alpha=1/4, p=None"):
+            cf.scan_region(e, density=1)
+
+    @pytest.mark.parametrize("cap", [F(1), F(1, 2)], ids=["at-floor", "below-floor"])
+    def test_empty_alpha_scan_range_raises(self, cap):
+        e = lg.LedgerEntry(id="x-empty", title="scan cap at or below alpha_lo",
+                           alpha_lo=F(1), alpha_hi=None, scan_alpha_hi=cap,
+                           checks=(lg.Check("v", lambda a, p: a, lo=F(0)),))
+        with pytest.raises(cf.CatalogError, match="empty alpha scan range"):
+            cf.scan_region(e, density=3)
 
     def test_cached_helper_pole_raises_every_time(self):
         # r1 = (6+6a)/(5+14a-3p) has a pole at p = 17/6 when a = 1/4, and
@@ -322,29 +333,64 @@ _CATALOG = cf.build_ledger()
 _CUTS = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3)]
 
 
-def _reference_interior(entry, density):
-    """scan_region's interior fields, rebuilt one point at a time with
-    check_entry: (points, failures, value ranges in insertion order)."""
-    _, alphas = lg._alpha_rows(entry, density, closed=True)
-    points = []
-    for a in alphas:
-        win = lg._p_window(entry, a)
-        if win is None:
-            points.append((a, None))
-        elif win[1] > win[0]:
-            step = (win[1] - win[0]) / (density + 1)
-            points += [(a, win[0] + step * j) for j in range(1, density + 1)]
+def _reference_lines(entry, m):
+    """scan_region's lattice of density m, built from the entry's declared
+    fields: lines (point, inner, collar), where point(j) is the line's point
+    at index j (row values for j = lg._J), and inner and collar hold the j of
+    its points inside the region and just outside a declared boundary.  A p
+    line's j = -k is lo - width*k/(m+1), and j = m+1+k is hi + width*k/(m+1)."""
+    cap = next(c for c in (entry.alpha_hi, entry.scan_alpha_hi, entry.alpha_lo + 1)
+               if c is not None)
+    step = (cap - entry.alpha_lo) / (m + 1)
+    rows = list(range(1, m + 1))
+    if not entry.alpha_lo_strict:
+        rows.insert(0, 0)
+    if entry.alpha_hi is not None and not entry.alpha_hi_strict:
+        rows.append(m + 1)
+    outside = [-k for k in (1, 2, 3) if entry.alpha_lo - step * k > 0]
+    if entry.alpha_hi is not None:
+        outside += [m + 1 + k for k in (1, 2, 3)]
+    if not entry.uses_p:
+        return [(lambda j: (entry.alpha_lo + step * j, None), rows, outside)]
+    lines, mid = [], rows[len(rows) // 2]
+    for i in rows:
+        a = entry.alpha_lo + step * i
+        lo = entry.p_lo(a, None)
+        hi = lo + lg.SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None)
+        if i == mid:
+            mid_p = (lo + hi) / 2
+        if lo >= hi:
+            continue
+        collar = [-1, -2, -3]
+        if entry.p_hi is not None:
+            collar += [m + 2, m + 3, m + 4]
+        lines.append((lambda j, a=a, lo=lo, w=hi - lo: (a, lo + w * j / (m + 1)),
+                      range(1, m + 1), collar if i in {rows[0], mid, rows[-1]} else []))
+    return lines + [(lambda j: (entry.alpha_lo + step * j, mid_p), [], outside)]
+
+
+def _reference_report(entry, density):
+    """scan_region's report fields, rebuilt one point at a time with
+    check_entry: (points, failures, value ranges in insertion order, collar
+    points, collar inapplicable, collar bound violations).  A collar point
+    shared by two lines counts once."""
+    inner, collar = [], set()
+    for point, js, out in _reference_lines(entry, density):
+        inner += [point(j) for j in js]
+        collar |= {point(j) for j in out}
     failures, ranges = [], {}
-    for a, p in points:
+    for a, p in inner:
         res = cf.check_entry(entry, a, p)
+        assert res.status != "inapplicable", (a, p)
         failures += [(a, p, o.name) for o in res.outcomes if o.ok is False]
-        if res.status == "inapplicable":
-            failures.append((a, p, "<region/lattice mismatch>"))
         for o in res.outcomes:
-            if o.value is not None:
-                lo, hi = ranges.get(o.name, (o.value, o.value))
-                ranges[o.name] = (min(lo, o.value), max(hi, o.value))
-    return len(points), failures, list(ranges.items())
+            lo, hi = ranges.get(o.name, (o.value, o.value))
+            ranges[o.name] = (min(lo, o.value), max(hi, o.value))
+    outside = [res for res in (cf.check_entry(entry, a, p) for a, p in collar)
+               if res.status == "inapplicable"]
+    violations = sum(o.ok is False for res in outside for o in res.outcomes)
+    return (len(inner), failures, list(ranges.items()),
+            len(collar), len(outside), violations)
 
 
 @hst.composite
@@ -364,34 +410,39 @@ def _entry_with_cut_bounds(draw):
 
 
 class TestRowScanAgainstPoints:
-    """The row scan traces each check once per lattice row; every point's
-    value and verdict must be the one check_entry gives there."""
+    """The scan traces each check once per lattice line; every point's value
+    and verdict, inside the region and on the collar, must be the one
+    check_entry gives there."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_entry_with_cut_bounds(), hst.integers(1, 9))
     def test_row_scan_matches_check_entry(self, entry, density):
         rep = cf.scan_region(entry, density=density)
         assert (rep.interior_points, rep.interior_failures,
-                list(rep.value_ranges.items())) == _reference_interior(entry, density)
-        for a in lg._alpha_rows(entry, density, closed=True)[1]:
-            win = lg._p_window(entry, a)
-            if win is None or win[1] <= win[0]:
-                continue
-            step = (win[1] - win[0]) / (density + 1)
-            row_p = win[0] + step * lg._J
-            traced = [lg._lift(c.value(a, row_p)) for c in entry.checks]
-            for j in range(1, density + 1):
-                res = cf.check_entry(entry, a, win[0] + step * j)
-                assert [F(lg._at(v.num, j), lg._at(v.den, j)) for v in traced] \
-                    == [o.value for o in res.outcomes]
+                list(rep.value_ranges.items()), rep.collar_points,
+                rep.collar_inapplicable, rep.collar_bound_violations) \
+            == _reference_report(entry, density)
+        for point, inner, collar in _reference_lines(entry, density):
+            traced = [lg._lift(c.value(*point(lg._J))) for c in entry.checks]
+            for j in [*inner, *collar]:
+                res = cf.check_entry(entry, *point(j))
+                assert [F(lg._at(v.num, j), lg._at(v.den, j)) if lg._at(v.den, j)
+                        else None for v in traced] == [o.value for o in res.outcomes]
 
 
 class TestSymbolicExactness:
     """The module docstring's exactness claim, checked in sympy: every check
     value, scale index and power is a ratio of polynomials of total degree
-    <= 4 in (a, p), so vanishing identically on 21 alpha rows proves an
-    identity; and
-    each Scaling's lambda-exponents cancel identically, not just there."""
+    <= 4 in (a, p), so for an entry with a p window, vanishing identically
+    along p on 21 alpha rows proves an identity (one line along alpha proves
+    it for an entry without one); and each Scaling's lambda-exponents cancel
+    identically, not just on the lattice's lines."""
+
+    def test_scaled_p_entries_have_21_rows(self):
+        for e in cf.build_ledger():
+            if e.uses_p and e.scalings:
+                rows = [inner for _, inner, _ in _reference_lines(e, 21) if inner]
+                assert len(rows) >= 21, e.id
 
     def test_catalog_is_rational_of_low_degree_and_scalings_cancel(self):
         a, p = sp.symbols("a p")
