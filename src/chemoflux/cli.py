@@ -310,7 +310,6 @@ def _cmd_ledger(args) -> int:
             status = "PASS" if rep.passed else "FAIL"
             print(f"{entry.id:32s} interior {rep.interior_points:6d} "
                   f"failures {len(rep.interior_failures):3d}  "
-                  f"collar {rep.collar_inapplicable}/{rep.collar_points}  "
                   f"scaling {'ok ' if rep.scaling_ok else 'BAD'}  {status}")
             if args.entry is not None:
                 for name, (lo, hi) in sorted(rep.value_ranges.items()):
@@ -375,6 +374,9 @@ def _cmd_oracle(args) -> int:
     except (ConfigError, TypeError, ValueError) as exc:
         # a study builds its inputs from the kwargs as it goes
         raise UsageError([f"oracle: {exc}"]) from None
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"{args.study} study ({len(rows)} runs)")
     prev = None
     orders = []

@@ -73,24 +73,15 @@ def radial_weight(spec: DomainSpec):
     return np.sqrt(1.0 + r2)
 
 
-def _xlogx(n: np.ndarray, absolute: bool) -> np.ndarray:
+def entropies(f: ScalarField) -> tuple[float, float]:
+    """(int n log n, int n |log n|) from one logarithm per cell: for n >= 0
+    the second integrand is |n log n|, exactly."""
+    n = f.data
     if np.min(n) < 0:
         raise ValueError("entropy is undefined for negative cell values")
-    safe = np.maximum(n, ENTROPY_FLOOR)
-    logs = np.log(safe)
-    if absolute:
-        logs = np.abs(logs)
-    return np.where(n > ENTROPY_FLOOR, n * logs, 0.0)
-
-
-def entropy(f: ScalarField) -> float:
-    """int n log n with the 0 log 0 = 0 convention."""
-    return float(np.sum(_xlogx(f.data, absolute=False))) * f.domain.cell_volume
-
-
-def abs_entropy(f: ScalarField) -> float:
-    """int n |log n|."""
-    return float(np.sum(_xlogx(f.data, absolute=True))) * f.domain.cell_volume
+    xlogx = np.where(n > ENTROPY_FLOOR, n * np.log(np.maximum(n, ENTROPY_FLOOR)), 0.0)
+    vol = f.domain.cell_volume
+    return float(np.sum(xlogx)) * vol, float(np.sum(np.abs(xlogx))) * vol
 
 
 def weighted_moment(f: ScalarField) -> float:
@@ -122,8 +113,7 @@ def compute_record(state, params: SimParams,
     """
     spec = params.domain
     n, c, u = state.n, state.c, state.u
-    ent = entropy(n)
-    a_ent = abs_entropy(n)
+    ent, a_ent = entropies(n)
     mom = float("nan") if spec.mode == "neumann" else weighted_moment(n)
     n_l1 = lp_norm(n, 1)
     n_l1a = lp_norm(n, 1.0 + params.alpha)

@@ -279,18 +279,14 @@ def _on(x, j: int):
 
 
 def _lattice(entry: LedgerEntry, m: int) -> list[tuple]:
-    """The density-m scan lattice as lines (a, p, inner, collar): one of a, p
-    is traced in the point index j, and `inner` and `collar` hold the j of
-    the line's points inside the region and just outside a true boundary.
+    """The density-m scan lattice as lines (a, p, inner): one of a, p is
+    traced in the point index j, and `inner` holds the j of the line's
+    points, every one of them inside the region.
 
     Alpha rows sit at a = alpha_lo + step*j, step = (cap - alpha_lo)/(m+1),
-    for j = 1..m plus 0 and m+1 where those are closed ends of the region;
-    the alpha collar is j = -1..-3 where a > 0, and m+2..m+4 when alpha_hi is
-    declared.  An entry without a p window is one line along alpha.  Else
-    each row with a nonempty p window is a line p = lo + (hi - lo)/(m+1)*j,
-    j = 1..m, with the p collar j = -1..-3 (and m+2..m+4 when p_hi is
-    declared) on the first, middle and last rows; the alpha collar is a line
-    along alpha at the middle row's mid-window p."""
+    for j = 1..m plus 0 and m+1 where those are closed ends of the region.
+    An entry without a p window is one line along alpha.  Else each row with
+    a nonempty p window is a line p = lo + (hi - lo)/(m+1)*j, j = 1..m."""
     cap = entry.alpha_hi if entry.alpha_hi is not None else entry.scan_alpha_hi
     cap = entry.alpha_lo + 1 if cap is None else cap
     if cap <= entry.alpha_lo:
@@ -300,24 +296,16 @@ def _lattice(entry: LedgerEntry, m: int) -> list[tuple]:
     rows = list(range(entry.alpha_lo_strict, m + 1))  # j = 0 iff a closed end
     if entry.alpha_hi is not None and not entry.alpha_hi_strict:
         rows.append(m + 1)
-    beyond = (m + 2, m + 3, m + 4)
-    alpha_collar = [j for j in (-1, -2, -3) if _on(a_line, j) > 0]
-    if entry.alpha_hi is not None:
-        alpha_collar += beyond
     if not entry.uses_p:
-        return [(a_line, None, rows, alpha_collar)]
-    lines, mid = [], rows[len(rows) // 2]
-    p_collar = (-1, -2, -3) + (beyond if entry.p_hi is not None else ())
+        return [(a_line, None, rows)]
+    lines = []
     for j in rows:
         a = _on(a_line, j)
         lo = entry.p_lo(a, None)
         hi = lo + SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None)
-        if j == mid:
-            mid_p = (lo + hi) / 2
         if lo < hi:
-            lines.append((a, lo + (hi - lo) / (m + 1) * _J, range(1, m + 1),
-                          p_collar if j in (rows[0], mid, rows[-1]) else ()))
-    return lines + [(a_line, mid_p, (), alpha_collar)]
+            lines.append((a, lo + (hi - lo) / (m + 1) * _J, range(1, m + 1)))
+    return lines
 
 
 def scaling_check(entry: LedgerEntry) -> bool:
@@ -325,7 +313,7 @@ def scaling_check(entry: LedgerEntry) -> bool:
     (identical lambda-exponents on both sides); vacuously true without one."""
     if not entry.scalings:
         return True
-    for a, p, _, _ in _lattice(entry, 21):
+    for a, p, _ in _lattice(entry, 21):
         for sc in entry.scalings:
             lhs = sum((f.lam_exponent(a, p) for f in sc.lhs), Fraction(0))
             rhs = sum((f.lam_exponent(a, p) for f in sc.rhs), Fraction(0))
@@ -340,15 +328,11 @@ class ScanReport:
     interior_points: int
     interior_failures: list[tuple[Fraction, Fraction | None, str]]
     value_ranges: dict[str, tuple[Fraction, Fraction]]
-    collar_points: int
-    collar_inapplicable: int
-    collar_bound_violations: int
     scaling_ok: bool
 
     @property
     def passed(self) -> bool:
-        return (not self.interior_failures and self.scaling_ok
-                and self.collar_inapplicable == self.collar_points)
+        return not self.interior_failures and self.scaling_ok
 
 
 def _widen(ranges: dict, name: str, lo: Fraction, hi: Fraction) -> None:
@@ -363,18 +347,19 @@ def _ratio(v: _RowValue, j: int) -> tuple[int, int]:
 
 
 def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
-    """Lattice-verify an entry: interior points (plus closed endpoints) must
-    all pass; a collar of points just outside each true boundary must come
-    back inapplicable.  Value ranges are tracked per check, exactly.  Each
-    check is traced once per lattice line, then decided at every point of
-    the line by integer polynomial evaluations and sign tests.
+    """Lattice-verify an entry: every lattice point (interior points plus
+    closed endpoints) must pass every check.  Value ranges are tracked per
+    check, exactly.  Each check is traced once per lattice line, then
+    decided at every point of the line by integer polynomial evaluations
+    and sign tests.  No point outside the region is scanned; `check_entry`
+    decides any single point, inside or out.
     """
     if density < 1:
         raise ValueError(f"scan density must be an integer >= 1, got {density!r}")
-    points = collar_points = inapplicable = violations = 0
+    points = 0
     failures, ranges = [], {}
-    for a, p, inner, collar in _lattice(entry, density):
-        poles, failed, violated = [], [], dict.fromkeys(collar, 0)
+    for a, p, inner in _lattice(entry, density):
+        poles, failed = [], []
         for k, chk in enumerate(entry.checks):
             try:
                 v = _lift(chk.value(a, p))
@@ -395,27 +380,16 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
                     hi_v = n, d
             if lo_v is not None:
                 _widen(ranges, chk.name, Fraction(*lo_v), Fraction(*hi_v))
-            for j in collar:
-                n, d = _ratio(v, j)
-                if d and not chk.holds_ratio(n, d):
-                    violated[j] += 1
         if poles:  # raises the CatalogError a point-by-point scan meets first
             check_entry(entry, _on(a, min(poles)), _on(p, min(poles)))
         failures += [(_on(a, j), _on(p, j), entry.checks[k].name)
                      for j, k in sorted(failed)]
-        outside = [j for j in collar if not entry.contains(_on(a, j), _on(p, j))]
         points += len(inner)
-        collar_points += len(collar)
-        inapplicable += len(outside)
-        violations += sum(violated[j] for j in outside)
     return ScanReport(
         entry_id=entry.id,
         interior_points=points,
         interior_failures=failures,
         value_ranges=ranges,
-        collar_points=collar_points,
-        collar_inapplicable=inapplicable,
-        collar_bound_violations=violations,
         scaling_ok=scaling_check(entry),
     )
 

@@ -14,6 +14,7 @@ Three routes, none of which touch the discrete operators under test:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -167,6 +168,15 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
 # ---------------------------------------------------------------------------
 # study drivers (these DO run the solver; the closed forms above do not)
 
+def _resolutions(values) -> list[int]:
+    """A study's grid sizes, all checked before the first run: 8.5 must not
+    run as 8."""
+    values = list(values)
+    if not all(isinstance(N, Integral) for N in values):
+        raise ValueError(f"resolutions must be integers, got {values}")
+    return [int(N) for N in values]
+
+
 def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
                               c0: float = 1.0, kappa_coeff: float = 1.0,
                               t_final: float = 0.5):
@@ -201,8 +211,8 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
     from .solver import run
 
     out = []
-    for N in resolutions:
-        spec = DomainSpec(1, "periodic", (length,), (int(N),))
+    for N in _resolutions(resolutions):
+        spec = DomainSpec(1, "periodic", (length,), (N,))
         params = SimParams(alpha=alpha, tau=0, rho=rho, t_final=t_run,
                            domain=spec, cfl_safety=0.4)
         model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
@@ -215,7 +225,7 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
         res = run(params, model, initial, output={"sample_interval": t_run})
         exact = barenblatt(alpha, mass, 1, t0 + t_run, xs)
         err = float(np.sum(np.abs(res.state.n.data - exact))) * spec.spacing[0]
-        out.append((int(N), err))
+        out.append((N, err))
     return out
 
 
@@ -227,9 +237,11 @@ def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
     from .solver import FieldState, step
     from .grid import VectorField
 
+    if not dt_factor > 0:
+        raise ValueError(f"dt_factor must be > 0, got {dt_factor!r}")
     out = []
-    for N in resolutions:
-        mp = manufactured_problem(int(N), alpha=alpha, t_final=t_end)
+    for N in _resolutions(resolutions):
+        mp = manufactured_problem(N, alpha=alpha, t_final=t_end)
         spec = mp.params.domain
         h = spec.spacing[0]
         n_steps = max(1, int(np.ceil(t_end / (dt_factor * h * h))))
@@ -242,5 +254,5 @@ def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
             state = step(state, mp.params, mp.model, dt, sources=mp.sources)
         n_exact = mp.fields(state.t)[0]
         err = lp_norm(ScalarField(spec, state.n.data - n_exact), 2)
-        out.append((int(N), err))
+        out.append((N, err))
     return out

@@ -93,22 +93,12 @@ def _tables(spec: DomainSpec):
     return tuple(sins), s_sq, lam
 
 
-def _rfftn(x):
-    with sfft.set_workers(_workers):
-        return sfft.rfftn(x)
-
-
-def _irfftn(x, shape):
-    with sfft.set_workers(_workers):
-        return sfft.irfftn(x, s=shape)
-
-
 def _helmholtz_periodic(values: np.ndarray, spec: DomainSpec, dt: float) -> np.ndarray:
     # (I - dt*lap_compact)^{-1}, exact in the stencil symbol
     _, _, lam = _tables(spec)
-    vh = _rfftn(values)
+    vh = sfft.rfftn(values, workers=_workers)
     vh /= (1.0 - dt * lam)
-    return _irfftn(vh, spec.shape)
+    return sfft.irfftn(vh, s=spec.shape, workers=_workers)
 
 
 def _fluid_spectral(v, spec: DomainSpec, dt: float):
@@ -118,15 +108,16 @@ def _fluid_spectral(v, spec: DomainSpec, dt: float):
     sequential composition.  Returns (u components, p).
     """
     sins, s_sq, lam = _tables(spec)
-    vh = [_rfftn(comp) for comp in v]
+    vh = [sfft.rfftn(comp, workers=_workers) for comp in v]
     if dt > 0.0:
         visc = 1.0 - dt * lam
         vh = [x / visc for x in vh]
     div_h = (1j) * sum(s * x for s, x in zip(sins, vh))
     ph = np.zeros_like(div_h)
     np.divide(div_h, -s_sq, out=ph, where=s_sq > 0)
-    u = [_irfftn(x - 1j * s * ph, spec.shape) for s, x in zip(sins, vh)]
-    p = _irfftn(ph, spec.shape)
+    u = [sfft.irfftn(x - 1j * s * ph, s=spec.shape, workers=_workers)
+         for s, x in zip(sins, vh)]
+    p = sfft.irfftn(ph, s=spec.shape, workers=_workers)
     return u, p
 
 

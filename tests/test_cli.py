@@ -446,7 +446,7 @@ class TestLedgerCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "30693bf38ecd72cbbdbc4c90ffa1c64421b5a052612f3d50ebadcccb0ede6347")
+            "f245f29b3d231462477159bffe3ad0c285922e7bff48edd5017f6c3b5b0ab526")
 
     def test_closed_stdout_exits_without_traceback(self):
         # the reader leaves after one line, as `| head -1` does; -u makes
@@ -481,17 +481,24 @@ class TestOracleCommand:
 
     def test_unknown_study_kwarg_rejected(self, tmp_path, capsys):
         cases = [
-            ("uniform", {"resolution": 99}, "oracle.resolution"),
+            ("uniform", {"resolution": 99}, 2, "oracle.resolution"),
             # values the study rejects while it sets up its inputs
-            ("uniform", {"dts": "abc"}, "oracle: could not convert"),
-            ("uniform", {"t_final": -1}, "oracle: t_final must be > 0"),
-            ("barenblatt", {"resolutions": [4]},
+            ("uniform", {"dts": "abc"}, 2, "oracle: could not convert"),
+            ("uniform", {"t_final": -1}, 2, "oracle: t_final must be > 0"),
+            ("barenblatt", {"resolutions": [4]}, 2,
              "oracle: resolution must be >= 8"),
+            ("barenblatt", {"resolutions": [8.5]}, 2,
+             "oracle: resolutions must be integers"),
+            ("manufactured", {"dt_factor": 0}, 2, "oracle: dt_factor must be > 0"),
+            ("manufactured", {"dt_factor": -1}, 2, "oracle: dt_factor must be > 0"),
+            # a run that breaks down is an error, as for `run`
+            ("barenblatt", {"mass": 1e300, "resolutions": [8]}, 1,
+             "error: non-finite cell density"),
         ]
-        for study, section, message in cases:
+        for study, section, code, message in cases:
             cfg = {"oracle": section}
             rc = cli.main(["oracle", study, _write(tmp_path, cfg)])
-            assert rc == 2
+            assert rc == code, (study, section)
             assert message in capsys.readouterr().err
 
     def test_non_object_study_section_listed(self, tmp_path, capsys):

@@ -190,7 +190,6 @@ class TestScan:
             rep = cf.scan_region(e, density=12)
             assert rep.passed, (e.id, rep.interior_failures[:3])
             assert rep.interior_points > 0, e.id
-            assert rep.collar_inapplicable == rep.collar_points, e.id
 
     def test_moser_window_ranges_sit_inside_declared_bounds(self):
         rep = cf.scan_region(cf.get_entry("moser-window"), density=12)
@@ -302,8 +301,7 @@ def _canonical(rep) -> str:
     parts += [f"{_q(a)},{_q(p)},{name}" for a, p, name in rep.interior_failures]
     parts += [f"{name}:{_q(lo)}:{_q(hi)}"
               for name, (lo, hi) in rep.value_ranges.items()]
-    parts += [str(rep.collar_points), str(rep.collar_inapplicable),
-              str(rep.collar_bound_violations), str(rep.scaling_ok)]
+    parts.append(str(rep.scaling_ok))
     return ";".join(parts)
 
 
@@ -311,9 +309,9 @@ class TestExactScanReports:
     """The scan is exact, so every report is pinned bit for bit: the digest
     covers each entry's counts, failures and value ranges as num/den."""
 
-    # taken from the point-by-point Fraction scan, before the row scan
-    DIGEST_20 = "be3c620fb777420efad7ea6e59a919f3d108ec2cf84741c67908bf36d870a9f6"
-    DIGEST_60 = "7c127d9c874edffbda10bc3e80827f0f105764a2708501c03500c59abf91b79a"
+    # these reports' fields match the point-by-point Fraction scan's
+    DIGEST_20 = "02dfb3a39e1f6fb5691ad38a5e800176cd48c408d2eec8707c9d56059a28cb8c"
+    DIGEST_60 = "7d1626332fbabb88b63e0403221d1dc2e130af4b5b7ccd28d6c6d04239f6aff4"
 
     @staticmethod
     def _digest(density):
@@ -335,10 +333,8 @@ _CUTS = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3)]
 
 def _reference_lines(entry, m):
     """scan_region's lattice of density m, built from the entry's declared
-    fields: lines (point, inner, collar), where point(j) is the line's point
-    at index j (row values for j = lg._J), and inner and collar hold the j of
-    its points inside the region and just outside a declared boundary.  A p
-    line's j = -k is lo - width*k/(m+1), and j = m+1+k is hi + width*k/(m+1)."""
+    fields: lines (point, inner), where point(j) is the line's point at index
+    j (row values for j = lg._J), and inner holds the j of its points."""
     cap = next(c for c in (entry.alpha_hi, entry.scan_alpha_hi, entry.alpha_lo + 1)
                if c is not None)
     step = (cap - entry.alpha_lo) / (m + 1)
@@ -347,37 +343,24 @@ def _reference_lines(entry, m):
         rows.insert(0, 0)
     if entry.alpha_hi is not None and not entry.alpha_hi_strict:
         rows.append(m + 1)
-    outside = [-k for k in (1, 2, 3) if entry.alpha_lo - step * k > 0]
-    if entry.alpha_hi is not None:
-        outside += [m + 1 + k for k in (1, 2, 3)]
     if not entry.uses_p:
-        return [(lambda j: (entry.alpha_lo + step * j, None), rows, outside)]
-    lines, mid = [], rows[len(rows) // 2]
+        return [(lambda j: (entry.alpha_lo + step * j, None), rows)]
+    lines = []
     for i in rows:
         a = entry.alpha_lo + step * i
         lo = entry.p_lo(a, None)
         hi = lo + lg.SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None)
-        if i == mid:
-            mid_p = (lo + hi) / 2
-        if lo >= hi:
-            continue
-        collar = [-1, -2, -3]
-        if entry.p_hi is not None:
-            collar += [m + 2, m + 3, m + 4]
-        lines.append((lambda j, a=a, lo=lo, w=hi - lo: (a, lo + w * j / (m + 1)),
-                      range(1, m + 1), collar if i in {rows[0], mid, rows[-1]} else []))
-    return lines + [(lambda j: (entry.alpha_lo + step * j, mid_p), [], outside)]
+        if lo < hi:
+            lines.append((lambda j, a=a, lo=lo, w=hi - lo: (a, lo + w * j / (m + 1)),
+                          range(1, m + 1)))
+    return lines
 
 
 def _reference_report(entry, density):
     """scan_region's report fields, rebuilt one point at a time with
-    check_entry: (points, failures, value ranges in insertion order, collar
-    points, collar inapplicable, collar bound violations).  A collar point
-    shared by two lines counts once."""
-    inner, collar = [], set()
-    for point, js, out in _reference_lines(entry, density):
-        inner += [point(j) for j in js]
-        collar |= {point(j) for j in out}
+    check_entry: (points, failures, value ranges in insertion order).  Every
+    lattice point must lie inside the region."""
+    inner = [point(j) for point, js in _reference_lines(entry, density) for j in js]
     failures, ranges = [], {}
     for a, p in inner:
         res = cf.check_entry(entry, a, p)
@@ -386,11 +369,7 @@ def _reference_report(entry, density):
         for o in res.outcomes:
             lo, hi = ranges.get(o.name, (o.value, o.value))
             ranges[o.name] = (min(lo, o.value), max(hi, o.value))
-    outside = [res for res in (cf.check_entry(entry, a, p) for a, p in collar)
-               if res.status == "inapplicable"]
-    violations = sum(o.ok is False for res in outside for o in res.outcomes)
-    return (len(inner), failures, list(ranges.items()),
-            len(collar), len(outside), violations)
+    return len(inner), failures, list(ranges.items())
 
 
 @hst.composite
@@ -411,20 +390,17 @@ def _entry_with_cut_bounds(draw):
 
 class TestRowScanAgainstPoints:
     """The scan traces each check once per lattice line; every point's value
-    and verdict, inside the region and on the collar, must be the one
-    check_entry gives there."""
+    and verdict must be the one check_entry gives there."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_entry_with_cut_bounds(), hst.integers(1, 9))
     def test_row_scan_matches_check_entry(self, entry, density):
         rep = cf.scan_region(entry, density=density)
         assert (rep.interior_points, rep.interior_failures,
-                list(rep.value_ranges.items()), rep.collar_points,
-                rep.collar_inapplicable, rep.collar_bound_violations) \
-            == _reference_report(entry, density)
-        for point, inner, collar in _reference_lines(entry, density):
+                list(rep.value_ranges.items())) == _reference_report(entry, density)
+        for point, inner in _reference_lines(entry, density):
             traced = [lg._lift(c.value(*point(lg._J))) for c in entry.checks]
-            for j in [*inner, *collar]:
+            for j in inner:
                 res = cf.check_entry(entry, *point(j))
                 assert [F(lg._at(v.num, j), lg._at(v.den, j)) if lg._at(v.den, j)
                         else None for v in traced] == [o.value for o in res.outcomes]
@@ -441,8 +417,7 @@ class TestSymbolicExactness:
     def test_scaled_p_entries_have_21_rows(self):
         for e in cf.build_ledger():
             if e.uses_p and e.scalings:
-                rows = [inner for _, inner, _ in _reference_lines(e, 21) if inner]
-                assert len(rows) >= 21, e.id
+                assert len(_reference_lines(e, 21)) >= 21, e.id
 
     def test_catalog_is_rational_of_low_degree_and_scalings_cancel(self):
         a, p = sp.symbols("a p")
