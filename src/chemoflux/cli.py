@@ -216,8 +216,8 @@ def _fmt_witnesses(witnesses: dict) -> str:
 
 
 def _print_classification(model, params, c_max: float):
-    """Print the case table of the configuration and return its cases."""
-    cls = classify_assumption(model, params, c_max)
+    """Print c_max and the case table of the configuration; return its cases."""
+    cls = classify_assumption(model, params)
     print(f"c_max:         {c_max:g}")
     print(f"weak cases:    {_fmt_cases(cls.weak_cases)}")
     print(f"bounded cases: {_fmt_cases(cls.bounded_cases)}")

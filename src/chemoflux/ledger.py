@@ -41,6 +41,11 @@ from typing import Callable
 
 DIM = 3  # space dimension of the scaling bookkeeping
 SCAN_P_SPAN = Fraction(5)  # lattice span of an unbounded p window
+# Structural thresholds on alpha: case (i) needs alpha > 1/6, and cases
+# (ii)/(iii) reach the bounded regime for alpha > 1/8.  The classifier in
+# `model` reads them; catalog regions below start or end at them.
+ALPHA_CASE_I = Fraction(1, 6)
+ALPHA_CASES_II_III = Fraction(1, 8)
 
 Expr = Callable[[Fraction, Fraction | None], Fraction]
 
@@ -495,7 +500,7 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
     entries = []
 
     # ---- degenerate-diffusion branch, low exponent window
-    case_low = dict(alpha_lo=_f(1, 6), alpha_hi=_f(1, 3), alpha_hi_strict=False)
+    case_low = dict(alpha_lo=ALPHA_CASE_I, alpha_hi=_f(1, 3), alpha_hi_strict=False)
     entries.append(LedgerEntry(
         id="case-i-low",
         title="entropy-route exponent windows on the low-diffusion branch",
@@ -581,7 +586,7 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
     entries.append(LedgerEntry(
         id="case-ii-iii-small-alpha",
         title="monotone-sensitivity branches: windows for arbitrarily small a",
-        alpha_lo=zero, alpha_hi=_f(1, 6), alpha_hi_strict=False,
+        alpha_lo=zero, alpha_hi=ALPHA_CASE_I, alpha_hi_strict=False,
         checks=(
             Check("one-minus-a", one_minus_a, lo=zero, hi=one),
             Check("half-one-minus-a", lambda a, p: one_minus_a(a, p) / 2,
@@ -642,7 +647,7 @@ def build_ledger() -> tuple[LedgerEntry, ...]:
     ))
 
     # ---- L^p iteration, low-diffusion window (1/8 < a <= 1/3)
-    low = dict(alpha_lo=_f(1, 8), alpha_hi=_f(1, 3), alpha_hi_strict=False)
+    low = dict(alpha_lo=ALPHA_CASES_II_III, alpha_hi=_f(1, 3), alpha_hi_strict=False)
     p_win = dict(p_lo=one_a, p_hi=one_4a)
     p_minus_3a: Expr = lambda a, p: p - 3 * a
     # the Hoelder exponent conjugate to (p-3a)/(1+a)

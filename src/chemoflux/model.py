@@ -12,24 +12,22 @@ with chi(c) = chi_offset + chi_slope*c and kappa(c) = kappa_coeff*c^kappa_power.
 `classify_assumption` reports which structural hypotheses of the underlying
 well-posedness theory the parameter choice satisfies, in two flavors: the weak
 (global weak solution) regime and the bounded (uniform-in-time L^inf) regime.
+Its alpha thresholds are `ledger.ALPHA_CASE_I` and `ledger.ALPHA_CASES_II_III`,
+the same numbers the exponent catalog's regions start and end at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
+
+from .ledger import ALPHA_CASE_I, ALPHA_CASES_II_III
 
 VALID_MODES = ("periodic", "neumann")
 
 # Config fields carry their JSON value kind (cli._VALUE_KINDS) in metadata.
-# Structural thresholds for the diffusion exponent.  Case (i) relies on
-# degenerate-diffusion dissipation alone; cases (ii)/(iii) trade a strictly
-# monotone sensitivity or consumption rate against a weaker alpha.
-ALPHA_WEAK_I = Fraction(1, 6)
-ALPHA_BOUNDED_I = Fraction(1, 6)
-ALPHA_BOUNDED_II_III = Fraction(1, 8)
 
 
 class ConfigError(ValueError):
@@ -66,7 +64,10 @@ class DomainSpec:
         if self.mode not in VALID_MODES:
             problems.append(f"mode must be one of {VALID_MODES}, got {self.mode!r}")
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
-        object.__setattr__(self, "resolution", tuple(int(N) for N in self.resolution))
+        # 8.5 must not run as 8: a resolution entry is an integer or a problem
+        integral = all(isinstance(N, Integral) for N in self.resolution)
+        object.__setattr__(self, "resolution", tuple(
+            int(N) if integral else N for N in self.resolution))
         if self.dim in (1, 2, 3):
             if len(self.lengths) != self.dim:
                 problems.append(f"lengths must have {self.dim} entries, got {len(self.lengths)}")
@@ -74,10 +75,13 @@ class DomainSpec:
                 problems.append(f"resolution must have {self.dim} entries, got {len(self.resolution)}")
         if any(not (L > 0) or not np.isfinite(L) for L in self.lengths):
             problems.append(f"lengths must be positive and finite, got {self.lengths}")
-        elif min(self.resolution, default=8) >= 8 and not 0 < self.cell_volume < np.inf:
+        elif (integral and min(self.resolution, default=8) >= 8
+              and not 0 < self.cell_volume < np.inf):
             problems.append(f"lengths {self.lengths} give a cell volume of "
                             f"{self.cell_volume:g}; it must be positive and finite")
-        if any(N < 8 for N in self.resolution):
+        if not integral:
+            problems.append(f"resolution entries must be integers, got {self.resolution}")
+        elif any(N < 8 for N in self.resolution):
             problems.append(f"resolution must be >= 8 along every axis, got {self.resolution}")
         if self.mode == "neumann" and self.dim == 1:
             problems.append("neumann mode requires dim >= 2 (no-slip fluid walls)")
@@ -203,49 +207,34 @@ class AssumptionCase:
     witnesses: dict[str, float] = field(default_factory=dict)
 
 
-def classify_assumption(model: ChiKappaModel, params: SimParams,
-                        c_max: float) -> AssumptionCase:
+def classify_assumption(model: ChiKappaModel, params: SimParams) -> AssumptionCase:
     """Classify (model, alpha) against the structural hypotheses.
 
-    Weak regime:    (i) alpha > 1/6;  (ii) alpha > 0 and inf chi' > 0;
-                    (iii) alpha > 0 and inf kappa' > 0.
-    Bounded regime: (i) alpha > 1/6;  (ii) alpha > 1/8 and inf chi' > 0;
+    Weak regime:    (i) alpha > 1/6;  (ii) inf chi' > 0;  (iii) inf kappa' > 0.
+    Bounded regime: the weak cases when alpha > 1/8, none otherwise; so
+                    (i) alpha > 1/6;  (ii) alpha > 1/8 and inf chi' > 0;
                     (iii) alpha > 1/8 and inf kappa' > 0.
 
-    The infima are taken over the attainable concentration range [0, c_max];
-    c_max would normally be max of the initial concentration (the maximum
-    principle keeps c there).  c_max < 0 is rejected.
+    chi' is the constant chi_slope, and kappa'(c) =
+    kappa_coeff*kappa_power*c^(kappa_power-1) is nondecreasing for
+    kappa_power >= 1, so both infima over any concentration range [0, max c]
+    sit at c = 0 and do not depend on max c: inf kappa' is kappa_coeff for
+    kappa_power == 1 and exactly 0 for any kappa_power > 1.
     """
-    if not (c_max >= 0):
-        raise ValueError(f"c_max must be >= 0, got {c_max}")
-    alpha = params.alpha
-    # chi' is the constant chi_slope.  kappa'(c) =
-    # kappa_coeff*kappa_power*c^(kappa_power-1) is nondecreasing on [0, inf)
-    # for kappa_power >= 1, so its inf over [0, c_max] sits at c = 0: it is
-    # kappa_coeff for kappa_power == 1 and exactly 0 for any kappa_power > 1.
     chi0 = model.chi_slope
     kappa0 = model.kappa_coeff if model.kappa_power == 1.0 else 0.0
-
     weak = set()
-    bounded = set()
-    if alpha > ALPHA_WEAK_I:
+    if params.alpha > ALPHA_CASE_I:
         weak.add("i")
-    if alpha > ALPHA_BOUNDED_I:
-        bounded.add("i")
     if chi0 > 0:
-        if alpha > 0:
-            weak.add("ii")
-        if alpha > ALPHA_BOUNDED_II_III:
-            bounded.add("ii")
+        weak.add("ii")
     if kappa0 > 0:
-        if alpha > 0:
-            weak.add("iii")
-        if alpha > ALPHA_BOUNDED_II_III:
-            bounded.add("iii")
+        weak.add("iii")
+    bounded = weak if params.alpha > ALPHA_CASES_II_III else set()
 
     witnesses = {}
-    if "ii" in weak or "ii" in bounded:
+    if "ii" in weak:
         witnesses["chi0"] = chi0
-    if "iii" in weak or "iii" in bounded:
+    if "iii" in weak:
         witnesses["kappa0"] = kappa0
     return AssumptionCase(frozenset(weak), frozenset(bounded), witnesses)

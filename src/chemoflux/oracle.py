@@ -3,8 +3,8 @@
 Three routes, none of which touch the discrete operators under test:
 
 * uniform-state consumption: with spatially uniform data the PDE system
-  collapses to dc/dt = -kappa(c) n, solved in closed form (kappa_power 1, 2)
-  or by stiff adaptive integration otherwise;
+  collapses to dc/dt = -kappa(c) n, solved in closed form for every
+  kappa_power;
 * the radial self-similar source solution of the porous-medium subproblem,
   normalized to prescribed mass through the Beta-integral closed form;
 * a manufactured solution with sympy-derived forcings, turning the full
@@ -34,25 +34,17 @@ __all__ = [
 def uniform_state_ode(model: ChiKappaModel, n_bar: float, c0: float, t):
     """c(t) for dc/dt = -kappa_coeff n_bar c^m, c(0) = c0 (n stays n_bar).
 
-    m = 1 and m = 2 use the exponential / algebraic closed forms; other
-    exponents integrate adaptively at tolerances far below any comparison
-    threshold used by tests.
+    m = 1 decays exponentially; every m > 1 decays algebraically,
+    c(t) = c0 (1 + (m-1) k c0^(m-1) t)^(-1/(m-1)) with k = kappa_coeff n_bar,
+    a form that stays finite at c0 = 0.
     """
     t = np.asarray(t, dtype=float)
     k = model.kappa_coeff * n_bar
     m = model.kappa_power
     if m == 1.0:
         out = c0 * np.exp(-k * t)
-    elif m == 2.0:
-        out = c0 / (1.0 + k * c0 * t)
     else:
-        from scipy.integrate import solve_ivp
-        t_end = float(np.max(t)) if t.ndim else float(t)
-        sol = solve_ivp(lambda _, y: [-k * y[0] ** m], (0.0, max(t_end, 1e-30)),
-                        [c0], method="Radau", rtol=1e-11, atol=1e-14,
-                        dense_output=True)
-        out = sol.sol(np.atleast_1d(t))[0]
-        out = out.reshape(t.shape) if t.ndim else out[0]
+        out = c0 * (1.0 + (m - 1.0) * k * c0 ** (m - 1.0) * t) ** (-1.0 / (m - 1.0))
     return out if np.ndim(out) else float(out)
 
 

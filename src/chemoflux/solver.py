@@ -515,7 +515,7 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
 
     state = initial_state(params, initial)
     warnings = []
-    cls = classify_assumption(model, params, float(np.max(state.c.data)))
+    cls = classify_assumption(model, params)
     if not cls.weak_cases and not cls.bounded_cases:
         warnings.append("no structural assumption case is satisfied; "
                         "no a priori bound backs this run")
@@ -529,35 +529,38 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
     records: list[DiagnosticsRecord] = []
     next_sample = 0.0
     eps = 1e-12 * max(params.t_final, 1.0)
-    while True:
-        mass = integrate(state.n)
-        guards["mass_drift"] = max(guards["mass_drift"],
-                                   abs(mass - mass0) / max(abs(mass0), 1e-300))
-        guards["min_n_raw"] = min(guards["min_n_raw"], work["min_n_raw"])
-        guards["min_c_raw"] = min(guards["min_c_raw"], work["min_c_raw"])
-        max_c = float(np.max(state.c.data))
-        guards["max_c_increase"] = max(guards["max_c_increase"], max_c - prev_max_c)
-        prev_max_c = max_c
-        div_res = lp_norm(divergence(state.u), np.inf)
-        guards["max_div_residual"] = max(guards["max_div_residual"], div_res)
+    # an overflowing state stops the run at `step`'s finiteness check, and a
+    # record value that overflows is written as inf; numpy need not warn too
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            mass = integrate(state.n)
+            guards["mass_drift"] = max(guards["mass_drift"],
+                                       abs(mass - mass0) / max(abs(mass0), 1e-300))
+            guards["min_n_raw"] = min(guards["min_n_raw"], work["min_n_raw"])
+            guards["min_c_raw"] = min(guards["min_c_raw"], work["min_c_raw"])
+            max_c = float(np.max(state.c.data))
+            guards["max_c_increase"] = max(guards["max_c_increase"], max_c - prev_max_c)
+            prev_max_c = max_c
+            div_res = lp_norm(divergence(state.u), np.inf)
+            guards["max_div_residual"] = max(guards["max_div_residual"], div_res)
 
-        done = state.t >= params.t_final - eps or guards["steps"] == params.max_steps
-        if state.t >= next_sample - eps or done:
-            records.append(compute_record(state, params,
-                                          prev=records[-1] if records else None))
-            while next_sample <= state.t + eps:
-                next_sample += sample_interval
-            idx = len(records) - 1
-            if snapshot_every and (idx % snapshot_every == 0 or done):
-                _write_snapshots(out, state, idx)
-        if done:
-            break
-        dt = min(stable_dt(state, params, model), params.dt_max or np.inf,
-                 params.t_final - state.t, next_sample - state.t)
-        if dt <= 0.0:
-            raise SolverError(f"stability bound collapsed to dt={dt} at t={state.t}")
-        state = step(state, params, model, dt, work=work)
-        guards["steps"] += 1
+            done = state.t >= params.t_final - eps or guards["steps"] == params.max_steps
+            if state.t >= next_sample - eps or done:
+                records.append(compute_record(state, params,
+                                              prev=records[-1] if records else None))
+                while next_sample <= state.t + eps:
+                    next_sample += sample_interval
+                idx = len(records) - 1
+                if snapshot_every and (idx % snapshot_every == 0 or done):
+                    _write_snapshots(out, state, idx)
+            if done:
+                break
+            dt = min(stable_dt(state, params, model), params.dt_max or np.inf,
+                     params.t_final - state.t, next_sample - state.t)
+            if dt <= 0.0:
+                raise SolverError(f"stability bound collapsed to dt={dt} at t={state.t}")
+            state = step(state, params, model, dt, work=work)
+            guards["steps"] += 1
 
     csv_path = None
     if out is not None:

@@ -201,7 +201,7 @@ def test_criterion_09_reference_classifications():
                                  kappa_coeff=kappa[0], kappa_power=kappa[1])
         params = cf.SimParams(alpha=alpha, tau=0, rho=0.01, t_final=1.0,
                               domain=dom)
-        return model, cf.classify_assumption(model, params, c_max=1.0)
+        return model, cf.classify_assumption(model, params)
 
     model, cls = classify((0.0, 1.0), (1.0, 1.0), 0.2)
     assert cls.weak_cases == frozenset({"i", "ii", "iii"})

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -497,9 +498,14 @@ class TestOracleCommand:
         ]
         for study, section, code, message in cases:
             cfg = {"oracle": section}
-            rc = cli.main(["oracle", study, _write(tmp_path, cfg)])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = cli.main(["oracle", study, _write(tmp_path, cfg)])
             assert rc == code, (study, section)
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert message in err
+            # the one line is the whole report: no numpy warning beside it
+            assert len(err.splitlines()) == 1 and not caught, (err, caught)
 
     def test_non_object_study_section_listed(self, tmp_path, capsys):
         rc = cli.main(["oracle", "uniform", _write(tmp_path, {"oracle": [1]})])

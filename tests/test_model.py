@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import chemoflux as cf
@@ -19,7 +20,7 @@ class TestClassification:
     def test_linear_chi_linear_kappa_everything_active(self):
         model = cf.ChiKappaModel(chi_offset=0.0, chi_slope=1.0,
                                  kappa_coeff=1.0, kappa_power=1.0)
-        cls = cf.classify_assumption(model, _params(0.2), c_max=1.0)
+        cls = cf.classify_assumption(model, _params(0.2))
         assert cls.weak_cases == frozenset({"i", "ii", "iii"})
         assert cls.bounded_cases == frozenset({"i", "ii", "iii"})
         assert cls.witnesses == {"chi0": 1.0, "kappa0": 1.0}
@@ -29,7 +30,7 @@ class TestClassification:
         # strictly-monotone-consumption clause, in both regimes
         model = cf.ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
                                  kappa_coeff=1.0, kappa_power=1.0)
-        cls = cf.classify_assumption(model, _params(0.15), c_max=1.0)
+        cls = cf.classify_assumption(model, _params(0.15))
         assert cls.weak_cases == frozenset({"iii"})
         assert cls.bounded_cases == frozenset({"iii"})
         assert cls.witnesses == {"kappa0": 1.0}
@@ -39,7 +40,7 @@ class TestClassification:
         # dies at the origin; alpha below both thresholds kills the rest
         model = cf.ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
                                  kappa_coeff=1.0, kappa_power=2.0)
-        cls = cf.classify_assumption(model, _params(0.1), c_max=1.0)
+        cls = cf.classify_assumption(model, _params(0.1))
         assert cls.weak_cases == frozenset()
         assert cls.bounded_cases == frozenset()
         assert cls.witnesses == {}
@@ -48,31 +49,27 @@ class TestClassification:
         model = cf.ChiKappaModel(1.0, 0.5, 2.0, 3.0)
         prev_weak, prev_bounded = frozenset(), frozenset()
         for alpha in (0.05, 0.124, 0.126, 1 / 6, 0.17, 0.5, 1.5):
-            cls = cf.classify_assumption(model, _params(alpha), c_max=2.0)
+            cls = cf.classify_assumption(model, _params(alpha))
             assert prev_weak <= cls.weak_cases
             assert prev_bounded <= cls.bounded_cases
             prev_weak, prev_bounded = cls.weak_cases, cls.bounded_cases
 
     def test_threshold_strictness(self):
         model = cf.ChiKappaModel(1.0, 0.0, 0.0, 1.0)
-        at = cf.classify_assumption(model, _params(1 / 6), 1.0)
-        above = cf.classify_assumption(model, _params(1 / 6 + 1e-9), 1.0)
+        at = cf.classify_assumption(model, _params(1 / 6))
+        above = cf.classify_assumption(model, _params(1 / 6 + 1e-9))
         assert "i" not in at.weak_cases and "i" in above.weak_cases
         model2 = cf.ChiKappaModel(1.0, 1.0, 0.0, 1.0)
-        at8 = cf.classify_assumption(model2, _params(1 / 8), 1.0)
-        above8 = cf.classify_assumption(model2, _params(1 / 8 + 1e-9), 1.0)
+        at8 = cf.classify_assumption(model2, _params(1 / 8))
+        above8 = cf.classify_assumption(model2, _params(1 / 8 + 1e-9))
         assert "ii" not in at8.bounded_cases and "ii" in above8.bounded_cases
         assert "ii" in at8.weak_cases  # the weak regime only needs alpha > 0
 
     def test_witness_values_exact(self):
         model = cf.ChiKappaModel(0.5, 0.25, 2.0, 1.0)
-        cls = cf.classify_assumption(model, _params(0.3), c_max=4.0)
+        cls = cf.classify_assumption(model, _params(0.3))
         assert cls.witnesses["chi0"] == 0.25
         assert cls.witnesses["kappa0"] == 2.0
-
-    def test_negative_c_max_rejected(self):
-        with pytest.raises(ValueError):
-            cf.classify_assumption(cf.ChiKappaModel(), _params(0.5), c_max=-0.1)
 
 
 class TestValidation:
@@ -82,6 +79,15 @@ class TestValidation:
         msgs = "\n".join(exc.value.problems)
         assert len(exc.value.problems) >= 3
         assert "dim" in msgs and "mode" in msgs and "resolution" in msgs
+        # a resolution entry that is not an integer is listed, never truncated
+        for res in ((8.5,), (8.0,), ("8",), (None,)):
+            with pytest.raises(ConfigError) as exc:
+                cf.DomainSpec(1, "periodic", (2.0,), res)
+            assert exc.value.problems == [
+                f"resolution entries must be integers, got {res}"]
+        spec = cf.DomainSpec(2, "periodic", (2.0, 2.0), (np.int64(8), np.int32(9)))
+        assert spec.resolution == (8, 9)
+        assert all(type(N) is int for N in spec.resolution)
 
     def test_domain_arity_mismatch(self):
         with pytest.raises(ConfigError):

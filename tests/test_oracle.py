@@ -74,8 +74,7 @@ class TestUniformStateOde:
                 expected, rel=1e-14)
 
     def test_cubic_consumption_matches_closed_form(self):
-        # general power m: c(t) = c0 (1 + (m-1) k nbar c0^{m-1} t)^{-1/(m-1)};
-        # the integrator route must land on it
+        # general power m: c(t) = c0 (1 + (m-1) k nbar c0^{m-1} t)^{-1/(m-1)}
         model = cf.ChiKappaModel(kappa_coeff=0.7, kappa_power=3.0)
         nb, c0, t = 0.6, 1.3, 0.8
         closed = c0 * (1.0 + 2.0 * 0.7 * nb * c0 ** 2 * t) ** -0.5
@@ -193,6 +192,30 @@ class TestStudies:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(o >= 0.9 for o in orders)
         assert errs[-1] <= 1e-4
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_power_law_consumption_against_closed_form(self, m):
+        # the uniform study's setup with kappa_power m, which takes the
+        # step's c^(m-1) consumption branch; at m = 2 its linearly implicit
+        # factor c/(1 + dt k nbar c) is the exact flow map
+        spec = cf.DomainSpec(1, "periodic", (2.0,), (8,))
+        model = cf.ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
+                                 kappa_coeff=1.0, kappa_power=m)
+        exact = uniform_state_ode(model, 0.5, 1.0, 0.5)
+        initial = {"n": {"type": "constant", "value": 0.5},
+                   "c": {"type": "constant", "value": 1.0},
+                   "u": {"type": "zero"}}
+        errs = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            params = cf.SimParams(alpha=0.5, tau=0, rho=0.5, t_final=0.5,
+                                  domain=spec, cfl_safety=1.0, dt_max=dt)
+            res = cf.run(params, model, initial, output={"sample_interval": 0.5})
+            errs.append(abs(float(np.mean(res.state.c.data)) - exact) / exact)
+        if m == 2.0:
+            assert max(errs) <= 1e-13
+        else:
+            orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+            assert all(o >= 0.9 for o in orders), errs
 
     def test_degenerate_diffusion_l1_convergence(self):
         rows = barenblatt_convergence(resolutions=(32, 64))
