@@ -7,38 +7,42 @@ form and manufactured reference solutions (`oracle`), per-run structural
 invariant checks (`diagnostics`), and an exact rational-arithmetic catalog of
 the interpolation-exponent bookkeeping behind the monitored functionals
 (`ledger`).
+
+Importing the package loads no submodule: each public name below is imported
+from its module on first use (PEP 562), so `chemoflux.ledger` and
+`chemoflux.model` run without numpy or scipy.
 """
 
-from .model import (AssumptionCase, ChiKappaModel, ConfigError, DomainSpec,
-                    SimParams, classify_assumption)
-from .grid import (ScalarField, VectorField, cell_centers, diff_central,
-                   divergence, gradient, integrate, laplacian, load_field,
-                   lp_norm, mesh, save_field)
-from .mollify import mollify_values
-from .diagnostics import (DiagnosticsRecord, bounded_class_check,
-                          compute_record, dissipation_functional, read_csv,
-                          weak_class_check, write_csv)
-from .solver import (FieldState, RunResult, SolverError, build_initial,
-                     project, run, set_threads, stable_dt, step)
-from .ledger import (CatalogError, LedgerEntry, build_ledger, check_entry,
-                     get_entry, scan_region, scaling_check)
-from . import oracle
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionCase", "ChiKappaModel", "ConfigError", "DomainSpec",
-    "SimParams", "classify_assumption",
-    "ScalarField", "VectorField", "cell_centers", "diff_central",
-    "divergence", "gradient", "integrate", "laplacian", "load_field",
-    "lp_norm", "mesh", "save_field",
-    "mollify_values",
-    "DiagnosticsRecord", "bounded_class_check", "compute_record",
-    "dissipation_functional", "read_csv",
-    "weak_class_check", "write_csv",
-    "FieldState", "RunResult", "SolverError", "build_initial", "project",
-    "run", "set_threads", "stable_dt", "step",
-    "CatalogError", "LedgerEntry", "build_ledger", "check_entry", "get_entry",
-    "scan_region", "scaling_check",
-    "oracle", "__version__",
-]
+# module -> the public names it defines; every module also resolves as an
+# attribute of the package
+_EXPORTS = {
+    "model": ("AssumptionCase", "ChiKappaModel", "ConfigError", "DomainSpec",
+              "SimParams", "classify_assumption"),
+    "grid": ("ScalarField", "VectorField", "cell_centers", "diff_central",
+             "divergence", "gradient", "integrate", "laplacian", "load_field",
+             "lp_norm", "mesh", "save_field"),
+    "mollify": ("mollify_values",),
+    "diagnostics": ("DiagnosticsRecord", "bounded_class_check",
+                    "compute_record", "dissipation_functional", "read_csv",
+                    "weak_class_check", "write_csv"),
+    "solver": ("FieldState", "RunResult", "SolverError", "build_initial",
+               "project", "run", "set_threads", "stable_dt", "step"),
+    "ledger": ("CatalogError", "LedgerEntry", "build_ledger", "check_entry",
+               "get_entry", "scan_region", "scaling_check"),
+}
+_MODULES = ("oracle",)      # public as modules only: cf.oracle.<study>
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, *_MODULES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS or name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,14 +25,10 @@ from dataclasses import MISSING, fields
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .ledger import build_ledger, check_entry, get_entry, scan_region
-from .model import (ChiKappaModel, ConfigError, DomainSpec, SimParams,
-                    classify_assumption)
-from .solver import (INITIAL_SCHEMA, OUTPUT_SCHEMA, SolverError, initial_state,
-                     run, set_threads)
+from .model import (INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel, ConfigError,
+                    DomainSpec, SimParams, classify_assumption)
 
 
 def _real(x) -> bool:
@@ -229,6 +225,8 @@ def _print_classification(model, params, c_max: float):
 # subcommands
 
 def _cmd_run(args) -> int:
+    from .solver import SolverError, run
+
     cfg = _load_json(args.config)
     params, model = _require(cfg)
     output = dict(cfg.get("output", {}))
@@ -263,13 +261,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .solver import initial_state
+
     cfg = _load_json(args.config)
     params, model = _require(cfg)
     try:
         state = initial_state(params, cfg.get("initial", {}))
     except (ValueError, OSError) as exc:
         raise UsageError([f"initial: {exc}"]) from None
-    cls = _print_classification(model, params, float(np.max(state.c.data)))
+    cls = _print_classification(model, params, float(state.c.data.max()))
     if not cls.weak_cases and not cls.bounded_cases:
         print("note: no structural assumption case is satisfied; "
               "no a priori bound backs this configuration")
@@ -350,6 +350,7 @@ def _cmd_ledger(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from . import oracle as orc
+    from .solver import SolverError
 
     studies = {
         "uniform": (orc.uniform_consumption_study, "dt", True),
@@ -466,7 +467,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    set_threads(args.threads)
+    if args.command != "ledger":          # the one command without an FFT
+        from .solver import set_threads
+        set_threads(args.threads)
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -14,20 +14,26 @@ well-posedness theory the parameter choice satisfies, in two flavors: the weak
 (global weak solution) regime and the bounded (uniform-in-time L^inf) regime.
 Its alpha thresholds are `ledger.ALPHA_CASE_I` and `ledger.ALPHA_CASES_II_III`,
 the same numbers the exponent catalog's regions start and end at.
+
+The module also holds the config format: each dataclass field names its JSON
+value kind, and `INITIAL_SCHEMA` and `OUTPUT_SCHEMA` describe the sections no
+dataclass holds.  It imports only the standard library and `ledger`, so the
+CLI checks a config without loading numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from numbers import Integral
-
-import numpy as np
 
 from .ledger import ALPHA_CASE_I, ALPHA_CASES_II_III
 
 VALID_MODES = ("periodic", "neumann")
 
 # Config fields carry their JSON value kind (cli._VALUE_KINDS) in metadata.
+# Every value of a field of one of these kinds must be finite.
+_REAL_KINDS = ("real", "per-axis real", "reals")
 
 
 class ConfigError(ValueError):
@@ -40,6 +46,20 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+def _nonfinite(config) -> list[str]:
+    """One problem per field of the dataclass `config` whose kind is in
+    _REAL_KINDS and that holds a value that is not finite (None, the default
+    of an optional field, passes)."""
+    problems = []
+    for f in fields(config):
+        if f.metadata.get("kind") in _REAL_KINDS:
+            value = getattr(config, f.name)
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if not all(v is None or math.isfinite(v) for v in values):
+                problems.append(f"{f.name} must be finite, got {value}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -73,10 +93,10 @@ class DomainSpec:
                 problems.append(f"lengths must have {self.dim} entries, got {len(self.lengths)}")
             if len(self.resolution) != self.dim:
                 problems.append(f"resolution must have {self.dim} entries, got {len(self.resolution)}")
-        if any(not (L > 0) or not np.isfinite(L) for L in self.lengths):
+        if any(not (L > 0) for L in self.lengths):
             problems.append(f"lengths must be positive and finite, got {self.lengths}")
         elif (integral and min(self.resolution, default=8) >= 8
-              and not 0 < self.cell_volume < np.inf):
+              and not 0 < self.cell_volume < math.inf):
             problems.append(f"lengths {self.lengths} give a cell volume of "
                             f"{self.cell_volume:g}; it must be positive and finite")
         if not integral:
@@ -85,6 +105,7 @@ class DomainSpec:
             problems.append(f"resolution must be >= 8 along every axis, got {self.resolution}")
         if self.mode == "neumann" and self.dim == 1:
             problems.append("neumann mode requires dim >= 2 (no-slip fluid walls)")
+        problems += _nonfinite(self)
         if problems:
             raise ConfigError(problems)
 
@@ -133,7 +154,7 @@ class SimParams:
 
     def __post_init__(self):
         problems = []
-        if not (self.alpha > 0) or not np.isfinite(self.alpha):
+        if not (self.alpha > 0):
             problems.append(f"alpha must be > 0, got {self.alpha}")
         if self.tau not in (0, 1):
             problems.append(f"tau must be 0 or 1, got {self.tau}")
@@ -156,8 +177,7 @@ class SimParams:
         if len(grad) != self.domain.dim:
             problems.append(
                 f"phi_gradient must have {self.domain.dim} entries, got {len(grad)}")
-        elif any(not np.isfinite(g) for g in grad):
-            problems.append(f"phi_gradient entries must be finite, got {grad}")
+        problems += _nonfinite(self)
         if problems:
             raise ConfigError(problems)
 
@@ -189,8 +209,31 @@ class ChiKappaModel:
             problems.append(f"kappa_power must be >= 1, got {self.kappa_power}")
         if not (self.chi_offset + self.chi_slope > 0):
             problems.append("chi_offset + chi_slope must be > 0 (chi not identically 0)")
+        problems += _nonfinite(self)
         if problems:
             raise ConfigError(problems)
+
+
+# The JSON schema of the `initial` section.  Per field: the type taken when
+# "type" is absent and, per type, its (required, optional) keys, each with
+# the kind of value it takes; `perturb` has no types.  The CLI checks configs
+# against this table and OUTPUT_SCHEMA, and `solver.build_initial` builds them.
+INITIAL_SCHEMA = {
+    "n": ("constant", {"constant": ({"value": "nonneg"}, {}),
+                       "gaussian": ({"sigma": "positive"},
+                                    {"mass": "nonneg", "center": "point"}),
+                       "snapshot": ({"path": "path"}, {})}),
+    "c": ("constant", {"constant": ({"value": "nonneg"}, {}),
+                       "gaussian": ({"amplitude": "real", "sigma": "positive"},
+                                    {"base": "nonneg", "center": "point"}),
+                       "snapshot": ({"path": "path"}, {})}),
+    "u": ("zero", {"zero": ({}, {}), "vortex": ({}, {"amplitude": "real"}),
+                   "snapshot": ({"paths": "paths"}, {})}),
+    "perturb": (None, {None: ({}, {"amplitude": "fraction", "seed": "count"})}),
+}
+OUTPUT_SCHEMA = (None, {None: ({}, {"out_dir": "text", "csv": "path",
+                                    "sample_interval": "positive",
+                                    "snapshot_every": "count"})})
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ divergence-free to machine precision.  Neumann boxes use fast
 diagonalization: each walled operator is a Kronecker sum of 1D matrices, so a
 dense eigendecomposition per axis solves it exactly, and the projected
 velocity is discrete divergence-free to roundoff as well.
+
+`build_initial` builds the fields an `initial` config section describes (its
+format is `model.INITIAL_SCHEMA`), and `run` drives the steps, the records and
+the output an `output` section (`model.OUTPUT_SCHEMA`) asks for.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .diagnostics import DiagnosticsRecord, compute_record, write_csv
 from .grid import (ScalarField, VectorField, diff_central, divergence, integrate,
                    mesh, save_field, load_field, lp_norm, shifted)
 from .mollify import mollify_values
-from .model import (ChiKappaModel, ConfigError, DomainSpec, SimParams,
-                    classify_assumption)
+from .model import (INITIAL_SCHEMA, ChiKappaModel, ConfigError, DomainSpec,
+                    SimParams, classify_assumption)
 
 NEG_TOL = -1e-13          # below this, the cell update is declared unstable
 _workers = 1
@@ -378,31 +382,9 @@ def _vortex(spec: DomainSpec, amplitude: float) -> np.ndarray:
     return out
 
 
-# The JSON schema of the `initial` section.  Per field: the type taken when
-# "type" is absent and, per type, its (required, optional) keys, each with
-# the kind of value it takes; `perturb` has no types.  The CLI checks configs
-# against this table and OUTPUT_SCHEMA.
-INITIAL_SCHEMA = {
-    "n": ("constant", {"constant": ({"value": "nonneg"}, {}),
-                       "gaussian": ({"sigma": "positive"},
-                                    {"mass": "nonneg", "center": "point"}),
-                       "snapshot": ({"path": "path"}, {})}),
-    "c": ("constant", {"constant": ({"value": "nonneg"}, {}),
-                       "gaussian": ({"amplitude": "real", "sigma": "positive"},
-                                    {"base": "nonneg", "center": "point"}),
-                       "snapshot": ({"path": "path"}, {})}),
-    "u": ("zero", {"zero": ({}, {}), "vortex": ({}, {"amplitude": "real"}),
-                   "snapshot": ({"paths": "paths"}, {})}),
-    "perturb": (None, {None: ({}, {"amplitude": "fraction", "seed": "count"})}),
-}
-OUTPUT_SCHEMA = (None, {None: ({}, {"out_dir": "text", "csv": "path",
-                                    "sample_interval": "positive",
-                                    "snapshot_every": "count"})})
-
-
 def build_initial(spec: DomainSpec, initial: dict):
     """Construct (n, c, u) arrays from the `initial` config section (see
-    INITIAL_SCHEMA; n may also be {"type": "array", "values"}, a programmatic
+    model.INITIAL_SCHEMA; n may also be {"type": "array", "values"}, a programmatic
     route outside the JSON schema).  `perturb` multiplies n by 1 + amplitude
     * U(-1, 1), before a gaussian n is normalized to its mass.
 
@@ -504,13 +486,17 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
 
     The `guards` dict tracks per-step (not just per-sample) invariants:
     max_div_residual, mass_drift, max_c_increase, min_n_raw, min_c_raw, steps.
+    Raises ConfigError for a sample_interval that is not finite and > 0.
     """
     output = dict(output or {})
+    sample_interval = float(output.get("sample_interval", params.t_final / 50.0))
+    if not 0.0 < sample_interval < np.inf:
+        raise ConfigError([f"sample_interval must be finite and > 0, "
+                           f"got {sample_interval}"])
     out = output.get("out_dir")
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
-    sample_interval = float(output.get("sample_interval", params.t_final / 50.0))
     snapshot_every = int(output.get("snapshot_every", 0)) if out is not None else 0
 
     state = initial_state(params, initial)

@@ -218,7 +218,7 @@ class TestConfigValidation:
 
     def test_every_key_has_a_known_kind(self):
         # the schema's single source: a field added without a kind fails here
-        from chemoflux.solver import INITIAL_SCHEMA, OUTPUT_SCHEMA
+        from chemoflux.model import INITIAL_SCHEMA, OUTPUT_SCHEMA
         kinds = {f"{cls.__name__}.{f.name}": f.metadata.get("kind")
                  for cls in (cf.DomainSpec, cf.SimParams, cf.ChiKappaModel)
                  for f in dataclasses.fields(cls) if f.name != "domain"}
@@ -516,12 +516,12 @@ class TestOracleCommand:
 
 class TestThreads:
 
-    def test_threads_flag(self, capsys):
+    def test_threads_flag(self, tmp_path, capsys):
         from chemoflux import solver
         before = solver._workers
         try:
-            rc = cli.main(["--threads", "2", "ledger", "--entry",
-                           "case-i-mid", "--alpha", "1/2"])
+            rc = cli.main(["--threads", "2", "classify",
+                           _write(tmp_path, _base_cfg())])
             assert rc == 0
             assert solver._workers == 2
         finally:

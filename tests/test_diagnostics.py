@@ -240,6 +240,18 @@ class TestRegimeChecks:
         assert not cf.weak_class_check(recs, _params(_spec())).passed
         assert cf.weak_class_check(recs, _params(_spec(mode="neumann"))).passed
 
+    def test_overflowing_run_fails_both_checks(self):
+        # n of mass 1e200 squares to inf in n_l2, n_l12a and d at t = 0
+        spec = cf.DomainSpec(1, "periodic", (1.0,), (8,))
+        params = _params(spec, tau=0, rho=0.1, max_steps=1)
+        res = cf.run(params, cf.ChiKappaModel(), {
+            "n": {"type": "gaussian", "sigma": 0.1, "mass": 1e200}})
+        assert math.isinf(res.records[0].n_l2)
+        for check in (cf.weak_class_check, cf.bounded_class_check):
+            rep = check(res.records, params)
+            assert not rep.passed
+            assert "n_l2 not finite at t=0.0" in rep.failures
+
     def test_empty_stream_fails(self):
         assert not cf.weak_class_check([], _params(_spec())).passed
 

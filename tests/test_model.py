@@ -1,6 +1,7 @@
 """Parameter containers, the chi/kappa family, and assumption classification."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ class TestValidation:
         for frag in ("alpha", "tau", "rho", "t_final", "cfl_safety",
                      "phi_gradient"):
             assert frag in msgs
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("params", "t_final", math.inf),
+        ("params", "em_weight", math.inf),
+        ("params", "alpha", math.nan),
+        ("params", "phi_gradient", (math.nan,)),
+        ("params", "dt_max", math.inf),
+        ("model", "kappa_coeff", math.nan),
+        ("model", "kappa_power", math.nan),
+        ("model", "chi_offset", math.inf),
+        ("model", "kappa_coeff", math.inf),
+        ("domain", "lengths", (2.0, math.inf)),
+    ])
+    def test_nonfinite_real_listed(self, kind, name, value):
+        # t_final=inf made run loop forever; the others passed unchecked
+        build = {
+            "params": lambda kw: _params(**{"alpha": 0.5, **kw}),
+            "model": lambda kw: cf.ChiKappaModel(**kw),
+            "domain": lambda kw: cf.DomainSpec(
+                **{"dim": 2, "mode": "periodic", "resolution": (8, 8), **kw}),
+        }[kind]
+        with pytest.raises(ConfigError) as exc:
+            build({name: value})
+        assert f"{name} must be finite, got {value}" in exc.value.problems
 
     def test_phi_gradient_defaults_to_zero(self):
         p = _params(0.5, domain=cf.DomainSpec(3, "periodic", (2.0,) * 3, (8,) * 3))

@@ -445,6 +445,12 @@ class TestRun:
         assert meta["field"] == "n"
         assert f.data.shape == res.params.domain.shape
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_sample_interval_rejected(self, interval):
+        # 0 and -1 used to loop forever advancing the next sample time
+        with pytest.raises(cf.ConfigError, match="sample_interval"):
+            _small_run(output={"sample_interval": interval})
+
     def test_unbacked_model_warns(self):
         # quadratic consumption with tiny alpha satisfies no structural case
         model = cf.ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
