@@ -236,7 +236,9 @@ def _cmd_run(args) -> int:
     try:
         result = run(params, model, cfg.get("initial", {}), output)
     except ConfigError as exc:
-        raise UsageError([f"initial: {exc}"]) from None
+        # run checks output.sample_interval before it builds the initial data
+        raise UsageError([p if p.startswith("output.") else f"initial: {p}"
+                          for p in exc.problems]) from None
     except (SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -171,14 +171,15 @@ def _resolutions(values) -> list[int]:
 
 def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
                               c0: float = 1.0, kappa_coeff: float = 1.0,
-                              t_final: float = 0.5):
+                              t_final: float = 0.5, kappa_power: float = 1.0):
     """Run the full stepper on uniform data for each dt; return
-    [(dt, relative error vs the closed form)]."""
+    [(dt, relative error vs the closed form)].  kappa_power m != 1 takes the
+    step's c^(m-1) consumption branch."""
     from .solver import run
 
     spec = DomainSpec(1, "periodic", (2.0,), (8,))
     model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
-                          kappa_coeff=kappa_coeff, kappa_power=1.0)
+                          kappa_coeff=kappa_coeff, kappa_power=kappa_power)
     exact = uniform_state_ode(model, n_bar, c0, t_final)
     out = []
     for dt in dts:

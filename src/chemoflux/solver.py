@@ -14,13 +14,20 @@ One step advances, in order:
   3. fluid u: explicit buoyancy -n grad(phi) (plus upwind self-advection when
      tau = 1), implicit viscosity, then projection to discrete divergence-free.
 
+`run` computes the face drift w of each state once and hands it to both
+`stable_dt` and `step`; either called without it computes it itself, with
+the same bits.  The upwind side of every advection term is picked before the
+multiply, from one mask u_e > 0 per axis.
+
 Periodic boxes do the implicit solves and the projection spectrally with the
 exact symbols of the difference stencils (sin(kh)/h for the central gradient,
 2(cos(kh)-1)/h^2 for the compact laplacian), so the projected velocity is
-divergence-free to machine precision.  Neumann boxes use fast
-diagonalization: each walled operator is a Kronecker sum of 1D matrices, so a
-dense eigendecomposition per axis solves it exactly, and the projected
-velocity is discrete divergence-free to roundoff as well.
+divergence-free to machine precision.  Their pressure is kept as its
+spectrum and transformed on the first read of `p.data` (only snapshots read
+it).  Neumann boxes use fast diagonalization: each walled operator is a
+Kronecker sum of 1D matrices, so a dense eigendecomposition per axis solves
+it exactly, and the projected velocity is discrete divergence-free to
+roundoff as well.
 
 `build_initial` builds the fields an `initial` config section describes (its
 format is `model.INITIAL_SCHEMA`), and `run` drives the steps, the records and
@@ -59,11 +66,32 @@ class SolverError(RuntimeError):
 
 @dataclass
 class FieldState:
+    """The fields at time t.  In periodic boxes that the solver made, p holds
+    its spectrum until `p.data` is first read."""
+
     t: float
     n: ScalarField
     c: ScalarField
     u: VectorField
     p: ScalarField
+
+
+class _SpectralPressure(ScalarField):
+    """A periodic pressure kept as its rfftn spectrum: `data` is the inverse
+    transform, made on the first read and then kept."""
+
+    def __init__(self, domain: DomainSpec, spectrum: np.ndarray):
+        self.domain = domain
+        self._spectrum = spectrum
+        self._data = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = sfft.irfftn(self._spectrum, s=self.domain.shape,
+                                     workers=_workers)
+            self._spectrum = None
+        return self._data
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +137,7 @@ def _fluid_spectral(v, spec: DomainSpec, dt: float):
     """Implicit viscosity (skipped for dt=0) fused with projection.
 
     Both stages are diagonal in Fourier space, so fusing them is exactly the
-    sequential composition.  Returns (u components, p).
+    sequential composition.  Returns (u components, the spectrum of p).
     """
     sins, s_sq, lam = _tables(spec)
     vh = [sfft.rfftn(comp, workers=_workers) for comp in v]
@@ -121,8 +149,7 @@ def _fluid_spectral(v, spec: DomainSpec, dt: float):
     np.divide(div_h, -s_sq, out=ph, where=s_sq > 0)
     u = [sfft.irfftn(x - 1j * s * ph, s=spec.shape, workers=_workers)
          for s, x in zip(sins, vh)]
-    p = sfft.irfftn(ph, s=spec.shape, workers=_workers)
-    return u, p
+    return u, ph
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +217,21 @@ def _project_walled(v, spec: DomainSpec):
 
 def _fluid_solve(v, spec: DomainSpec, dt: float):
     """Implicit viscosity (skipped for dt=0), then projection, of the
-    components v; returns the stacked u and p."""
+    components v; returns the stacked u and the ScalarField p."""
     if spec.mode == "periodic":
-        u, p = _fluid_spectral(v, spec, dt)
-    else:
-        if dt > 0.0:
-            v = [_helmholtz_walled(comp, spec, dt, "zero") for comp in v]
-        u, p = _project_walled(v, spec)
-    return np.stack(u), p
+        u, ph = _fluid_spectral(v, spec, dt)
+        return np.stack(u), _SpectralPressure(spec, ph)
+    if dt > 0.0:
+        v = [_helmholtz_walled(comp, spec, dt, "zero") for comp in v]
+    u, p = _project_walled(v, spec)
+    return np.stack(u), ScalarField(spec, p)
 
 
 def project(v: VectorField):
     """Discrete Leray projection: returns (u, p) with u discrete
     divergence-free and integrate(p) = 0."""
     u, p = _fluid_solve(v.data, v.domain, 0.0)
-    return VectorField(v.domain, u), ScalarField(v.domain, p)
+    return VectorField(v.domain, u), p
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +240,31 @@ def project(v: VectorField):
 def _face_velocity(c: np.ndarray, u: np.ndarray, spec: DomainSpec,
                    model: ChiKappaModel, d: int) -> np.ndarray:
     """Drift w = chi(c_face) dc/dx + face-averaged u on the right faces of
-    axis d (mirror ghosts for c, zero ghosts for u)."""
+    axis d (mirror ghosts for c, zero ghosts for u).
+
+    A constant chi (chi_slope 0) skips the face average: chi_offset + 0 * x
+    is chi_offset for finite x, since ChiKappaModel then holds chi_offset > 0
+    (never -0.0, where -0.0 + 0.0 * x would give +0.0).
+    """
     c_r = shifted(c, spec, d, 1, "mirror")
     u_r = shifted(u[d], spec, d, 1, "zero")
-    chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
+    if model.chi_slope == 0.0:
+        chi_face = model.chi_offset
+    else:
+        chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
     return chi_face * (c_r - c) / spec.spacing[d] + 0.5 * (u[d] + u_r)
 
 
-def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel) -> float:
+def _face_drift(state: FieldState, params: SimParams,
+                model: ChiKappaModel) -> list[np.ndarray]:
+    """The drift w of `state` on the right faces of every axis."""
+    spec = params.domain
+    return [_face_velocity(state.c.data, state.u.data, spec, model, d)
+            for d in range(spec.dim)]
+
+
+def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel,
+              faces: list | None = None) -> float:
     """cfl_safety times the positivity/max-principle step bound.
 
     Diffusion: 1/(2 (1+alpha) (max n + rho)^alpha sum_d h_d^-2), the explicit
@@ -228,17 +272,20 @@ def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel) -> flo
     (reduces to h^2/(2 dim (1+alpha)(max n+rho)^alpha) on uniform grids).
     Transport: 1/sum_d(max(|w_d|, |u_d|)/h_d) with w = chi(c) grad c + u; the
     raw |u_d| enters because the c and u updates advect by u alone and w can
-    cancel below it.
+    cancel below it.  `faces` is the state's face drift per axis, computed
+    here when not given.
     """
     spec = params.domain
-    n, c, u = state.n.data, state.c.data, state.u.data
+    n, u = state.n.data, state.u.data
     alpha = params.alpha
     inv_h2 = sum(1.0 / h ** 2 for h in spec.spacing)
     diff_limit = 1.0 / (2.0 * (1.0 + alpha)
                         * (float(np.max(n)) + params.rho) ** alpha * inv_h2)
+    if faces is None:
+        faces = _face_drift(state, params, model)
     speed = 0.0
     for d in range(spec.dim):
-        w = np.abs(_face_velocity(c, u, spec, model, d))
+        w = np.abs(faces[d])
         speed += max(float(np.max(w)), float(np.max(np.abs(u[d])))) / spec.spacing[d]
     limit = diff_limit if speed == 0.0 else min(diff_limit, 1.0 / speed)
     return params.cfl_safety * limit
@@ -247,21 +294,26 @@ def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel) -> flo
 # ---------------------------------------------------------------------------
 # one step
 
-def _upwind(q: np.ndarray, a: np.ndarray, spec: DomainSpec, d: int,
-            ghost: str) -> np.ndarray:
-    """a dq/dx along axis d, differenced on the upwind side of a."""
+def _upwind(q: np.ndarray, a: np.ndarray, up: np.ndarray, spec: DomainSpec,
+            d: int, ghost: str) -> np.ndarray:
+    """a dq/dx along axis d, differenced on the upwind side of a (up is
+    a > 0)."""
     q_r = shifted(q, spec, d, 1, ghost)
     q_l = shifted(q, spec, d, -1, ghost)
-    return np.where(a > 0.0, a * (q - q_l), a * (q_r - q)) / spec.spacing[d]
+    return a * np.where(up, q - q_l, q_r - q) / spec.spacing[d]
 
 
 def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
-         sources=None, work: dict | None = None) -> FieldState:
+         sources=None, work: dict | None = None,
+         faces: list | None = None) -> FieldState:
     """Advance the state by dt.
 
     `sources` is an optional callable t -> (s_n, s_c, s_u) of forcing arrays
     (used by the manufactured-solution studies); `work` is an optional dict
-    that receives the pre-clip minima of n and c.
+    that receives the pre-clip minima of n and c.  `faces` is the state's
+    face drift per axis, computed here when not given; the list is emptied
+    once the cell flux is done, so its arrays are freed before the fluid
+    solve.
     """
     spec = params.domain
     dim = spec.dim
@@ -273,16 +325,19 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
         s_n, s_c, s_u = sources(state.t)
 
     # --- 1. cells: conservative flux update
+    if faces is None:
+        faces = _face_drift(state, params, model)
     g = np.power(n + rho, 1.0 + alpha)
     flux_div = np.zeros(spec.shape)
     for d in range(dim):
         n_r = shifted(n, spec, d, 1, "mirror")
         g_r = shifted(g, spec, d, 1, "mirror")
-        w = _face_velocity(c, u, spec, model, d)
-        f = np.where(w > 0.0, w * n, w * n_r) - (g_r - g) / h[d]
+        w = faces[d]
+        f = w * np.where(w > 0.0, n, n_r) - (g_r - g) / h[d]
         if neumann:                   # no flux through the right wall
             f[(slice(None),) * d + (slice(-1, None),)] = 0.0
         flux_div += (f - shifted(f, spec, d, -1, "zero")) / h[d]
+    faces.clear()
     n_new = n - dt * flux_div
     if sources is not None:
         n_new = n_new + dt * s_n
@@ -294,7 +349,11 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     n_new = np.maximum(n_new, 0.0)
 
     # --- 2. chemical: upwind advection, implicit consumption, diffusion
-    c1 = c - dt * sum(_upwind(c, u[d], spec, d, "mirror") for d in range(dim))
+    # (these sums start from 0, which turns a -0.0 first term into +0.0;
+    # summing from the first term would change signed zeros)
+    up = [u[d] > 0.0 for d in range(dim)]
+    c1 = c - dt * sum(_upwind(c, u[d], up[d], spec, d, "mirror")
+                      for d in range(dim))
     if model.kappa_coeff > 0.0:
         if model.kappa_power == 1.0:
             rate = model.kappa_coeff * n
@@ -314,7 +373,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     for d in range(dim):
         comp = u[d] - dt * params.phi_gradient[d] * n
         if tau == 1:
-            comp = comp - dt * sum(_upwind(u[d], u[e], spec, e, "zero")
+            comp = comp - dt * sum(_upwind(u[d], u[e], up[e], spec, e, "zero")
                                    for e in range(dim))
         if sources is not None:
             comp = comp + dt * s_u[d]
@@ -329,8 +388,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     if work is not None:
         work.update(min_n_raw=min_n_raw, min_c_raw=min_c_raw)
     return FieldState(state.t + dt, ScalarField(spec, n_new),
-                      ScalarField(spec, c_new), VectorField(spec, u_new),
-                      ScalarField(spec, p_new))
+                      ScalarField(spec, c_new), VectorField(spec, u_new), p_new)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +544,16 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
 
     The `guards` dict tracks per-step (not just per-sample) invariants:
     max_div_residual, mass_drift, max_c_increase, min_n_raw, min_c_raw, steps.
-    Raises ConfigError for a sample_interval that is not finite and > 0.
+    Raises ConfigError for a sample_interval that is not finite and above
+    the time tolerance 1e-12 max(t_final, 1), below which the next sample
+    time could no longer advance.
     """
     output = dict(output or {})
     sample_interval = float(output.get("sample_interval", params.t_final / 50.0))
-    if not 0.0 < sample_interval < np.inf:
-        raise ConfigError([f"sample_interval must be finite and > 0, "
-                           f"got {sample_interval}"])
+    eps = 1e-12 * max(params.t_final, 1.0)
+    if not eps < sample_interval < np.inf:
+        raise ConfigError([f"output.sample_interval: must be finite and > "
+                           f"{eps:g}, got {sample_interval}"])
     out = output.get("out_dir")
     if out is not None:
         out = Path(out)
@@ -514,7 +575,6 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
     prev_max_c = np.inf           # no increase is counted at t = 0
     records: list[DiagnosticsRecord] = []
     next_sample = 0.0
-    eps = 1e-12 * max(params.t_final, 1.0)
     # an overflowing state stops the run at `step`'s finiteness check, and a
     # record value that overflows is written as inf; numpy need not warn too
     with np.errstate(over="ignore", invalid="ignore"):
@@ -541,11 +601,13 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
                     _write_snapshots(out, state, idx)
             if done:
                 break
-            dt = min(stable_dt(state, params, model), params.dt_max or np.inf,
+            faces = _face_drift(state, params, model)
+            dt = min(stable_dt(state, params, model, faces),
+                     params.dt_max or np.inf,
                      params.t_final - state.t, next_sample - state.t)
             if dt <= 0.0:
                 raise SolverError(f"stability bound collapsed to dt={dt} at t={state.t}")
-            state = step(state, params, model, dt, work=work)
+            state = step(state, params, model, dt, work=work, faces=faces)
             guards["steps"] += 1
 
     csv_path = None

@@ -94,6 +94,22 @@ class TestConfigValidation:
         assert "config problem: output.csv" in err
         assert "config problem: output.out_dir" in err
 
+    def test_tiny_sample_interval_is_a_config_problem(self, tmp_path):
+        # a positive interval too small to advance the sample time used to
+        # hang the run; in a child process, a hang fails by the timeout
+        cfg = _base_cfg(output={"sample_interval": 1e-30})
+        cfg["params"]["max_steps"] = 2
+        src = os.path.dirname(os.path.dirname(cf.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chemoflux.cli", "run",
+             _write(tmp_path, cfg)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "config problem: output.sample_interval: must be finite and > ")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("section", ["domain", "params", "model",
                                          "initial", "output"])
     @pytest.mark.parametrize("value", [[1, 2], None, "x"])

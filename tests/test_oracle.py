@@ -195,22 +195,12 @@ class TestStudies:
 
     @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
     def test_power_law_consumption_against_closed_form(self, m):
-        # the uniform study's setup with kappa_power m, which takes the
-        # step's c^(m-1) consumption branch; at m = 2 its linearly implicit
-        # factor c/(1 + dt k nbar c) is the exact flow map
-        spec = cf.DomainSpec(1, "periodic", (2.0,), (8,))
-        model = cf.ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
-                                 kappa_coeff=1.0, kappa_power=m)
-        exact = uniform_state_ode(model, 0.5, 1.0, 0.5)
-        initial = {"n": {"type": "constant", "value": 0.5},
-                   "c": {"type": "constant", "value": 1.0},
-                   "u": {"type": "zero"}}
-        errs = []
-        for dt in (4e-3, 2e-3, 1e-3):
-            params = cf.SimParams(alpha=0.5, tau=0, rho=0.5, t_final=0.5,
-                                  domain=spec, cfl_safety=1.0, dt_max=dt)
-            res = cf.run(params, model, initial, output={"sample_interval": 0.5})
-            errs.append(abs(float(np.mean(res.state.c.data)) - exact) / exact)
+        # the uniform study at kappa_power m takes the step's c^(m-1)
+        # consumption branch; at m = 2 its linearly implicit factor
+        # c/(1 + dt k nbar c) is the exact flow map
+        study = uniform_consumption_study(kappa_power=m)
+        assert [dt for dt, _ in study] == [4e-3, 2e-3, 1e-3]
+        errs = [err for _, err in study]
         if m == 2.0:
             assert max(errs) <= 1e-13
         else:

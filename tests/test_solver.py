@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import scipy.fft as sfft
+
 import chemoflux as cf
+from chemoflux import solver
 from chemoflux.grid import shifted
-from chemoflux.solver import _helmholtz_walled
+from chemoflux.solver import (_helmholtz_periodic, _helmholtz_walled,
+                              _project_walled, _tables)
 
 
 def _spec(mode="periodic", n=16, dim=2, length=2.0):
@@ -40,13 +44,15 @@ def _shape_id(shape):
     return "x".join(map(str, shape))
 
 
-def _state(spec, n, c, u=None, t=0.0):
+def _state(spec, n, c, u=None, t=0.0, p=None):
     if u is None:
         u = np.zeros((spec.dim,) + spec.shape)
+    if p is None:
+        p = np.zeros(spec.shape)
     return cf.FieldState(t=t, n=cf.ScalarField(spec, n),
                          c=cf.ScalarField(spec, c),
                          u=cf.VectorField(spec, u),
-                         p=cf.ScalarField(spec, np.zeros(spec.shape)))
+                         p=cf.ScalarField(spec, p))
 
 
 MODEL = cf.ChiKappaModel()
@@ -284,6 +290,171 @@ class TestStepInvariants:
             cf.step(st, _params(spec), MODEL, 1e-3, sources=srcs)
 
 
+def _reference_step(state, params, model, dt):
+    """`step` in its plain form: every stencil read through `shifted`, both
+    one-sided upwind products formed before one is picked, chi's face
+    average always formed, and the periodic pressure transformed at once."""
+    spec = params.domain
+    dim, h = spec.dim, spec.spacing
+    n, c, u = state.n.data, state.c.data, state.u.data
+    neumann = spec.mode == "neumann"
+
+    def face_velocity(d):
+        c_r = shifted(c, spec, d, 1, "mirror")
+        u_r = shifted(u[d], spec, d, 1, "zero")
+        chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
+        return chi_face * (c_r - c) / h[d] + 0.5 * (u[d] + u_r)
+
+    def upwind(q, a, d, ghost):
+        q_r = shifted(q, spec, d, 1, ghost)
+        q_l = shifted(q, spec, d, -1, ghost)
+        return np.where(a > 0.0, a * (q - q_l), a * (q_r - q)) / h[d]
+
+    g = np.power(n + params.rho, 1.0 + params.alpha)
+    flux_div = np.zeros(spec.shape)
+    for d in range(dim):
+        n_r = shifted(n, spec, d, 1, "mirror")
+        g_r = shifted(g, spec, d, 1, "mirror")
+        w = face_velocity(d)
+        f = np.where(w > 0.0, w * n, w * n_r) - (g_r - g) / h[d]
+        if neumann:
+            f[(slice(None),) * d + (slice(-1, None),)] = 0.0
+        flux_div += (f - shifted(f, spec, d, -1, "zero")) / h[d]
+    n_new = np.maximum(n - dt * flux_div, 0.0)
+
+    c1 = c - dt * sum(upwind(c, u[d], d, "mirror") for d in range(dim))
+    if model.kappa_coeff > 0.0:
+        if model.kappa_power == 1.0:
+            rate = model.kappa_coeff * n
+        else:
+            rate = model.kappa_coeff * n * np.power(np.maximum(c1, 0.0),
+                                                    model.kappa_power - 1.0)
+        c1 = c1 / (1.0 + dt * rate)
+    c2 = (_helmholtz_walled(c1, spec, dt, "mirror") if neumann
+          else _helmholtz_periodic(c1, spec, dt))
+    c_new = np.maximum(c2, 0.0)
+
+    v = []
+    for d in range(dim):
+        comp = u[d] - dt * params.phi_gradient[d] * n
+        if params.tau == 1:
+            comp = comp - dt * sum(upwind(u[d], u[e], e, "zero")
+                                   for e in range(dim))
+        v.append(comp)
+    if neumann:
+        u_new, p_new = _project_walled(
+            [_helmholtz_walled(x, spec, dt, "zero") for x in v], spec)
+    else:
+        sins, s_sq, lam = _tables(spec)
+        vh = [sfft.rfftn(x) / (1.0 - dt * lam) for x in v]
+        div_h = (1j) * sum(s * x for s, x in zip(sins, vh))
+        ph = np.zeros_like(div_h)
+        np.divide(div_h, -s_sq, out=ph, where=s_sq > 0)
+        u_new = [sfft.irfftn(x - 1j * s * ph, s=spec.shape)
+                 for s, x in zip(sins, vh)]
+        p_new = sfft.irfftn(ph, s=spec.shape)
+    return _state(spec, n_new, c_new, np.stack(u_new), state.t + dt, p=p_new)
+
+
+def _signed_zero_state(spec, seed):
+    """A bump state whose velocity holds exact zeros and -0.0 in a quarter
+    of the cells each."""
+    n, c, u = _bump_ic(spec, seed)
+    pick = np.random.default_rng(seed + 1).integers(0, 4, size=u.shape)
+    u[pick == 0] = 0.0
+    u[pick == 1] = -0.0
+    return _state(spec, n, c, u)
+
+
+def _assert_bits_equal(got, want):
+    for name in ("n", "c", "u", "p"):
+        a, b = getattr(got, name).data, getattr(want, name).data
+        assert np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+# odd and mixed sizes in every dimension, walled boxes from dim 2
+_BITWISE_BOXES = [(1, "periodic", (9,)), (2, "periodic", (9, 8)),
+                  (2, "neumann", (11, 9)), (3, "periodic", (9, 8, 10)),
+                  (3, "neumann", (8, 9, 11))]
+
+
+class TestStepBitwise:
+    """`step` must equal the plain reference bit for bit, signed zeros
+    included: sharing the drift, picking the upwind side before multiplying,
+    the constant-chi face and the lazy pressure only reorder work."""
+
+    @pytest.mark.parametrize("kappa_power", [1.0, 2.0])
+    @pytest.mark.parametrize("chi_slope", [0.0, 0.7])
+    @pytest.mark.parametrize("tau", [0, 1])
+    @pytest.mark.parametrize("dim,mode,shape", _BITWISE_BOXES,
+                             ids=[f"{m}-{_shape_id(s)}"
+                                  for _, m, s in _BITWISE_BOXES])
+    def test_step_matches_reference(self, dim, mode, shape, tau, chi_slope,
+                                    kappa_power):
+        spec = cf.DomainSpec(dim, mode, (2.0,) * dim, shape)
+        params = _params(spec, tau=tau,
+                         phi_gradient=(0.0,) * (dim - 1) + (-0.3,))
+        model = cf.ChiKappaModel(chi_offset=1.0, chi_slope=chi_slope,
+                                 kappa_coeff=0.8, kappa_power=kappa_power)
+        got = want = _signed_zero_state(spec, seed=dim)
+        assert np.any(np.signbit(got.u.data) & (got.u.data == 0.0))
+        for _ in range(3):
+            dt = cf.stable_dt(got, params, model)
+            got = cf.step(got, params, model, dt)
+            want = _reference_step(want, params, model, dt)
+            _assert_bits_equal(got, want)
+
+    def test_run_equals_public_step_loop(self):
+        spec = _spec(n=12)
+        params = _params(spec, t_final=10.0, max_steps=6)
+        model = cf.ChiKappaModel(chi_offset=0.5, chi_slope=0.4)
+        initial = {"n": {"type": "gaussian", "sigma": 0.35, "mass": 1.0},
+                   "c": {"type": "constant", "value": 1.0},
+                   "u": {"type": "vortex", "amplitude": 0.2}}
+        res = cf.run(params, model, initial, {"sample_interval": 10.0})
+        state = solver.initial_state(params, initial)
+        for _ in range(6):
+            state = cf.step(state, params, model,
+                            cf.stable_dt(state, params, model))
+        assert state.t == res.state.t
+        _assert_bits_equal(res.state, state)
+
+
+class TestRunContract:
+    """What code wrapping the solver from outside relies on: one call of
+    the module-level `step` per step, and a periodic run that needs no FFT
+    call other than `rfftn` and `irfftn` (its lazy pressure included)."""
+
+    def test_run_enters_module_step_once_per_step(self, monkeypatch):
+        calls = []
+        real_step = solver.step
+
+        def counting_step(*args, **kwargs):
+            calls.append(args[3])
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "step", counting_step)
+        res = _small_run()
+        assert res.guards["steps"] > 0
+        assert len(calls) == res.guards["steps"]
+        assert sum(calls) == pytest.approx(res.state.t, rel=1e-12)
+
+    def test_periodic_run_needs_only_rfftn_and_irfftn(self, tmp_path,
+                                                      monkeypatch):
+        import types
+        stand_in = types.SimpleNamespace(rfftn=sfft.rfftn, irfftn=sfft.irfftn,
+                                         set_workers=sfft.set_workers)
+        monkeypatch.setattr(solver, "sfft", stand_in)
+        spec = _spec(n=12, dim=3)
+        res = _small_run(spec=spec, tmp=tmp_path,
+                         output={"sample_interval": 0.01, "snapshot_every": 1})
+        last = f"{len(res.records) - 1:05d}"
+        p, _ = cf.load_field(tmp_path / f"p_{last}", spec)
+        np.testing.assert_array_equal(p.data, res.state.p.data)
+        assert abs(cf.integrate(res.state.p)) <= 1e-12
+
+
 @hst.composite
 def _random_problem(draw):
     """A small random box, model and state: dim 1-3, both boundary modes
@@ -450,6 +621,12 @@ class TestRun:
         # 0 and -1 used to loop forever advancing the next sample time
         with pytest.raises(cf.ConfigError, match="sample_interval"):
             _small_run(output={"sample_interval": interval})
+
+    def test_tiny_sample_interval_rejected(self):
+        # below 1e-12 max(t_final, 1) the next sample time stops advancing,
+        # and the run used to loop forever
+        with pytest.raises(cf.ConfigError, match="output.sample_interval"):
+            _small_run(output={"sample_interval": 1e-30})
 
     def test_unbacked_model_warns(self):
         # quadratic consumption with tiny alpha satisfies no structural case
