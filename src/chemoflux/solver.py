@@ -297,10 +297,13 @@ def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel,
 def _upwind(q: np.ndarray, a: np.ndarray, up: np.ndarray, spec: DomainSpec,
             d: int, ghost: str) -> np.ndarray:
     """a dq/dx along axis d, differenced on the upwind side of a (up is
-    a > 0)."""
-    q_r = shifted(q, spec, d, 1, ghost)
-    q_l = shifted(q, spec, d, -1, ghost)
-    return a * np.where(up, q - q_l, q_r - q) / spec.spacing[d]
+    a > 0): the forward difference, overwritten by the backward one where
+    up, then scaled in place."""
+    dq = shifted(q, spec, d, 1, ghost) - q
+    np.copyto(dq, q - shifted(q, spec, d, -1, ghost), where=up)
+    np.multiply(a, dq, out=dq)
+    dq /= spec.spacing[d]
+    return dq
 
 
 def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
@@ -330,10 +333,11 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     g = np.power(n + rho, 1.0 + alpha)
     flux_div = np.zeros(spec.shape)
     for d in range(dim):
-        n_r = shifted(n, spec, d, 1, "mirror")
-        g_r = shifted(g, spec, d, 1, "mirror")
         w = faces[d]
-        f = w * np.where(w > 0.0, n, n_r) - (g_r - g) / h[d]
+        n_up = shifted(n, spec, d, 1, "mirror")     # the upwind cell's n
+        np.copyto(n_up, n, where=w > 0.0)
+        g_r = shifted(g, spec, d, 1, "mirror")
+        f = w * n_up - (g_r - g) / h[d]
         if neumann:                   # no flux through the right wall
             f[(slice(None),) * d + (slice(-1, None),)] = 0.0
         flux_div += (f - shifted(f, spec, d, -1, "zero")) / h[d]
