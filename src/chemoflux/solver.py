@@ -237,30 +237,28 @@ def project(v: VectorField):
 # ---------------------------------------------------------------------------
 # stability bound
 
-def _face_velocity(c: np.ndarray, u: np.ndarray, spec: DomainSpec,
-                   model: ChiKappaModel, d: int) -> np.ndarray:
+def _face_drift(state: FieldState, params: SimParams,
+                model: ChiKappaModel) -> list[np.ndarray]:
     """Drift w = chi(c_face) dc/dx + face-averaged u on the right faces of
-    axis d (mirror ghosts for c, zero ghosts for u).
+    each axis (mirror ghosts for c, zero ghosts for u).
 
     A constant chi (chi_slope 0) skips the face average: chi_offset + 0 * x
     is chi_offset for finite x, since ChiKappaModel then holds chi_offset > 0
     (never -0.0, where -0.0 + 0.0 * x would give +0.0).
     """
-    c_r = shifted(c, spec, d, 1, "mirror")
-    u_r = shifted(u[d], spec, d, 1, "zero")
-    if model.chi_slope == 0.0:
-        chi_face = model.chi_offset
-    else:
-        chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
-    return chi_face * (c_r - c) / spec.spacing[d] + 0.5 * (u[d] + u_r)
-
-
-def _face_drift(state: FieldState, params: SimParams,
-                model: ChiKappaModel) -> list[np.ndarray]:
-    """The drift w of `state` on the right faces of every axis."""
     spec = params.domain
-    return [_face_velocity(state.c.data, state.u.data, spec, model, d)
-            for d in range(spec.dim)]
+    c, u = state.c.data, state.u.data
+    faces = []
+    for d in range(spec.dim):
+        c_r = shifted(c, spec, d, 1, "mirror")
+        u_r = shifted(u[d], spec, d, 1, "zero")
+        if model.chi_slope == 0.0:
+            chi_face = model.chi_offset
+        else:
+            chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
+        faces.append(chi_face * (c_r - c) / spec.spacing[d]
+                     + 0.5 * (u[d] + u_r))
+    return faces
 
 
 def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel,
@@ -334,7 +332,8 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     flux_div = np.zeros(spec.shape)
     for d in range(dim):
         w = faces[d]
-        n_up = shifted(n, spec, d, 1, "mirror")     # the upwind cell's n
+        # n of the face's upwind cell: the right one, or this one where w > 0
+        n_up = shifted(n, spec, d, 1, "mirror")
         np.copyto(n_up, n, where=w > 0.0)
         g_r = shifted(g, spec, d, 1, "mirror")
         f = w * n_up - (g_r - g) / h[d]

@@ -1,15 +1,16 @@
 """Integrator tests: stability bound, projection, conservation, positivity,
-the implicit consumption identity, and run-level determinism."""
+the implicit consumption identity, run-level determinism, the step's bits
+against a plain reference step, and what outside wrappers rely on."""
 
 import math
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as hst
-
-import scipy.fft as sfft
 
 import chemoflux as cf
 from chemoflux import solver
@@ -442,7 +443,6 @@ class TestRunContract:
 
     def test_periodic_run_needs_only_rfftn_and_irfftn(self, tmp_path,
                                                       monkeypatch):
-        import types
         stand_in = types.SimpleNamespace(rfftn=sfft.rfftn, irfftn=sfft.irfftn,
                                          set_workers=sfft.set_workers)
         monkeypatch.setattr(solver, "sfft", stand_in)
