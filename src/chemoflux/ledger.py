@@ -11,7 +11,10 @@ between norms) the dilation-scaling bookkeeping of both sides.
 Everything here is exact: a Fraction at a point, a ratio of integer
 polynomials in the point index along a lattice line.  Floats are rejected at
 the boundary: a single float would silently turn exact window checks into
-approximate ones.
+approximate ones.  A scan decides a check on a line at the line's two end
+points when Descartes' rule of signs proves it continuous and monotone
+between them, which also proves it on the whole real segment; elsewhere it
+decides every lattice point.
 
 Scaling bookkeeping (space dimension 3, mass-normalized densities): under
 n -> n(lambda x),
@@ -222,6 +225,44 @@ def _at(coeffs: tuple[int, ...], j: int) -> int:
     return v
 
 
+def _taylor_shift(coeffs: list[int], s: int) -> None:
+    """Turn the coefficients of f(x) into those of f(x + s), in place."""
+    for i in range(len(coeffs) - 1):
+        for k in range(len(coeffs) - 2, i - 1, -1):
+            coeffs[k] += s * coeffs[k + 1]
+
+
+def _no_root_between(coeffs: tuple[int, ...], lo: int, hi: int) -> bool:
+    """True if Descartes' rule of signs proves that the integer polynomial
+    (constant term first) has no root in the open interval (lo, hi), lo < hi.
+
+    The Taylor shift by lo and the scaling by hi - lo move the roots in
+    (lo, hi) to (0, 1); reversing the coefficients (x -> 1/x) moves them to
+    (1, inf), and the Taylor shift by 1 to (0, inf).  With no sign change
+    among the result's coefficients it has no positive root, so the
+    polynomial has none in (lo, hi).  Exact, in O(degree^2) integer
+    operations.  False proves nothing; it is also the answer for the zero
+    polynomial, which vanishes everywhere."""
+    c = list(coeffs)
+    while c and not c[-1]:
+        c.pop()
+    if len(c) < 2:
+        return bool(c)
+    _taylor_shift(c, lo)
+    scale = 1
+    for k in range(len(c)):
+        c[k] *= scale
+        scale *= hi - lo
+    c.reverse()
+    _taylor_shift(c, 1)
+    positive = [x > 0 for x in c if x]
+    return all(positive) or not any(positive)
+
+
+def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0,)
+
+
 class _RowValue:
     """An expression traced along a lattice line: N(j)/D(j) in the line's
     point index j, as integer coefficient tuples (constant term first).
@@ -351,13 +392,36 @@ def _ratio(v: _RowValue, j: int) -> tuple[int, int]:
     return (-n, -d) if d < 0 else (n, d)
 
 
+def _ends_range(chk: Check, v: _RowValue, j0: int,
+                j1: int) -> tuple[Fraction, Fraction] | None:
+    """The range of v = N/D over the points j0..j1 of a line, if both end
+    points pass `chk` and v is proved continuous and monotone on [j0, j1]:
+    D has no root on the closed segment and N'D - ND' none inside it (or
+    vanishes identically).  Every point between then passes too.  None when
+    an end fails or the proof does not go through."""
+    n0, d0 = _ratio(v, j0)
+    n1, d1 = _ratio(v, j1)
+    if not (d0 and d1 and chk.holds_ratio(n0, d0) and chk.holds_ratio(n1, d1)
+            and _no_root_between(v.den, j0, j1)):
+        return None
+    slope = _padd(_pmul(_derivative(v.num), v.den),
+                  tuple(-c for c in _pmul(v.num, _derivative(v.den))))
+    if any(slope) and not _no_root_between(slope, j0, j1):
+        return None
+    ends = Fraction(n0, d0), Fraction(n1, d1)
+    return min(ends), max(ends)
+
+
 def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     """Lattice-verify an entry: every lattice point (interior points plus
     closed endpoints) must pass every check.  Value ranges are tracked per
-    check, exactly.  Each check is traced once per lattice line, then
-    decided at every point of the line by integer polynomial evaluations
-    and sign tests.  No point outside the region is scanned; `check_entry`
-    decides any single point, inside or out.
+    check, exactly.  Each check is traced once per lattice line.  On a line
+    of more than two points where Descartes' rule of signs proves the check
+    continuous and monotone (`_ends_range`), its two end points decide it
+    and give its range; otherwise every point is decided by integer
+    polynomial evaluations and sign tests.  Both ways give the same report.
+    No point outside the region is scanned; `check_entry` decides any single
+    point, inside or out.
     """
     if density < 1:
         raise ValueError(f"scan density must be an integer >= 1, got {density!r}")
@@ -370,6 +434,10 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
                 v = _lift(chk.value(a, p))
             except ZeroDivisionError:  # a divisor vanishes on the whole line
                 poles.extend(inner[:1])
+                continue
+            ends = len(inner) > 2 and _ends_range(chk, v, inner[0], inner[-1])
+            if ends:
+                _widen(ranges, chk.name, *ends)
                 continue
             lo_v = hi_v = None
             for j in inner:

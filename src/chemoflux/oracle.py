@@ -13,7 +13,7 @@ Three routes, none of which touch the discrete operators under test:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import Callable
 
@@ -223,11 +223,14 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
 
 
 def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
-                             t_end: float = 0.1, dt_factor: float = 0.2):
+                             t_end: float = 0.1, dt_factor: float = 0.1):
     """March the stepper with the manufactured forcings; return
     [(N, L2 error of n at t_end)].  dt scales with h^2 so the first-order
-    time error rides below the second-order spatial measurement."""
-    from .solver import FieldState, step
+    time error rides below the second-order spatial measurement.  A row
+    whose dt exceeds the explicit stability bound (`stable_dt` at
+    cfl_safety 1 on its initial state, about 0.1435 h^2) raises ValueError
+    before its first step."""
+    from .solver import FieldState, stable_dt, step
     from .grid import VectorField
 
     if not dt_factor > 0:
@@ -243,6 +246,10 @@ def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
         state = FieldState(0.0, ScalarField(spec, n0), ScalarField(spec, c0),
                            VectorField(spec, u0),
                            ScalarField(spec, np.zeros(spec.shape)))
+        bound = stable_dt(state, replace(mp.params, cfl_safety=1.0), mp.model)
+        if dt > bound:
+            raise ValueError(f"N={N}: dt={dt:.6g} exceeds the stability bound "
+                             f"{bound:.6g} (dt_factor {dt_factor:g})")
         for _ in range(n_steps):
             state = step(state, mp.params, mp.model, dt, sources=mp.sources)
         n_exact = mp.fields(state.t)[0]

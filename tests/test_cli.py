@@ -465,6 +465,31 @@ class TestLedgerCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f245f29b3d231462477159bffe3ad0c285922e7bff48edd5017f6c3b5b0ab526")
 
+    def test_scan_calls_scan_region_once_per_entry(self, monkeypatch, capsys):
+        # the ledger-scan benchmark counts its steps by rebinding every
+        # chemoflux module attribute bound to ledger.scan_region, and its
+        # tracer wraps the module-level functions named below
+        from chemoflux import ledger
+        original, calls = ledger.scan_region, []
+
+        def counting(entry, *args, **kwargs):
+            calls.append(entry.id)
+            return original(entry, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "chemoflux" or name.startswith("chemoflux."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        rc = cli.main(["ledger", "--scan", "3"])
+        capsys.readouterr()
+        assert rc == 0
+        assert calls == [e.id for e in ledger.build_ledger()]
+        assert len(calls) == 22
+        for name in ("build_ledger", "check_entry", "scaling_check"):
+            fn = getattr(ledger, name)
+            assert (fn.__module__, fn.__qualname__) == ("chemoflux.ledger", name)
+
     def test_closed_stdout_exits_without_traceback(self):
         # the reader leaves after one line, as `| head -1` does; -u makes
         # every line its own write, so a later print meets the closed pipe
@@ -508,6 +533,8 @@ class TestOracleCommand:
              "oracle: resolutions must be integers"),
             ("manufactured", {"dt_factor": 0}, 2, "oracle: dt_factor must be > 0"),
             ("manufactured", {"dt_factor": -1}, 2, "oracle: dt_factor must be > 0"),
+            ("manufactured", {"dt_factor": 0.2}, 2,
+             "oracle: N=16: dt=0.025 exceeds the stability bound"),
             # a run that breaks down is an error, as for `run`
             ("barenblatt", {"mass": 1e300, "resolutions": [8]}, 1,
              "error: non-finite cell density"),

@@ -329,6 +329,28 @@ class TestExactScanReports:
 
 _CATALOG = cf.build_ledger()
 _CUTS = [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3)]
+_ONE, _TWO = (lambda a, p: F(1)), (lambda a, p: F(2))
+# entries whose lines the monotone proof must refuse, each beside a check it
+# must accept: a turning point inside every p line, and denominators with
+# the irrational root sqrt(2) between two lattice points of every line
+_SYNTHETIC = (
+    lg.LedgerEntry(
+        id="x-turning-point", title="a minimum inside every p line",
+        alpha_lo=F(0), alpha_hi=F(1), p_lo=_ONE, p_hi=_TWO,
+        checks=(lg.Check("bowl", lambda a, p: (p - F(3, 2)) * (p - F(3, 2)) + a,
+                         lo=F(0), hi=F(1, 2)),
+                lg.Check("ramp", lambda a, p: a + p, lo=F(1)))),
+    lg.LedgerEntry(
+        id="x-alpha-pole-between", title="a pole between two points of the alpha line",
+        alpha_lo=F(1), alpha_hi=F(2), alpha_lo_strict=False, alpha_hi_strict=False,
+        checks=(lg.Check("hyperbola", lambda a, p: a / (a * a - 2), hi=F(3)),
+                lg.Check("ramp", lambda a, p: 2 * a - 1, lo=F(0)))),
+    lg.LedgerEntry(
+        id="x-p-pole-between", title="a pole between two points of every p line",
+        alpha_lo=F(0), alpha_hi=F(1), p_lo=_ONE, p_hi=_TWO,
+        checks=(lg.Check("hyperbola", lambda a, p: (1 + a) / (p * p - 2), lo=F(-3)),
+                lg.Check("ramp", lambda a, p: a / p, lo=F(0)))),
+)
 
 
 def _reference_lines(entry, m):
@@ -376,7 +398,7 @@ def _reference_report(entry, density):
 def _entry_with_cut_bounds(draw):
     """A catalog entry with its checks' bounds redrawn, so that checks fail
     at some lattice points and pass at others."""
-    entry = draw(hst.sampled_from(_CATALOG))
+    entry = draw(hst.sampled_from(_CATALOG + _SYNTHETIC))
     checks = []
     for chk in entry.checks:
         lo, hi = sorted(draw(hst.lists(hst.sampled_from(_CUTS + [None]),
@@ -388,22 +410,108 @@ def _entry_with_cut_bounds(draw):
     return dataclasses.replace(entry, checks=tuple(checks))
 
 
+def _assert_scan_matches_points(entry, density):
+    rep = cf.scan_region(entry, density=density)
+    assert (rep.interior_points, rep.interior_failures,
+            list(rep.value_ranges.items())) == _reference_report(entry, density)
+    for point, inner in _reference_lines(entry, density):
+        traced = [lg._lift(c.value(*point(lg._J))) for c in entry.checks]
+        for j in inner:
+            res = cf.check_entry(entry, *point(j))
+            assert [F(lg._at(v.num, j), lg._at(v.den, j)) if lg._at(v.den, j)
+                    else None for v in traced] == [o.value for o in res.outcomes]
+
+
 class TestRowScanAgainstPoints:
-    """The scan traces each check once per lattice line; every point's value
-    and verdict must be the one check_entry gives there."""
+    """The scan traces each check once per lattice line and decides it at
+    the line's two ends when it is proved monotone there, else point by
+    point; either way every point's value and verdict must be the one
+    check_entry gives there."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_entry_with_cut_bounds(), hst.integers(1, 9))
     def test_row_scan_matches_check_entry(self, entry, density):
-        rep = cf.scan_region(entry, density=density)
-        assert (rep.interior_points, rep.interior_failures,
-                list(rep.value_ranges.items())) == _reference_report(entry, density)
-        for point, inner in _reference_lines(entry, density):
-            traced = [lg._lift(c.value(*point(lg._J))) for c in entry.checks]
-            for j in inner:
-                res = cf.check_entry(entry, *point(j))
-                assert [F(lg._at(v.num, j), lg._at(v.den, j)) if lg._at(v.den, j)
-                        else None for v in traced] == [o.value for o in res.outcomes]
+        _assert_scan_matches_points(entry, density)
+
+    @pytest.mark.parametrize("density", range(1, 10))
+    @pytest.mark.parametrize("entry", _SYNTHETIC, ids=lambda e: e.id)
+    def test_non_monotone_lines_scanned_point_by_point(self, entry, density):
+        _assert_scan_matches_points(entry, density)
+        for a, p, inner in lg._lattice(entry, density):
+            if len(inner) > 2:
+                bent, ramp = (lg._ends_range(c, lg._lift(c.value(a, p)),
+                                             inner[0], inner[-1])
+                              for c in entry.checks)
+                assert bent is None and ramp is not None, (a, p)
+
+    def test_catalog_decided_at_line_ends_at_density_60(self):
+        # every (line, check) pair of the shipped catalog is proved monotone
+        # with passing ends; an edit that loses this slows the scan
+        for e in _CATALOG:
+            for a, p, inner in lg._lattice(e, 60):
+                for c in e.checks:
+                    v = lg._lift(c.value(a, p))
+                    assert lg._ends_range(c, v, inner[0], inner[-1]), (e.id, c.name, a)
+
+
+@hst.composite
+def _polynomial_with_roots(draw):
+    """An integer polynomial (constant term first) built from rational roots
+    r (factors q x - r) and from x^2 + k factors, with an integer interval
+    (lo, hi); some roots sit exactly on lo or hi.  Degree <= 16."""
+    lo = draw(hst.integers(-6, 6))
+    hi = lo + draw(hst.integers(1, 12))
+    roots = draw(hst.lists(hst.one_of(
+        hst.sampled_from([F(lo), F(hi)]),
+        hst.builds(F, hst.integers(-80, 80), hst.integers(1, 12))), max_size=16))
+    ks = draw(hst.lists(hst.integers(1, 60), max_size=(16 - len(roots)) // 2))
+    poly = (draw(hst.integers(-9, 9).filter(bool)),)
+    for r in roots:
+        poly = lg._pmul(poly, (-r.numerator, r.denominator))
+    for k in ks:
+        poly = lg._pmul(poly, (k, 0, 1))
+    return poly, lo, hi, roots, ks
+
+
+class TestRootExclusion:
+    """`_no_root_between` (Descartes' rule of signs on (lo, hi)) may fail to
+    prove a root-free interval, but must never claim one that holds a
+    root."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_polynomial_with_roots())
+    def test_no_root_claimed_wrongly(self, case):
+        poly, lo, hi, roots, ks = case
+        inside = any(lo < r < hi for r in roots)
+        if lg._no_root_between(poly, lo, hi):
+            assert not inside
+        # the one-circle theorem: with no root in the open disc on the
+        # diameter (lo, hi) the rule proves the interval root-free
+        mid, half = F(lo + hi, 2), F(hi - lo, 2)
+        if not inside and all(mid * mid + k > half * half for k in ks):
+            assert lg._no_root_between(poly, lo, hi)
+        assert lg._no_root_between(poly + (0, 0), lo, hi) == \
+            lg._no_root_between(poly, lo, hi)
+
+    def test_zero_polynomial_and_constants(self):
+        for zero in [(0,), (0, 0, 0)]:
+            assert not lg._no_root_between(zero, 0, 5)
+        for const in [(7,), (-3, 0)]:
+            assert lg._no_root_between(const, -2, 2)
+
+    def test_roots_on_the_ends_are_outside(self):
+        ends = lg._pmul((-1, 1), (-4, 1))              # (x - 1)(x - 4)
+        assert lg._no_root_between(ends, 1, 4)
+        assert not lg._no_root_between(ends, 0, 4)
+        assert not lg._no_root_between(ends, 1, 5)
+
+    def test_degree_16_with_one_root_inside(self):
+        poly = (1,)
+        for r in [F(-7, 3), F(31, 10)] + [F(k) for k in range(-20, -6)]:
+            poly = lg._pmul(poly, (-r.numerator, r.denominator))
+        assert len(poly) == 17
+        assert not lg._no_root_between(poly, 3, 4)
+        assert lg._no_root_between(poly, 4, 6)
 
 
 class TestSymbolicExactness:

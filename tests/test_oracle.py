@@ -174,6 +174,14 @@ class TestManufactured:
         assert (n1, n2) == (16, 32)
         assert e1 / e2 >= 3.5
 
+    def test_default_study_runs_on_three_grids(self):
+        # the default dt_factor keeps every row under the stability bound;
+        # at 0.2 the N = 64 row's density went negative
+        rows = manufactured_convergence(resolutions=(16, 32, 64))
+        errs = [err for _, err in rows]
+        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
+        assert all(o >= 1.9 for o in orders), errs
+
 
 class TestStudies:
 
