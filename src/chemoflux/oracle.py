@@ -164,6 +164,8 @@ def _resolutions(values) -> list[int]:
     """A study's grid sizes, all checked before the first run: 8.5 must not
     run as 8."""
     values = list(values)
+    if not values:
+        raise ValueError("resolutions must not be empty")
     if not all(isinstance(N, Integral) for N in values):
         raise ValueError(f"resolutions must be integers, got {values}")
     return [int(N) for N in values]
@@ -174,9 +176,15 @@ def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
                               t_final: float = 0.5, kappa_power: float = 1.0):
     """Run the full stepper on uniform data for each dt; return
     [(dt, relative error vs the closed form)].  kappa_power m != 1 takes the
-    step's c^(m-1) consumption branch."""
+    step's c^(m-1) consumption branch.  An empty dts or a c0 <= 0 (whose
+    closed form 0 the relative error cannot divide by) raises ValueError."""
     from .solver import run
 
+    dts = list(dts)
+    if not dts:
+        raise ValueError("dts must not be empty")
+    if not c0 > 0:
+        raise ValueError(f"c0 must be > 0, got {c0!r}")
     spec = DomainSpec(1, "periodic", (2.0,), (8,))
     model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
                           kappa_coeff=kappa_coeff, kappa_power=kappa_power)
@@ -200,9 +208,13 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
                            t_run: float = 0.25, rho: float = 1e-6,
                            mass: float = 1.0):
     """L1 errors of the degenerate-diffusion front against the exact
-    self-similar solution, one entry per resolution."""
+    self-similar solution, one entry per resolution.  A t0 or mass <= 0
+    (no source solution) raises ValueError."""
     from .solver import run
 
+    for name, value in (("t0", t0), ("mass", mass)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
     out = []
     for N in _resolutions(resolutions):
         spec = DomainSpec(1, "periodic", (length,), (N,))

@@ -19,12 +19,14 @@ One step advances, in order:
 the same bits.  The upwind side of every advection term is picked before the
 multiply, from one mask u_e > 0 per axis.
 
-Periodic boxes do the implicit solves and the projection spectrally with the
+The implicit solves and the projection are one cached table per box,
+`_solves(spec)`, with `helmholtz` and `fluid`; `step` and `project` call it
+whatever the boundary mode.  A periodic table solves spectrally with the
 exact symbols of the difference stencils (sin(kh)/h for the central gradient,
 2(cos(kh)-1)/h^2 for the compact laplacian), so the projected velocity is
-divergence-free to machine precision.  Their pressure is kept as its
+divergence-free to machine precision.  Its pressure is kept as its
 spectrum and transformed on the first read of `p.data` (only snapshots read
-it).  Neumann boxes use fast diagonalization: each walled operator is a
+it).  A walled table uses fast diagonalization: each walled operator is a
 Kronecker sum of 1D matrices, so a dense eigendecomposition per axis solves
 it exactly, and the projected velocity is discrete divergence-free to
 roundoff as well.
@@ -55,7 +57,7 @@ _workers = 1
 
 
 def set_threads(k: int) -> None:
-    """FFT worker count (results are identical for any k; default 1)."""
+    """FFT worker count (results are bit-identical for any k; default 1)."""
     global _workers
     _workers = max(1, int(k))
 
@@ -95,89 +97,57 @@ class _SpectralPressure(ScalarField):
 
 
 # ---------------------------------------------------------------------------
-# spectral tables (periodic mode)
+# direct solves: one table per box
 
-@lru_cache(maxsize=32)
-def _tables(spec: DomainSpec):
-    """Per-axis gradient symbols s_d, their square sum, and the compact
-    laplacian symbol, on the rfftn layout."""
-    dim, shape = spec.dim, spec.shape
-    sins, lam = [], None
-    for d in range(dim):
-        N, h = shape[d], spec.spacing[d]
-        if d == dim - 1:
-            k = np.arange(N // 2 + 1, dtype=float)
-        else:
-            k = np.fft.fftfreq(N, 1.0 / N)
-        theta = 2.0 * np.pi * k / N
-        newshape = [1] * dim
-        newshape[d] = -1
-        s = (np.sin(theta) / h).reshape(newshape)
-        # sin(pi) rounds to ~2e-16, not 0; the Nyquist column must be an
-        # exact symbol zero or the projector divides by its square
-        s[np.abs(2.0 * k.reshape(newshape)) % N == 0] = 0.0
-        l = ((2.0 * np.cos(theta) - 2.0) / (h * h)).reshape(newshape)
-        sins.append(s)
-        lam = l if lam is None else lam + l
-    s_sq = sins[0] * sins[0]
-    for s in sins[1:]:
-        s_sq = s_sq + s * s
-    return tuple(sins), s_sq, lam
+class _PeriodicSolves:
+    """Spectral solves, exact in the stencil symbols on the rfftn layout:
+    the per-axis gradient symbols `sins`, their square sum `s_sq`, and the
+    compact laplacian symbol `lam`."""
 
+    def __init__(self, spec: DomainSpec):
+        self.spec = spec
+        dim, shape = spec.dim, spec.shape
+        sins, lam = [], None
+        for d in range(dim):
+            N, h = shape[d], spec.spacing[d]
+            if d == dim - 1:
+                k = np.arange(N // 2 + 1, dtype=float)
+            else:
+                k = np.fft.fftfreq(N, 1.0 / N)
+            theta = 2.0 * np.pi * k / N
+            newshape = [1] * dim
+            newshape[d] = -1
+            s = (np.sin(theta) / h).reshape(newshape)
+            # sin(pi) rounds to ~2e-16, not 0; the Nyquist column must be an
+            # exact symbol zero or the projector divides by its square
+            s[np.abs(2.0 * k.reshape(newshape)) % N == 0] = 0.0
+            l = ((2.0 * np.cos(theta) - 2.0) / (h * h)).reshape(newshape)
+            sins.append(s)
+            lam = l if lam is None else lam + l
+        s_sq = sins[0] * sins[0]
+        for s in sins[1:]:
+            s_sq = s_sq + s * s
+        self.sins, self.s_sq, self.lam = tuple(sins), s_sq, lam
 
-def _helmholtz_periodic(values: np.ndarray, spec: DomainSpec, dt: float) -> np.ndarray:
-    # (I - dt*lap_compact)^{-1}, exact in the stencil symbol
-    _, _, lam = _tables(spec)
-    vh = sfft.rfftn(values, workers=_workers)
-    vh /= (1.0 - dt * lam)
-    return sfft.irfftn(vh, s=spec.shape, workers=_workers)
+    def helmholtz(self, values: np.ndarray, dt: float) -> np.ndarray:
+        vh = sfft.rfftn(values, workers=_workers)
+        vh /= (1.0 - dt * self.lam)
+        return sfft.irfftn(vh, s=self.spec.shape, workers=_workers)
 
-
-def _fluid_spectral(v, spec: DomainSpec, dt: float):
-    """Implicit viscosity (skipped for dt=0) fused with projection.
-
-    Both stages are diagonal in Fourier space, so fusing them is exactly the
-    sequential composition.  Returns (u components, the spectrum of p).
-    """
-    sins, s_sq, lam = _tables(spec)
-    vh = [sfft.rfftn(comp, workers=_workers) for comp in v]
-    if dt > 0.0:
-        visc = 1.0 - dt * lam
-        vh = [x / visc for x in vh]
-    div_h = (1j) * sum(s * x for s, x in zip(sins, vh))
-    ph = np.zeros_like(div_h)
-    np.divide(div_h, -s_sq, out=ph, where=s_sq > 0)
-    u = [sfft.irfftn(x - 1j * s * ph, s=spec.shape, workers=_workers)
-         for s, x in zip(sins, vh)]
-    return u, ph
-
-
-# ---------------------------------------------------------------------------
-# fast diagonalization (neumann mode)
-
-@lru_cache(maxsize=32)
-def _wall_tables(spec: DomainSpec):
-    """Per-axis eigenvectors and the summed eigenvalues of the three walled
-    operators, each a Kronecker sum of 1D matrices: "mirror" and "zero" (the
-    compact laplacian with that ghost kind) and "proj" (-sum_d T_d T_d, with
-    T_d the zero-ghost central difference)."""
-    vecs = {"mirror": [], "zero": [], "proj": []}
-    eigs = {key: [] for key in vecs}
-    for N, h in zip(spec.shape, spec.spacing):
-        zero = (np.eye(N, k=1) - 2.0 * np.eye(N) + np.eye(N, k=-1)) / (h * h)
-        mirror = zero.copy()
-        mirror[0, 0] = mirror[-1, -1] = -1.0 / (h * h)
-        t = (np.eye(N, k=1) - np.eye(N, k=-1)) / (2.0 * h)
-        for key, mat in (("mirror", mirror), ("zero", zero), ("proj", -t @ t)):
-            w, q = np.linalg.eigh(mat)
-            if key == "proj" and N % 2:
-                # an odd-sized antisymmetric T_d is singular; its kernel
-                # eigenvalue comes out as roundoff and must be an exact zero
-                w[0] = 0.0
-            vecs[key].append(q)
-            eigs[key].append(w)
-    return {key: (tuple(vecs[key]), reduce(np.add.outer, eigs[key]))
-            for key in vecs}
+    def fluid(self, v, dt: float):
+        """Viscosity and projection are both diagonal in Fourier space, so
+        fusing them is exactly the sequential composition; p is kept as its
+        spectrum."""
+        vh = [sfft.rfftn(comp, workers=_workers) for comp in v]
+        if dt > 0.0:
+            visc = 1.0 - dt * self.lam
+            vh = [x / visc for x in vh]
+        div_h = (1j) * sum(s * x for s, x in zip(self.sins, vh))
+        ph = np.zeros_like(div_h)
+        np.divide(div_h, -self.s_sq, out=ph, where=self.s_sq > 0)
+        u = [sfft.irfftn(x - 1j * s * ph, s=self.spec.shape, workers=_workers)
+             for s, x in zip(self.sins, vh)]
+        return np.stack(u), _SpectralPressure(self.spec, ph)
 
 
 def _separable(x: np.ndarray, mats) -> np.ndarray:
@@ -189,48 +159,78 @@ def _separable(x: np.ndarray, mats) -> np.ndarray:
     return x
 
 
-def _helmholtz_walled(values: np.ndarray, spec: DomainSpec, dt: float,
-                      ghost: str) -> np.ndarray:
-    # (I - dt*lap_compact)^{-1} with `ghost` walls, exact in the eigenbasis
-    vecs, eig = _wall_tables(spec)[ghost]
-    vh = _separable(values, vecs) / (1.0 - dt * eig)
-    return _separable(vh, [q.T for q in vecs])
+class _WalledSolves:
+    """Fast diagonalization (Lynch, Rice & Thomas 1964).  `bases[key]` holds
+    the per-axis eigenvectors and the summed eigenvalues of three walled
+    operators, each a Kronecker sum of 1D matrices: "mirror" and "zero" (the
+    compact laplacian with that ghost kind) and "proj" (-sum_d T_d T_d, with
+    T_d the zero-ghost central difference)."""
+
+    def __init__(self, spec: DomainSpec):
+        self.spec = spec
+        vecs = {"mirror": [], "zero": [], "proj": []}
+        eigs = {key: [] for key in vecs}
+        for N, h in zip(spec.shape, spec.spacing):
+            zero = (np.eye(N, k=1) - 2.0 * np.eye(N) + np.eye(N, k=-1)) / (h * h)
+            mirror = zero.copy()
+            mirror[0, 0] = mirror[-1, -1] = -1.0 / (h * h)
+            t = (np.eye(N, k=1) - np.eye(N, k=-1)) / (2.0 * h)
+            for key, mat in (("mirror", mirror), ("zero", zero), ("proj", -t @ t)):
+                w, q = np.linalg.eigh(mat)
+                if key == "proj" and N % 2:
+                    # an odd-sized antisymmetric T_d is singular; its kernel
+                    # eigenvalue comes out as roundoff and must be an exact zero
+                    w[0] = 0.0
+                vecs[key].append(q)
+                eigs[key].append(w)
+        self.bases = {key: (tuple(vecs[key]), reduce(np.add.outer, eigs[key]))
+                      for key in vecs}
+
+    def _inverse(self, values: np.ndarray, dt: float, ghost: str) -> np.ndarray:
+        # (I - dt*lap_compact)^{-1} with `ghost` walls, exact in the eigenbasis
+        vecs, eig = self.bases[ghost]
+        vh = _separable(values, vecs) / (1.0 - dt * eig)
+        return _separable(vh, [q.T for q in vecs])
+
+    def helmholtz(self, values: np.ndarray, dt: float) -> np.ndarray:
+        return self._inverse(values, dt, "mirror")
+
+    def fluid(self, v, dt: float):
+        """Viscosity with zero walls, then a correction of v by a discrete
+        gradient so the zero-ghost divergence vanishes.
+
+        Solves (-sum_d T_d T_d) lam = div0 v, then u = v + T lam, so div0 u = 0
+        to roundoff.  When every axis is odd, each T_d is singular and the
+        operator has a one-dimensional kernel; div0 v is orthogonal to it, so the
+        pseudo-inverse (zero on that mode) still solves exactly.
+        """
+        spec = self.spec
+        if dt > 0.0:
+            v = [self._inverse(comp, dt, "zero") for comp in v]
+        vecs, eig = self.bases["proj"]
+        bh = _separable(divergence(VectorField(spec, v)).data, vecs)
+        lam_h = np.zeros_like(bh)
+        np.divide(bh, eig, out=lam_h, where=eig > 0.0)
+        lam = _separable(lam_h, [q.T for q in vecs])
+        u = np.stack(v)
+        for d in range(spec.dim):
+            u[d] += diff_central(lam, spec, d, "zero")
+        return u, ScalarField(spec, -(lam - float(np.mean(lam))))
 
 
-def _project_walled(v, spec: DomainSpec):
-    """Correct v by a discrete gradient so the zero-ghost divergence vanishes.
-
-    Solves (-sum_d T_d T_d) lam = div0 v, then u = v + T lam, so div0 u = 0
-    to roundoff.  When every axis is odd, each T_d is singular and the
-    operator has a one-dimensional kernel; div0 v is orthogonal to it, so the
-    pseudo-inverse (zero on that mode) still solves exactly.
-    """
-    vecs, eig = _wall_tables(spec)["proj"]
-    bh = _separable(divergence(VectorField(spec, v)).data, vecs)
-    lam_h = np.zeros_like(bh)
-    np.divide(bh, eig, out=lam_h, where=eig > 0.0)
-    lam = _separable(lam_h, [q.T for q in vecs])
-    u = [v[d] + diff_central(lam, spec, d, "zero") for d in range(spec.dim)]
-    p = -(lam - float(np.mean(lam)))
-    return u, p
-
-
-def _fluid_solve(v, spec: DomainSpec, dt: float):
-    """Implicit viscosity (skipped for dt=0), then projection, of the
-    components v; returns the stacked u and the ScalarField p."""
-    if spec.mode == "periodic":
-        u, ph = _fluid_spectral(v, spec, dt)
-        return np.stack(u), _SpectralPressure(spec, ph)
-    if dt > 0.0:
-        v = [_helmholtz_walled(comp, spec, dt, "zero") for comp in v]
-    u, p = _project_walled(v, spec)
-    return np.stack(u), ScalarField(spec, p)
+@lru_cache(maxsize=32)
+def _solves(spec: DomainSpec):
+    """The box's direct solves, built on first use; the only place a solve
+    reads the boundary mode.  `helmholtz(values, dt)` is (I - dt*lap_compact)^-1
+    with mirror walls; `fluid(v, dt)` does implicit viscosity (skipped for
+    dt=0), then projection, of the components v, and returns (stacked u, p)."""
+    return (_PeriodicSolves if spec.mode == "periodic" else _WalledSolves)(spec)
 
 
 def project(v: VectorField):
     """Discrete Leray projection: returns (u, p) with u discrete
     divergence-free and integrate(p) = 0."""
-    u, p = _fluid_solve(v.data, v.domain, 0.0)
+    u, p = _solves(v.domain).fluid(v.data, 0.0)
     return VectorField(v.domain, u), p
 
 
@@ -321,7 +321,6 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     h = spec.spacing
     n, c, u = state.n.data, state.c.data, state.u.data
     alpha, rho, tau = params.alpha, params.rho, params.tau
-    neumann = spec.mode == "neumann"
     if sources is not None:
         s_n, s_c, s_u = sources(state.t)
 
@@ -337,7 +336,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
         np.copyto(n_up, n, where=w > 0.0)
         g_r = shifted(g, spec, d, 1, "mirror")
         f = w * n_up - (g_r - g) / h[d]
-        if neumann:                   # no flux through the right wall
+        if spec.mode == "neumann":    # no flux through the right wall
             f[(slice(None),) * d + (slice(-1, None),)] = 0.0
         flux_div += (f - shifted(f, spec, d, -1, "zero")) / h[d]
     faces.clear()
@@ -364,8 +363,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
             rate = model.kappa_coeff * n * np.power(np.maximum(c1, 0.0),
                                                     model.kappa_power - 1.0)
         c1 = c1 / (1.0 + dt * rate)
-    c2 = (_helmholtz_walled(c1, spec, dt, "mirror") if neumann
-          else _helmholtz_periodic(c1, spec, dt))
+    c2 = _solves(spec).helmholtz(c1, dt)
     if sources is not None:
         c2 = c2 + dt * s_c
     min_c_raw = float(np.min(c2))
@@ -381,7 +379,7 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
         if sources is not None:
             comp = comp + dt * s_u[d]
         v.append(comp)
-    u_new, p_new = _fluid_solve(v, spec, dt)
+    u_new, p_new = _solves(spec).fluid(v, dt)
     # np.maximum keeps NaN, so the clipped n and c still show a bad step
     for name, values in (("cell density", n_new), ("chemical", c_new),
                          ("velocity", u_new)):

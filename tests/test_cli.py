@@ -535,6 +535,17 @@ class TestOracleCommand:
             ("manufactured", {"dt_factor": -1}, 2, "oracle: dt_factor must be > 0"),
             ("manufactured", {"dt_factor": 0.2}, 2,
              "oracle: N=16: dt=0.025 exceeds the stability bound"),
+            # values with no closed form to compare against, and empty
+            # studies, refused before the first run
+            ("barenblatt", {"t0": 0}, 2, "oracle: t0 must be > 0, got 0"),
+            ("barenblatt", {"t0": -1}, 2, "oracle: t0 must be > 0, got -1"),
+            ("barenblatt", {"mass": -1}, 2, "oracle: mass must be > 0, got -1"),
+            ("uniform", {"c0": 0}, 2, "oracle: c0 must be > 0, got 0"),
+            ("barenblatt", {"resolutions": []}, 2,
+             "oracle: resolutions must not be empty"),
+            ("manufactured", {"resolutions": []}, 2,
+             "oracle: resolutions must not be empty"),
+            ("uniform", {"dts": []}, 2, "oracle: dts must not be empty"),
             # a run that breaks down is an error, as for `run`
             ("barenblatt", {"mass": 1e300, "resolutions": [8]}, 1,
              "error: non-finite cell density"),
@@ -545,7 +556,8 @@ class TestOracleCommand:
                 warnings.simplefilter("always")
                 rc = cli.main(["oracle", study, _write(tmp_path, cfg)])
             assert rc == code, (study, section)
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
+            assert out == "", (study, section, out)
             assert message in err
             # the one line is the whole report: no numpy warning beside it
             assert len(err.splitlines()) == 1 and not caught, (err, caught)

@@ -14,9 +14,8 @@ from hypothesis import strategies as hst
 
 import chemoflux as cf
 from chemoflux import solver
-from chemoflux.grid import shifted
-from chemoflux.solver import (_helmholtz_periodic, _helmholtz_walled,
-                              _project_walled, _tables)
+from chemoflux.grid import diff_central, shifted
+from chemoflux.solver import _separable, _solves
 
 
 def _spec(mode="periodic", n=16, dim=2, length=2.0):
@@ -152,17 +151,28 @@ class TestProjection:
         assert cf.lp_norm(p2, np.inf) <= 1e-12
 
 
-class TestWalledHelmholtz:
+# walled boxes with both ghost kinds (mirror is `helmholtz`, zero the
+# walled table's viscous solve), and periodic boxes, where shifts wrap
+_HELMHOLTZ_CASES = ([("neumann", shape, ghost) for ghost in ("mirror", "zero")
+                     for shape in [(9, 10), (16, 24, 12)]]
+                    + [("periodic", shape, "mirror")
+                       for shape in [(9,), (9, 10), (16, 24, 12)]])
 
-    @pytest.mark.parametrize("ghost", ["mirror", "zero"])
-    @pytest.mark.parametrize("shape", [(9, 10), (16, 24, 12)], ids=_shape_id)
-    def test_solves_the_compact_stencil(self, shape, ghost):
+
+class TestHelmholtz:
+
+    @pytest.mark.parametrize("mode,shape,ghost", _HELMHOLTZ_CASES,
+                             ids=[f"{m}-{_shape_id(s)}-{g}"
+                                  for m, s, g in _HELMHOLTZ_CASES])
+    def test_solves_the_compact_stencil(self, mode, shape, ghost):
         # x - dt * L x = b, with L the compact laplacian written out from
         # the ghost-filled shifts
-        spec = _walled(shape)
+        spec = cf.DomainSpec(len(shape), mode, (2.0,) * len(shape), shape)
         dt = 0.01
         b = np.random.default_rng(7).standard_normal(spec.shape)
-        x = _helmholtz_walled(b, spec, dt, ghost)
+        table = _solves(spec)
+        x = (table.helmholtz(b, dt) if ghost == "mirror"
+             else table._inverse(b, dt, ghost))
         lap = sum((shifted(x, spec, d, 1, ghost) - 2.0 * x
                    + shifted(x, spec, d, -1, ghost)) / spec.spacing[d] ** 2
                   for d in range(spec.dim))
@@ -331,9 +341,8 @@ def _reference_step(state, params, model, dt):
             rate = model.kappa_coeff * n * np.power(np.maximum(c1, 0.0),
                                                     model.kappa_power - 1.0)
         c1 = c1 / (1.0 + dt * rate)
-    c2 = (_helmholtz_walled(c1, spec, dt, "mirror") if neumann
-          else _helmholtz_periodic(c1, spec, dt))
-    c_new = np.maximum(c2, 0.0)
+    table = _solves(spec)
+    c_new = np.maximum(table.helmholtz(c1, dt), 0.0)
 
     v = []
     for d in range(dim):
@@ -343,11 +352,19 @@ def _reference_step(state, params, model, dt):
                                    for e in range(dim))
         v.append(comp)
     if neumann:
-        u_new, p_new = _project_walled(
-            [_helmholtz_walled(x, spec, dt, "zero") for x in v], spec)
+        # zero-wall viscosity, then v + T lam with -sum_d T_d T_d lam = div v
+        v = [table._inverse(x, dt, "zero") for x in v]
+        vecs, eig = table.bases["proj"]
+        bh = _separable(cf.divergence(cf.VectorField(spec, np.stack(v))).data,
+                        vecs)
+        lam_h = np.zeros_like(bh)
+        np.divide(bh, eig, out=lam_h, where=eig > 0.0)
+        lam = _separable(lam_h, [q.T for q in vecs])
+        u_new = [v[d] + diff_central(lam, spec, d, "zero") for d in range(dim)]
+        p_new = -(lam - float(np.mean(lam)))
     else:
-        sins, s_sq, lam = _tables(spec)
-        vh = [sfft.rfftn(x) / (1.0 - dt * lam) for x in v]
+        sins, s_sq = table.sins, table.s_sq
+        vh = [sfft.rfftn(x) / (1.0 - dt * table.lam) for x in v]
         div_h = (1j) * sum(s * x for s, x in zip(sins, vh))
         ph = np.zeros_like(div_h)
         np.divide(div_h, -s_sq, out=ph, where=s_sq > 0)
@@ -424,8 +441,10 @@ class TestStepBitwise:
 
 class TestRunContract:
     """What code wrapping the solver from outside relies on: one call of
-    the module-level `step` per step, and a periodic run that needs no FFT
-    call other than `rfftn` and `irfftn` (its lazy pressure included)."""
+    the module-level `step` per step, a periodic run that needs no FFT
+    call other than `rfftn` and `irfftn` (its lazy pressure included), a
+    walled run that makes no FFT call, and results that do not depend on
+    the FFT worker count."""
 
     def test_run_enters_module_step_once_per_step(self, monkeypatch):
         calls = []
@@ -453,6 +472,33 @@ class TestRunContract:
         p, _ = cf.load_field(tmp_path / f"p_{last}", spec)
         np.testing.assert_array_equal(p.data, res.state.p.data)
         assert abs(cf.integrate(res.state.p)) <= 1e-12
+
+    def test_walled_run_makes_no_fft_call(self, tmp_path, monkeypatch):
+        stand_in = types.SimpleNamespace(set_workers=sfft.set_workers)
+        monkeypatch.setattr(solver, "sfft", stand_in)
+        spec = _walled((12, 10))
+        res = _small_run(spec=spec, tmp=tmp_path,
+                         output={"sample_interval": 0.01, "snapshot_every": 1})
+        assert res.guards["steps"] > 0
+        assert res.state.t == pytest.approx(0.02, abs=1e-10)
+        last = f"{len(res.records) - 1:05d}"
+        p, _ = cf.load_field(tmp_path / f"p_{last}", spec)
+        np.testing.assert_array_equal(p.data, res.state.p.data)
+
+    def test_fft_worker_count_leaves_results_bitwise(self):
+        spec = _spec(n=12, dim=3)
+        before = solver._workers
+        states = []
+        try:
+            for k in (1, 2):
+                cf.set_threads(k)
+                state = _small_run(spec=spec).state
+                state.p.data          # the lazy pressure, transformed at k
+                states.append(state)
+        finally:
+            solver._workers = before
+        assert states[0].t == states[1].t
+        _assert_bits_equal(*states)
 
 
 @hst.composite
