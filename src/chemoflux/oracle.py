@@ -7,15 +7,17 @@ Three routes, none of which touch the discrete operators under test:
   kappa_power;
 * the radial self-similar source solution of the porous-medium subproblem,
   normalized to prescribed mass through the Beta-integral closed form;
-* a manufactured solution with sympy-derived forcings, turning the full
-  coupled stepper into a convergence study against known smooth fields.
+* a manufactured solution whose exact fields and forcings are closed-form
+  numpy, turning the full coupled stepper into a convergence study against
+  known smooth fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -81,6 +83,34 @@ def barenblatt(alpha: float, mass: float, dim: int, t: float, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # manufactured solution
 
+class _Exact(NamedTuple):
+    val: np.ndarray
+    grad: np.ndarray
+    lap: np.ndarray
+    dt: np.ndarray
+
+
+def _exact(const: float, modes, x, t: float) -> _Exact:
+    """Value, gradient (axis first), laplacian and time derivative, in closed
+    form, of const + sum of amp T(t) prod_d f_d(x_d) over `modes`.  A mode is
+    (amp, T, dT, axes): a time factor T with its derivative dT, and one "sin"
+    or "cos" of unit wavenumber per axis of the coordinate arrays x (as from
+    `grid.mesh`), so each mode's laplacian is -dim times itself."""
+    shape = np.broadcast_shapes(*(a.shape for a in x))
+    val, lap, dt = np.full(shape, float(const)), np.zeros(shape), np.zeros(shape)
+    grad = np.zeros((len(x),) + shape)
+    for amp, T, dT, axes in modes:
+        f = [np.sin(a) if s == "sin" else np.cos(a) for a, s in zip(x, axes)]
+        df = [np.cos(a) if s == "sin" else -np.sin(a) for a, s in zip(x, axes)]
+        prod = amp * math.prod(f)
+        val += T(t) * prod
+        lap -= len(x) * T(t) * prod
+        dt += dT(t) * prod
+        for d in range(len(x)):
+            grad[d] += amp * T(t) * math.prod(f[:d] + [df[d]] + f[d + 1:])
+    return _Exact(val, grad, lap, dt)
+
+
 @dataclass
 class ManufacturedProblem:
     """Exact fields and matching forcings on a square periodic 2D box."""
@@ -101,58 +131,47 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
     sinc factors of the two axes cancel), so the projection step is exercised
     without fighting the exact solution.  Amplitudes are kept small so the
     first-order upwind truncation stays subordinate to the second-order bulk.
+    The forcings are the PDE's residual on the exact fields, by the chain and
+    product rules with g = (n+rho)^(1+alpha), reading every constant from
+    `model` and `params`.
     """
-    import sympy as sp
-
     two_pi = 2.0 * np.pi
     spec = DomainSpec(2, "periodic", (two_pi, two_pi), (resolution, resolution))
     model = ChiKappaModel(chi_offset=0.05, chi_slope=0.02,
                           kappa_coeff=0.3, kappa_power=1.0)
     params = SimParams(alpha=alpha, tau=tau, rho=rho, t_final=t_final,
                        domain=spec, cfl_safety=0.4)
+    x = mesh(spec)
+    cos_t = (np.cos, lambda t: -np.sin(t))
+    swirl_t = (lambda t: 1.0 + np.sin(t) / 2.0, lambda t: np.cos(t) / 2.0)
 
-    x, y, t = sp.symbols("x y t")
-    amp = sp.Rational(1, 50)
-    n_e = 1 + sp.Rational(3, 10) * sp.sin(x) * sp.cos(y) * sp.cos(t)
-    c_e = 1 + sp.Rational(1, 5) * sp.cos(x) * sp.sin(y) * sp.cos(t)
-    g_t = 1 + sp.sin(t) / 2
-    u1_e = -amp * sp.cos(x) * sp.sin(y) * g_t
-    u2_e = amp * sp.sin(x) * sp.cos(y) * g_t
-    chi_e = sp.Rational(1, 20) + sp.Rational(1, 50) * c_e
-
-    def lap(f):
-        return sp.diff(f, x, 2) + sp.diff(f, y, 2)
-
-    adv_n = u1_e * sp.diff(n_e, x) + u2_e * sp.diff(n_e, y)
-    s_n = (sp.diff(n_e, t) + adv_n - lap((n_e + rho) ** (1 + alpha))
-           + sp.diff(chi_e * n_e * sp.diff(c_e, x), x)
-           + sp.diff(chi_e * n_e * sp.diff(c_e, y), y))
-    s_c = (sp.diff(c_e, t) + u1_e * sp.diff(c_e, x) + u2_e * sp.diff(c_e, y)
-           - lap(c_e) + sp.Rational(3, 10) * c_e * n_e)
-    conv1 = u1_e * sp.diff(u1_e, x) + u2_e * sp.diff(u1_e, y)
-    conv2 = u1_e * sp.diff(u2_e, x) + u2_e * sp.diff(u2_e, y)
-    s_u1 = sp.diff(u1_e, t) + tau * conv1 - lap(u1_e)
-    s_u2 = sp.diff(u2_e, t) + tau * conv2 - lap(u2_e)
-
-    lam = [sp.lambdify((x, y, t), f, modules="numpy")
-           for f in (n_e, c_e, u1_e, u2_e, s_n, s_c, s_u1, s_u2)]
-    xs, ys = mesh(spec)
-    shape = spec.shape
-
-    def _eval(fn, tv):
-        return np.broadcast_to(np.asarray(fn(xs, ys, tv), dtype=float), shape).copy()
-
-    def fields(tv: float):
-        n = _eval(lam[0], tv)
-        c = _eval(lam[1], tv)
-        u = np.stack([_eval(lam[2], tv), _eval(lam[3], tv)])
+    def exact(t: float):
+        n = _exact(1.0, [(0.3, *cos_t, ("sin", "cos"))], x, t)
+        c = _exact(1.0, [(0.2, *cos_t, ("cos", "sin"))], x, t)
+        u = [_exact(0.0, [(-0.02, *swirl_t, ("cos", "sin"))], x, t),
+             _exact(0.0, [(0.02, *swirl_t, ("sin", "cos"))], x, t)]
         return n, c, u
 
-    def sources(tv: float):
-        sn = _eval(lam[4], tv)
-        sc = _eval(lam[5], tv)
-        su = np.stack([_eval(lam[6], tv), _eval(lam[7], tv)])
-        return sn, sc, su
+    def fields(t: float):
+        n, c, u = exact(t)
+        return n.val, c.val, np.stack([ud.val for ud in u])
+
+    def sources(t: float):
+        n, c, u = exact(t)
+        a, nr = params.alpha, n.val + params.rho
+
+        def adv(f):
+            return sum(ud.val * f.grad[d] for d, ud in enumerate(u))
+        chi = model.chi_offset + model.chi_slope * c.val
+        s_n = (n.dt + adv(n)
+               - ((1 + a) * a * nr ** (a - 1) * np.sum(n.grad ** 2, axis=0)
+                  + (1 + a) * nr ** a * n.lap)
+               + model.chi_slope * n.val * np.sum(c.grad ** 2, axis=0)
+               + chi * (np.sum(n.grad * c.grad, axis=0) + n.val * c.lap))
+        s_c = (c.dt + adv(c) - c.lap
+               + model.kappa_coeff * c.val ** model.kappa_power * n.val)
+        s_u = np.stack([ud.dt + params.tau * adv(ud) - ud.lap for ud in u])
+        return s_n, s_c, s_u
 
     return ManufacturedProblem(params, model, fields, sources)
 
@@ -160,15 +179,23 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
 # ---------------------------------------------------------------------------
 # study drivers (these DO run the solver; the closed forms above do not)
 
+def _distinct(name: str, values: list) -> list:
+    """A study's grid sizes or dts, refused if empty or if one repeats (two
+    rows at one value have no order between them)."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{name} must not repeat a value, got {values}")
+    return values
+
+
 def _resolutions(values) -> list[int]:
     """A study's grid sizes, all checked before the first run: 8.5 must not
     run as 8."""
     values = list(values)
-    if not values:
-        raise ValueError("resolutions must not be empty")
     if not all(isinstance(N, Integral) for N in values):
         raise ValueError(f"resolutions must be integers, got {values}")
-    return [int(N) for N in values]
+    return _distinct("resolutions", [int(N) for N in values])
 
 
 def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
@@ -176,15 +203,17 @@ def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
                               t_final: float = 0.5, kappa_power: float = 1.0):
     """Run the full stepper on uniform data for each dt; return
     [(dt, relative error vs the closed form)].  kappa_power m != 1 takes the
-    step's c^(m-1) consumption branch.  An empty dts or a c0 <= 0 (whose
-    closed form 0 the relative error cannot divide by) raises ValueError."""
+    step's c^(m-1) consumption branch.  An empty or repeating dts, a c0 <= 0
+    (whose closed form 0 the relative error cannot divide by), and an n_bar
+    or kappa_coeff <= 0 (nothing is consumed, so c stays c0) raise
+    ValueError."""
     from .solver import run
 
-    dts = list(dts)
-    if not dts:
-        raise ValueError("dts must not be empty")
-    if not c0 > 0:
-        raise ValueError(f"c0 must be > 0, got {c0!r}")
+    dts = _distinct("dts", [float(dt) for dt in dts])
+    for name, value in (("n_bar", n_bar), ("c0", c0),
+                        ("kappa_coeff", kappa_coeff)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
     spec = DomainSpec(1, "periodic", (2.0,), (8,))
     model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
                           kappa_coeff=kappa_coeff, kappa_power=kappa_power)
@@ -192,14 +221,14 @@ def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
     out = []
     for dt in dts:
         params = SimParams(alpha=0.5, tau=0, rho=0.5, t_final=t_final,
-                           domain=spec, cfl_safety=1.0, dt_max=float(dt))
+                           domain=spec, cfl_safety=1.0, dt_max=dt)
         initial = {"n": {"type": "constant", "value": n_bar},
                    "c": {"type": "constant", "value": c0},
                    "u": {"type": "zero"}}
         res = run(params, model, initial,
                   output={"sample_interval": t_final})
         c_num = float(np.mean(res.state.c.data))
-        out.append((float(dt), abs(c_num - exact) / abs(exact)))
+        out.append((dt, abs(c_num - exact) / abs(exact)))
     return out
 
 

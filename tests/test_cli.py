@@ -546,6 +546,17 @@ class TestOracleCommand:
             ("manufactured", {"resolutions": []}, 2,
              "oracle: resolutions must not be empty"),
             ("uniform", {"dts": []}, 2, "oracle: dts must not be empty"),
+            # nothing is consumed, so c stays at c0 and every error reads 0
+            ("uniform", {"n_bar": 0}, 2, "oracle: n_bar must be > 0, got 0"),
+            ("uniform", {"kappa_coeff": 0}, 2,
+             "oracle: kappa_coeff must be > 0, got 0"),
+            # a repeated grid size or dt has no order between its two rows
+            ("uniform", {"dts": [0.002, 0.002]}, 2,
+             "oracle: dts must not repeat a value, got [0.002, 0.002]"),
+            ("barenblatt", {"resolutions": [16, 16]}, 2,
+             "oracle: resolutions must not repeat a value, got [16, 16]"),
+            ("manufactured", {"resolutions": [16, 16]}, 2,
+             "oracle: resolutions must not repeat a value, got [16, 16]"),
             # a run that breaks down is an error, as for `run`
             ("barenblatt", {"mass": 1e300, "resolutions": [8]}, 1,
              "error: non-finite cell density"),

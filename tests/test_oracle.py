@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import chemoflux as cf
 from chemoflux.oracle import (barenblatt, barenblatt_convergence,
@@ -22,7 +23,7 @@ from chemoflux.oracle import (barenblatt, barenblatt_convergence,
 def discrete_residuals(mp, t: float, delta: float = 1e-5):
     """Second-order finite-difference residual of the PDE on the exact fields.
 
-    Independent check that the symbolic forcings are right: residual minus
+    Independent check that the closed-form forcings are right: residual minus
     forcing must shrink as O(h^2) (plus O(delta^2) from the time difference).
     """
     spec = mp.params.domain
@@ -54,6 +55,46 @@ def discrete_residuals(mp, t: float, delta: float = 1e-5):
         conv = sum(u0[e] * grad_ud[e] for e in range(2))
         r_u.append(ddt(u_p[d], u_m[d]) + tau * conv - cf.laplacian(sf(u0[d])).data)
     return r_n, r_c, np.stack(r_u)
+
+
+def sympy_reference(mp):
+    """The standard manufactured problem derived again in sympy, as t ->
+    (n, c, u1, u2, s_n, s_c, s_u1, s_u2) on mp's grid.
+
+    A test-only reference for `manufactured_problem`: its constants are
+    typed in here as exact rationals, and sympy differentiates the PDE
+    (with the cell flux in divergence form) itself.
+    """
+    rho, alpha, tau = mp.params.rho, mp.params.alpha, mp.params.tau
+    x, y, t = sp.symbols("x y t")
+    amp = sp.Rational(1, 50)
+    n_e = 1 + sp.Rational(3, 10) * sp.sin(x) * sp.cos(y) * sp.cos(t)
+    c_e = 1 + sp.Rational(1, 5) * sp.cos(x) * sp.sin(y) * sp.cos(t)
+    g_t = 1 + sp.sin(t) / 2
+    u1_e = -amp * sp.cos(x) * sp.sin(y) * g_t
+    u2_e = amp * sp.sin(x) * sp.cos(y) * g_t
+    chi_e = sp.Rational(1, 20) + sp.Rational(1, 50) * c_e
+
+    def lap(f):
+        return sp.diff(f, x, 2) + sp.diff(f, y, 2)
+
+    adv_n = u1_e * sp.diff(n_e, x) + u2_e * sp.diff(n_e, y)
+    s_n = (sp.diff(n_e, t) + adv_n - lap((n_e + rho) ** (1 + alpha))
+           + sp.diff(chi_e * n_e * sp.diff(c_e, x), x)
+           + sp.diff(chi_e * n_e * sp.diff(c_e, y), y))
+    s_c = (sp.diff(c_e, t) + u1_e * sp.diff(c_e, x) + u2_e * sp.diff(c_e, y)
+           - lap(c_e) + sp.Rational(3, 10) * c_e * n_e)
+    conv1 = u1_e * sp.diff(u1_e, x) + u2_e * sp.diff(u1_e, y)
+    conv2 = u1_e * sp.diff(u2_e, x) + u2_e * sp.diff(u2_e, y)
+    s_u1 = sp.diff(u1_e, t) + tau * conv1 - lap(u1_e)
+    s_u2 = sp.diff(u2_e, t) + tau * conv2 - lap(u2_e)
+
+    lam = sp.lambdify((x, y, t), [n_e, c_e, u1_e, u2_e, s_n, s_c, s_u1, s_u2],
+                      modules="numpy")
+    xs, ys = cf.mesh(mp.params.domain)
+    shape = mp.params.domain.shape
+    return lambda tv: [np.broadcast_to(np.asarray(f, dtype=float), shape)
+                       for f in lam(xs, ys, tv)]
 
 
 class TestUniformStateOde:
@@ -155,6 +196,22 @@ class TestManufactured:
         n, c, _ = mp.fields(0.05)
         assert n.min() > 0
         assert c.min() > 0
+
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("tau", [0, 1])
+    def test_fields_and_forcings_match_sympy_reference(self, N, tau):
+        mp = manufactured_problem(resolution=N, tau=tau)
+        reference = sympy_reference(mp)
+        for t in (0.0, 0.04, 0.1):
+            n, c, u = mp.fields(t)
+            s_n, s_c, s_u = mp.sources(t)
+            ours = [n, c, u[0], u[1], s_n, s_c, s_u[0], s_u[1]]
+            for name, got, want in zip(
+                    ("n", "c", "u1", "u2", "s_n", "s_c", "s_u1", "s_u2"),
+                    ours, reference(t)):
+                assert got.shape == want.shape, (name, t)
+                scale = np.maximum(1.0, np.abs(want))
+                assert np.max(np.abs(got - want) / scale) <= 1e-13, (name, t)
 
     def test_forcings_match_independent_residual_at_second_order(self):
         errs = []

@@ -1,5 +1,5 @@
-"""The package's layering: lazy exports, and the layers that load no
-numerical library."""
+"""The package's layering: lazy exports, the layers that load no
+numerical library, and a runtime that loads no sympy."""
 
 import os
 import subprocess
@@ -20,13 +20,34 @@ print(sorted(m for m in sys.modules
 """
 
 
-def test_exact_layers_load_no_numerical_library():
+def _run_child(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this chemoflux."""
     src = str(Path(cf.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", _CHILD], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_exact_layers_load_no_numerical_library():
+    out = _run_child(_CHILD)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+_MANUFACTURED_CHILD = """
+import sys
+from chemoflux.oracle import manufactured_convergence, manufactured_problem
+manufactured_problem(16).sources(0.05)
+manufactured_convergence((16,))
+print("sympy" in sys.modules)
+"""
+
+
+def test_manufactured_problem_loads_no_sympy():
+    # the forcings are closed-form numpy; sympy is a test-only reference
+    out = _run_child(_MANUFACTURED_CHILD)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_every_public_name_resolves():
