@@ -9,12 +9,13 @@ exponents must satisfy there, and (where the entry asserts an inequality
 between norms) the dilation-scaling bookkeeping of both sides.
 
 Everything here is exact: a Fraction at a point, a ratio of integer
-polynomials in the point index along a lattice line.  Floats are rejected at
-the boundary: a single float would silently turn exact window checks into
-approximate ones.  A scan decides a check on a line at the line's two end
-points when Descartes' rule of signs proves it continuous and monotone
-between them, which also proves it on the whole real segment; elsewhere it
-decides every lattice point.
+polynomials in the lattice coordinates (i, j) over the whole scan lattice.
+Floats are rejected at the boundary: a single float would silently turn
+exact window checks into approximate ones.  A scan traces each check once
+per entry and reads each lattice line's N(j)/D(j) off that trace.  It
+decides a check on a line at the line's two end points when Descartes' rule
+of signs proves it continuous and monotone between them, which also proves
+it on the whole real segment; elsewhere it decides every lattice point.
 
 Scaling bookkeeping (space dimension 3, mass-normalized densities): under
 n -> n(lambda x),
@@ -25,14 +26,11 @@ n -> n(lambda x),
 
 `scaling_check` verifies that the lambda-exponents of both sides of an
 asserted inequality agree identically as rational functions: it traces
-their difference along each line of the scan lattice, and its numerator
-must be the zero polynomial.  For an entry without a p window the one line
-runs along alpha, so it proves the identity in alpha outright.  Otherwise
-the lines run along p on at least 21 rational alpha rows.  Every exponent
-in the catalog is a ratio of polynomials of total degree <= 4 in (a, p)
-(tests/test_ledger.py checks this on sympy symbols), so the difference has
-numerator degree far below 21 in a; vanishing identically on 21 rows
-therefore proves the identity exactly, it does not sample it.
+their difference once in (i, j), and its numerator must be the zero
+polynomial.  a is affine in i (in j for an entry without a p window), and p
+affine in j on each row, so (i, j) -> (a, p) is invertible wherever the p
+window is not empty: the zero numerator proves the identity on the whole
+region, it does not sample it.
 """
 
 from __future__ import annotations
@@ -225,6 +223,21 @@ def _at(coeffs: tuple[int, ...], j: int) -> int:
     return v
 
 
+Poly2 = tuple[tuple[int, ...], ...]  # over powers of j: integer i-polynomials
+
+
+def _badd(x: Poly2, y: Poly2) -> Poly2:
+    return tuple(_padd(c, e) for c, e in zip_longest(x, y, fillvalue=()))
+
+
+def _bmul(x: Poly2, y: Poly2) -> Poly2:
+    out = [()] * (len(x) + len(y) - 1)
+    for s, c in enumerate(x):
+        for t, e in enumerate(y):
+            out[s + t] = _padd(out[s + t], _pmul(c, e))
+    return tuple(out)
+
+
 def _taylor_shift(coeffs: list[int], s: int) -> None:
     """Turn the coefficients of f(x) into those of f(x + s), in place."""
     for i in range(len(coeffs) - 1):
@@ -264,26 +277,32 @@ def _derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _RowValue:
-    """An expression traced along a lattice line: N(j)/D(j) in the line's
-    point index j, as integer coefficient tuples (constant term first).
-    Division keeps the divisor's denominator in D, so D is a product of
-    nonzero constants and of every divisor's numerator and denominator: where
-    D(j) is 0 the expression's Fraction evaluation at point j divides by zero,
-    and elsewhere it equals N(j)/D(j).  Dividing by the zero polynomial
-    raises."""
+    """An expression traced over the scan lattice: N(i, j)/D(i, j) in the
+    alpha-row index i and the point index j along a row, each a tuple over
+    powers of j of integer i-polynomials (constant terms first).  Division
+    keeps the divisor's denominator in D, so D is a product of nonzero
+    constants and of every divisor's numerator and denominator: where
+    D(i, j) is 0 the expression's Fraction evaluation at that point divides
+    by zero, and elsewhere it equals N(i, j)/D(i, j).  Dividing by the zero
+    polynomial raises."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: tuple[int, ...], den: tuple[int, ...]):
+    def __init__(self, num: Poly2, den: Poly2):
         self.num, self.den = num, den
 
+    def row(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(N, D) on row i: integer polynomials in j, by Horner in i."""
+        return (tuple(_at(c, i) for c in self.num),
+                tuple(_at(c, i) for c in self.den))
+
     def __neg__(self) -> _RowValue:
-        return _RowValue(tuple(-c for c in self.num), self.den)
+        return _RowValue(tuple(tuple(-c for c in col) for col in self.num), self.den)
 
     def __add__(self, other) -> _RowValue:
         o = _lift(other)
-        return _RowValue(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-                         _pmul(self.den, o.den))
+        return _RowValue(_badd(_bmul(self.num, o.den), _bmul(o.num, self.den)),
+                         _bmul(self.den, o.den))
 
     def __sub__(self, other) -> _RowValue:
         return self + -other
@@ -293,14 +312,14 @@ class _RowValue:
 
     def __mul__(self, other) -> _RowValue:
         o = _lift(other)
-        return _RowValue(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return _RowValue(_bmul(self.num, o.num), _bmul(self.den, o.den))
 
     def __truediv__(self, other) -> _RowValue:
         o = _lift(other)
-        if not any(o.num):
-            raise ZeroDivisionError("divisor vanishes along the whole line")
-        return _RowValue(_pmul(self.num, _pmul(o.den, o.den)),
-                         _pmul(self.den, _pmul(o.num, o.den)))
+        if not any(map(any, o.num)):
+            raise ZeroDivisionError("divisor vanishes on the whole lattice")
+        return _RowValue(_bmul(self.num, _bmul(o.den, o.den)),
+                         _bmul(self.den, _bmul(o.num, o.den)))
 
     def __rtruediv__(self, other) -> _RowValue:
         return _lift(other) / self
@@ -312,59 +331,78 @@ def _lift(x) -> _RowValue:
     if type(x) is _RowValue:
         return x
     if isinstance(x, (int, Fraction)):
-        return _RowValue((x.numerator,), (x.denominator,))
+        return _RowValue(((x.numerator,),), ((x.denominator,),))
     raise TypeError(f"row values take int or Fraction operands, not {type(x).__name__}")
 
 
-_J = _RowValue((0, 1), (1,))  # the point index j of a line
+_I = _RowValue(((0, 1),), ((1,),))  # the alpha-row index i
+_J = _RowValue(((0,), (1,)), ((1,),))  # the point index j along a row
 
 
-def _on(x, j: int):
-    """x at point j of a lattice line: x itself unless it is traced in j."""
-    return Fraction(_at(x.num, j), _at(x.den, j)) if type(x) is _RowValue else x
+def _on(x, i: int, j: int):
+    """x at lattice point (i, j): x itself unless it is traced."""
+    if type(x) is not _RowValue:
+        return x
+    num, den = x.row(i)
+    return Fraction(_at(num, j), _at(den, j))
 
 
-def _lattice(entry: LedgerEntry, m: int) -> list[tuple]:
-    """The density-m scan lattice as lines (a, p, inner): one of a, p is
-    traced in the point index j, and `inner` holds the j of the line's
-    points, every one of them inside the region.
+def _lattice(entry: LedgerEntry, m: int) -> tuple:
+    """The density-m scan lattice as (a, p, rows): a and p traced in the
+    row index i and the point index j, and `rows` the (i, inner) of its
+    lines, `inner` holding the j of the line's points, every one of them
+    inside the region.
 
-    Alpha rows sit at a = alpha_lo + step*j, step = (cap - alpha_lo)/(m+1),
-    for j = 1..m plus 0 and m+1 where those are closed ends of the region.
-    An entry without a p window is one line along alpha.  Else each row with
-    a nonempty p window is a line p = lo + (hi - lo)/(m+1)*j, j = 1..m."""
+    Alpha rows sit at a = alpha_lo + step*i, step = (cap - alpha_lo)/(m+1),
+    for i = 1..m plus 0 and m+1 where those are closed ends of the region.
+    An entry without a p window is one line along alpha: a is traced in j
+    instead, and its one row is i = 0.  Else each row with a nonempty p
+    window is a line p = lo(a) + (hi(a) - lo(a))/(m+1)*j, j = 1..m."""
     cap = entry.alpha_hi if entry.alpha_hi is not None else entry.scan_alpha_hi
     cap = entry.alpha_lo + 1 if cap is None else cap
     if cap <= entry.alpha_lo:
         raise CatalogError(f"entry {entry.id!r}: empty alpha scan range "
                            f"({entry.alpha_lo}, {cap})")
-    a_line = entry.alpha_lo + (cap - entry.alpha_lo) / (m + 1) * _J
-    rows = list(range(entry.alpha_lo_strict, m + 1))  # j = 0 iff a closed end
+    step = (cap - entry.alpha_lo) / (m + 1)
+    alphas = list(range(entry.alpha_lo_strict, m + 1))  # 0 iff a closed end
     if entry.alpha_hi is not None and not entry.alpha_hi_strict:
-        rows.append(m + 1)
+        alphas.append(m + 1)
     if not entry.uses_p:
-        return [(a_line, None, rows)]
-    lines = []
-    for j in rows:
-        a = _on(a_line, j)
+        return entry.alpha_lo + step * _J, None, [(0, alphas)]
+    rows = []
+    for i in alphas:
+        a = entry.alpha_lo + step * i
         lo = entry.p_lo(a, None)
         hi = lo + SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None)
         if lo < hi:
-            lines.append((a, lo + (hi - lo) / (m + 1) * _J, range(1, m + 1)))
-    return lines
+            rows.append((i, range(1, m + 1)))
+    a = entry.alpha_lo + step * _I
+    lo = entry.p_lo(a, None)
+    width = SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None) - lo
+    return a, lo + width / (m + 1) * _J, rows
 
 
 def scaling_check(entry: LedgerEntry) -> bool:
     """True iff every asserted inequality of the entry is dilation-consistent
-    (identical lambda-exponents on both sides); vacuously true without one."""
+    (identical lambda-exponents on both sides).  Vacuously true without one,
+    and for a p window that is empty at every alpha (p_hi = p_lo
+    identically), whose region holds no point.
+
+    Each gap lhs - rhs is traced once over the lattice coordinates (i, j),
+    and its numerator must be the zero polynomial.  Unless the window is
+    empty at every alpha, (i, j) -> (a, p) is invertible on an open set, so
+    that proves the gap zero as a rational function of (a, p): the identity
+    holds on the whole region, not only at lattice points."""
     if not entry.scalings:
         return True
-    for a, p, _ in _lattice(entry, 21):
-        for sc in entry.scalings:
-            lhs = sum((f.lam_exponent(a, p) for f in sc.lhs), Fraction(0))
-            rhs = sum((f.lam_exponent(a, p) for f in sc.rhs), Fraction(0))
-            if any(_lift(lhs - rhs).num):  # not identically zero on the line
-                return False
+    a, p, _ = _lattice(entry, 1)
+    if p is not None and not any(map(any, p.num[1:])):
+        return True  # p = p_lo(a) does not move along a row
+    for sc in entry.scalings:
+        lhs = sum((f.lam_exponent(a, p) for f in sc.lhs), Fraction(0))
+        rhs = sum((f.lam_exponent(a, p) for f in sc.rhs), Fraction(0))
+        if any(map(any, _lift(lhs - rhs).num)):  # not identically zero
+            return False
     return True
 
 
@@ -386,26 +424,26 @@ def _widen(ranges: dict, name: str, lo: Fraction, hi: Fraction) -> None:
     ranges[name] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
 
 
-def _ratio(v: _RowValue, j: int) -> tuple[int, int]:
-    """v at point j as n/d with d >= 0; d is 0 where v is undefined."""
-    n, d = _at(v.num, j), _at(v.den, j)
+def _ratio(num: tuple[int, ...], den: tuple[int, ...], j: int) -> tuple[int, int]:
+    """num/den at point j as n/d with d >= 0; d is 0 where it is undefined."""
+    n, d = _at(num, j), _at(den, j)
     return (-n, -d) if d < 0 else (n, d)
 
 
-def _ends_range(chk: Check, v: _RowValue, j0: int,
+def _ends_range(chk: Check, num: tuple[int, ...], den: tuple[int, ...], j0: int,
                 j1: int) -> tuple[Fraction, Fraction] | None:
-    """The range of v = N/D over the points j0..j1 of a line, if both end
-    points pass `chk` and v is proved continuous and monotone on [j0, j1]:
-    D has no root on the closed segment and N'D - ND' none inside it (or
-    vanishes identically).  Every point between then passes too.  None when
-    an end fails or the proof does not go through."""
-    n0, d0 = _ratio(v, j0)
-    n1, d1 = _ratio(v, j1)
+    """The range of v = N/D (one row's `num`, `den`) over the points j0..j1
+    of the row, if both end points pass `chk` and v is proved continuous and
+    monotone on [j0, j1]: D has no root on the closed segment and N'D - ND'
+    none inside it (or vanishes identically).  Every point between then
+    passes too.  None when an end fails or the proof does not go through."""
+    n0, d0 = _ratio(num, den, j0)
+    n1, d1 = _ratio(num, den, j1)
     if not (d0 and d1 and chk.holds_ratio(n0, d0) and chk.holds_ratio(n1, d1)
-            and _no_root_between(v.den, j0, j1)):
+            and _no_root_between(den, j0, j1)):
         return None
-    slope = _padd(_pmul(_derivative(v.num), v.den),
-                  tuple(-c for c in _pmul(v.num, _derivative(v.den))))
+    slope = _padd(_pmul(_derivative(num), den),
+                  tuple(-c for c in _pmul(num, _derivative(den))))
     if any(slope) and not _no_root_between(slope, j0, j1):
         return None
     ends = Fraction(n0, d0), Fraction(n1, d1)
@@ -415,34 +453,42 @@ def _ends_range(chk: Check, v: _RowValue, j0: int,
 def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     """Lattice-verify an entry: every lattice point (interior points plus
     closed endpoints) must pass every check.  Value ranges are tracked per
-    check, exactly.  Each check is traced once per lattice line.  On a line
+    check, exactly.  Each check is traced once per entry, over the whole
+    lattice, and each line reads its N(j)/D(j) off that trace.  On a line
     of more than two points where Descartes' rule of signs proves the check
     continuous and monotone (`_ends_range`), its two end points decide it
     and give its range; otherwise every point is decided by integer
     polynomial evaluations and sign tests.  Both ways give the same report.
+    A line where D is the zero polynomial is a pole along its whole length.
     No point outside the region is scanned; `check_entry` decides any single
     point, inside or out.
     """
     if density < 1:
         raise ValueError(f"scan density must be an integer >= 1, got {density!r}")
+    a, p, rows = _lattice(entry, density)
+    traced = []
+    for chk in entry.checks:
+        try:
+            traced.append(_lift(chk.value(a, p)))
+        except ZeroDivisionError:  # a divisor vanishes on the whole lattice
+            traced.append(None)
     points = 0
     failures, ranges = [], {}
-    for a, p, inner in _lattice(entry, density):
+    for i, inner in rows:
         poles, failed = [], []
-        for k, chk in enumerate(entry.checks):
-            try:
-                v = _lift(chk.value(a, p))
-            except ZeroDivisionError:  # a divisor vanishes on the whole line
+        for k, (chk, v) in enumerate(zip(entry.checks, traced)):
+            if v is None:
                 poles.extend(inner[:1])
                 continue
-            ends = len(inner) > 2 and _ends_range(chk, v, inner[0], inner[-1])
+            num, den = v.row(i)
+            ends = len(inner) > 2 and _ends_range(chk, num, den, inner[0], inner[-1])
             if ends:
                 _widen(ranges, chk.name, *ends)
                 continue
             lo_v = hi_v = None
             for j in inner:
-                n, d = _ratio(v, j)
-                if d == 0:
+                n, d = _ratio(num, den, j)
+                if d == 0:  # also the first point of a line where D is zero
                     poles.append(j)
                     break
                 if not chk.holds_ratio(n, d):
@@ -454,8 +500,8 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
             if lo_v is not None:
                 _widen(ranges, chk.name, Fraction(*lo_v), Fraction(*hi_v))
         if poles:  # raises the CatalogError a point-by-point scan meets first
-            check_entry(entry, _on(a, min(poles)), _on(p, min(poles)))
-        failures += [(_on(a, j), _on(p, j), entry.checks[k].name)
+            check_entry(entry, _on(a, i, min(poles)), _on(p, i, min(poles)))
+        failures += [(_on(a, i, j), _on(p, i, j), entry.checks[k].name)
                      for j, k in sorted(failed)]
         points += len(inner)
     return ScanReport(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -270,10 +270,13 @@ def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
     time error rides below the second-order spatial measurement.  A row
     whose dt exceeds the explicit stability bound (`stable_dt` at
     cfl_safety 1 on its initial state, about 0.1435 h^2) raises ValueError
-    before its first step."""
+    before its first step, as do a t_end that is not finite and > 0 and a
+    dt_factor <= 0."""
     from .solver import FieldState, stable_dt, step
     from .grid import VectorField
 
+    if not (isinstance(t_end, Real) and math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
     if not dt_factor > 0:
         raise ValueError(f"dt_factor must be > 0, got {dt_factor!r}")
     out = []

@@ -188,7 +188,8 @@ def test_criterion_08_exact_catalog_scan_and_anchors():
     values = {o.name: o.value for o in res.outcomes}
     assert values["theta5"] == F(1, 6)
     wall = time.perf_counter() - t0
-    assert wall <= 60.0
+    # about 0.3 s; a fall back to the point-by-point scan took 10-12 s
+    assert wall <= 10.0
     print(f"criterion 08: {len(catalog)} entries scanned at density 100 "
           f"in {wall:.1f}s")
 

@@ -533,6 +533,10 @@ class TestOracleCommand:
              "oracle: resolutions must be integers"),
             ("manufactured", {"dt_factor": 0}, 2, "oracle: dt_factor must be > 0"),
             ("manufactured", {"dt_factor": -1}, 2, "oracle: dt_factor must be > 0"),
+            ("manufactured", {"t_end": 0}, 2,
+             "oracle: t_end must be finite and > 0, got 0"),
+            ("manufactured", {"t_end": -1}, 2,
+             "oracle: t_end must be finite and > 0, got -1"),
             ("manufactured", {"dt_factor": 0.2}, 2,
              "oracle: N=16: dt=0.025 exceeds the stability bound"),
             # values with no closed form to compare against, and empty

@@ -179,8 +179,33 @@ class TestScalings:
         assert not cf.scaling_check(bad)
         assert not cf.scan_region(bad, density=8).passed
 
+    def test_scaling_gap_zero_only_on_the_window_edge_detected(self):
+        # the gap (1 + a - p)/2 vanishes on p = p_lo(a) = 1 + a, the lattice's
+        # j = 0, and nowhere inside the window
+        e = lg.LedgerEntry(
+            id="x-edge-gap", title="scaling consistent only on the window edge",
+            alpha_lo=F(1, 3), alpha_hi=F(1), p_lo=lambda a, p: 1 + a,
+            checks=(lg.Check("v", lambda a, p: p, lo=F(0)),),
+            scalings=(lg.Scaling(lhs=(lg._grad_pow(lambda a, p: p),),
+                                 rhs=(lg._grad_pow(lambda a, p: 1 + a),)),))
+        assert not cf.scaling_check(e)
+
     def test_scaling_vacuous_without_entries(self):
         assert cf.scaling_check(cf.get_entry("case-i-low"))
+
+    def test_scaling_vacuous_on_empty_p_window(self):
+        # p_hi = p_lo leaves no point in the region: the inconsistent scaling
+        # passes vacuously, and the scan has no line
+        one = lambda a, p: F(1)
+        e = lg.LedgerEntry(
+            id="x-empty-window", title="p window empty at every alpha",
+            alpha_lo=F(1, 6), alpha_hi=F(1, 3), p_lo=lambda a, p: 1 + a,
+            p_hi=lambda a, p: 1 + a, checks=(lg.Check("v", lambda a, p: p, lo=F(0)),),
+            scalings=(lg.Scaling(lhs=(lg.ScaleFactor("lp", one, one),),
+                                 rhs=(lg.ScaleFactor("grad_pow", one, one),)),))
+        assert cf.scaling_check(e) is True
+        rep = cf.scan_region(e, density=3)
+        assert (rep.interior_points, rep.passed) == (0, True)
 
 
 class TestScan:
@@ -259,6 +284,26 @@ class TestScan:
         with pytest.raises(cf.CatalogError, match=r"alpha=1/4, p=5/2"):
             cf.scan_region(e, density=3)
 
+    def test_pole_on_one_whole_row_raises(self):
+        # density 3 puts the second row on a = 1/4, where the divisor
+        # vanishes for every p; its first point p = 5/2 is reported
+        e = lg.LedgerEntry(id="x-row-pole", title="pole along one interior row",
+                           alpha_lo=F(1, 6), alpha_hi=F(1, 3),
+                           p_lo=lambda a, p: F(2), p_hi=lambda a, p: F(4),
+                           checks=(lg.Check("v", lambda a, p: 1 / ((a - F(1, 4)) * p),
+                                            lo=F(0)),))
+        with pytest.raises(cf.CatalogError, match=r"alpha=1/4, p=5/2$"):
+            cf.scan_region(e, density=3)
+
+    def test_divisor_zero_everywhere_raises_at_first_point(self):
+        e = lg.LedgerEntry(id="x-zero-divisor", title="a divisor that is 0",
+                           alpha_lo=F(1, 6), alpha_hi=F(1, 3),
+                           p_lo=lambda a, p: F(2), p_hi=lambda a, p: F(4),
+                           checks=(lg.Check("ok", lambda a, p: p, lo=F(0)),
+                                   lg.Check("v", lambda a, p: 1 / (p - p), lo=F(0))))
+        with pytest.raises(cf.CatalogError, match=r"'v'.*alpha=5/24, p=5/2$"):
+            cf.scan_region(e, density=3)
+
     def test_failures_listed_point_major(self):
         e = lg.LedgerEntry(id="x-fails", title="checks failing on the lattice",
                            alpha_lo=F(0), alpha_hi=F(1),
@@ -312,6 +357,8 @@ class TestExactScanReports:
     # these reports' fields match the point-by-point Fraction scan's
     DIGEST_20 = "02dfb3a39e1f6fb5691ad38a5e800176cd48c408d2eec8707c9d56059a28cb8c"
     DIGEST_60 = "7d1626332fbabb88b63e0403221d1dc2e130af4b5b7ccd28d6c6d04239f6aff4"
+    # criterion 8's density, pinned from the line-by-line scan
+    DIGEST_100 = "3977a14c5442dd9010ec5bcdda02cd300028d7e1c96f619288a6da27b57f3dd9"
 
     @staticmethod
     def _digest(density):
@@ -325,6 +372,9 @@ class TestExactScanReports:
 
     def test_density_60_reports_pinned(self):
         assert self._digest(60) == self.DIGEST_60
+
+    def test_density_100_reports_pinned(self):
+        assert self._digest(100) == self.DIGEST_100
 
 
 _CATALOG = cf.build_ledger()
@@ -353,36 +403,45 @@ _SYNTHETIC = (
 )
 
 
-def _reference_lines(entry, m):
+def _reference_lattice(entry, m):
     """scan_region's lattice of density m, built from the entry's declared
-    fields: lines (point, inner), where point(j) is the line's point at index
-    j (row values for j = lg._J), and inner holds the j of its points."""
+    fields: (point, rows), where point(i, j) is the lattice point at row i
+    and index j (traced values for i, j = lg._I, lg._J), and rows holds the
+    (i, inner) of its lines, inner the j of the line's points."""
     cap = next(c for c in (entry.alpha_hi, entry.scan_alpha_hi, entry.alpha_lo + 1)
                if c is not None)
     step = (cap - entry.alpha_lo) / (m + 1)
-    rows = list(range(1, m + 1))
+    alphas = list(range(1, m + 1))
     if not entry.alpha_lo_strict:
-        rows.insert(0, 0)
+        alphas.insert(0, 0)
     if entry.alpha_hi is not None and not entry.alpha_hi_strict:
-        rows.append(m + 1)
+        alphas.append(m + 1)
     if not entry.uses_p:
-        return [(lambda j: (entry.alpha_lo + step * j, None), rows)]
-    lines = []
-    for i in rows:
-        a = entry.alpha_lo + step * i
+        return (lambda i, j: (entry.alpha_lo + step * j, None)), [(0, alphas)]
+
+    def window(a):
         lo = entry.p_lo(a, None)
-        hi = lo + lg.SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None)
+        return lo, lo + lg.SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None)
+
+    def point(i, j):
+        a = entry.alpha_lo + step * i
+        lo, hi = window(a)
+        return a, lo + (hi - lo) * j / (m + 1)
+
+    rows = []
+    for i in alphas:
+        lo, hi = window(entry.alpha_lo + step * i)
         if lo < hi:
-            lines.append((lambda j, a=a, lo=lo, w=hi - lo: (a, lo + w * j / (m + 1)),
-                          range(1, m + 1)))
-    return lines
+            rows.append((i, range(1, m + 1)))
+    return point, rows
 
 
 def _reference_report(entry, density):
     """scan_region's report fields, rebuilt one point at a time with
     check_entry: (points, failures, value ranges in insertion order).  Every
     lattice point must lie inside the region."""
-    inner = [point(j) for point, js in _reference_lines(entry, density) for j in js]
+    point, rows = _reference_lattice(entry, density)
+    inner = [point(i, j) for i, js in rows for j in js]
     failures, ranges = [], {}
     for a, p in inner:
         res = cf.check_entry(entry, a, p)
@@ -414,19 +473,44 @@ def _assert_scan_matches_points(entry, density):
     rep = cf.scan_region(entry, density=density)
     assert (rep.interior_points, rep.interior_failures,
             list(rep.value_ranges.items())) == _reference_report(entry, density)
-    for point, inner in _reference_lines(entry, density):
-        traced = [lg._lift(c.value(*point(lg._J))) for c in entry.checks]
+    point, rows = _reference_lattice(entry, density)
+    traced = [lg._lift(c.value(*point(lg._I, lg._J))) for c in entry.checks]
+    for i, inner in rows:
+        lines = [v.row(i) for v in traced]
         for j in inner:
-            res = cf.check_entry(entry, *point(j))
-            assert [F(lg._at(v.num, j), lg._at(v.den, j)) if lg._at(v.den, j)
-                    else None for v in traced] == [o.value for o in res.outcomes]
+            res = cf.check_entry(entry, *point(i, j))
+            assert [F(lg._at(num, j), lg._at(den, j)) if lg._at(den, j)
+                    else None for num, den in lines] == [o.value for o in res.outcomes]
+
+
+def _line_ends(entry, density):
+    """Per line of more than two points, `_ends_range` of each check there,
+    read off one trace per check."""
+    a, p, rows = lg._lattice(entry, density)
+    traced = [lg._lift(c.value(a, p)) for c in entry.checks]
+    return [[lg._ends_range(c, *v.row(i), inner[0], inner[-1])
+             for c, v in zip(entry.checks, traced)]
+            for i, inner in rows if len(inner) > 2]
+
+
+def _counting(entry):
+    """The entry with each check's value wrapped to count its calls."""
+    calls = {c.name: 0 for c in entry.checks}
+
+    def counted(chk):
+        def value(a, p):
+            calls[chk.name] += 1
+            return chk.value(a, p)
+        return dataclasses.replace(chk, value=value)
+
+    return dataclasses.replace(entry, checks=tuple(map(counted, entry.checks))), calls
 
 
 class TestRowScanAgainstPoints:
-    """The scan traces each check once per lattice line and decides it at
-    the line's two ends when it is proved monotone there, else point by
-    point; either way every point's value and verdict must be the one
-    check_entry gives there."""
+    """The scan traces each check once per entry over the whole lattice, and
+    each line decides it at its two ends when it is proved monotone there,
+    else point by point; either way every point's value and verdict must be
+    the one check_entry gives there."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_entry_with_cut_bounds(), hst.integers(1, 9))
@@ -437,21 +521,23 @@ class TestRowScanAgainstPoints:
     @pytest.mark.parametrize("entry", _SYNTHETIC, ids=lambda e: e.id)
     def test_non_monotone_lines_scanned_point_by_point(self, entry, density):
         _assert_scan_matches_points(entry, density)
-        for a, p, inner in lg._lattice(entry, density):
-            if len(inner) > 2:
-                bent, ramp = (lg._ends_range(c, lg._lift(c.value(a, p)),
-                                             inner[0], inner[-1])
-                              for c in entry.checks)
-                assert bent is None and ramp is not None, (a, p)
+        for bent, ramp in _line_ends(entry, density):
+            assert bent is None and ramp is not None
 
     def test_catalog_decided_at_line_ends_at_density_60(self):
         # every (line, check) pair of the shipped catalog is proved monotone
         # with passing ends; an edit that loses this slows the scan
         for e in _CATALOG:
-            for a, p, inner in lg._lattice(e, 60):
-                for c in e.checks:
-                    v = lg._lift(c.value(a, p))
-                    assert lg._ends_range(c, v, inner[0], inner[-1]), (e.id, c.name, a)
+            for line in _line_ends(e, 60):
+                assert all(line), (e.id, line)
+
+    @pytest.mark.parametrize("density", [3, 60])
+    def test_each_check_traced_once_per_scan(self, density):
+        for e in _CATALOG + _SYNTHETIC:
+            counted, calls = _counting(e)
+            for scans in (1, 2):
+                cf.scan_region(counted, density=density)
+                assert calls == {c.name: scans for c in e.checks}, e.id
 
 
 @hst.composite
@@ -515,17 +601,18 @@ class TestRootExclusion:
 
 
 class TestSymbolicExactness:
-    """The module docstring's exactness claim, checked in sympy: every check
-    value, scale index and power is a ratio of polynomials of total degree
-    <= 4 in (a, p), so for an entry with a p window, vanishing identically
-    along p on 21 alpha rows proves an identity (one line along alpha proves
-    it for an entry without one); and each Scaling's lambda-exponents cancel
-    identically, not just on the lattice's lines."""
+    """The catalog's exactness, checked in sympy apart from the traced
+    arithmetic: every check value, scale index and power is a ratio of
+    polynomials of total degree <= 4 in (a, p), and each Scaling's
+    lambda-exponents cancel identically, which `scaling_check` proves from
+    one trace in the lattice coordinates (i, j)."""
 
-    def test_scaled_p_entries_have_21_rows(self):
+    def test_scaled_p_entries_are_not_vacuous(self):
+        # an empty-everywhere p window would let scaling_check pass unproved
         for e in cf.build_ledger():
             if e.uses_p and e.scalings:
-                assert len(_reference_lines(e, 21)) >= 21, e.id
+                _, p, rows = lg._lattice(e, 1)
+                assert rows and any(map(any, p.num[1:])), e.id
 
     def test_catalog_is_rational_of_low_degree_and_scalings_cancel(self):
         a, p = sp.symbols("a p")

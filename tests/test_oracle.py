@@ -239,6 +239,12 @@ class TestManufactured:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(o >= 1.9 for o in orders), errs
 
+    @pytest.mark.parametrize("t_end", [0, -1, math.inf, math.nan, "0.1"])
+    def test_end_time_not_finite_and_positive_rejected(self, t_end):
+        # refused by name before the problem's own t_final check
+        with pytest.raises(ValueError, match=r"^t_end must be finite and > 0"):
+            manufactured_convergence(resolutions=(16,), t_end=t_end)
+
 
 class TestStudies:
 
