@@ -8,14 +8,13 @@ exponent catalog, and `oracle` drives the independent convergence studies.
 Exit codes: 0 success, 1 runtime or verification failure (under `run`, also an
 unreadable snapshot file) or a standard output closed by its reader, 2
 configuration or usage problems, including initial data that are bad only
-once built.  Configuration problems are collected and reported together, one
-line each, rather than stopping at the first.
+once built.  Configuration problems (`model.ConfigError`, from the checker in
+`model`) are all reported together, one line each, not just the first.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -28,47 +27,10 @@ from pathlib import Path
 from . import __version__
 from .ledger import build_ledger, check_entry, get_entry, scan_region
 from .model import (INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel, ConfigError,
-                    DomainSpec, SimParams, classify_assumption)
+                    DomainSpec, SimParams, check_section, classify_assumption,
+                    schema_problems)
 
 
-def _real(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
-
-
-def _int(x) -> bool:
-    return type(x) is int
-
-
-def _path(x) -> bool:
-    return type(x) is str and x != ""
-
-
-def _list_of(test, x, dim=None) -> bool:
-    return type(x) is list and (dim is None or len(x) == dim) and all(map(test, x))
-
-
-# value kinds of every config key: (description, test of a value on `dim`
-# axes; dim is None when the domain is invalid, and then any axis count
-# passes).  A bool is never a number: type(True) is bool, not int.
-_VALUE_KINDS = {
-    "real": ("a finite number", lambda x, dim: _real(x)),
-    "nonneg": ("a finite number >= 0", lambda x, dim: _real(x) and x >= 0),
-    "positive": ("a finite number > 0", lambda x, dim: _real(x) and x > 0),
-    "fraction": ("a number in [0, 1]", lambda x, dim: _real(x) and 0 <= x <= 1),
-    "int": ("an integer", lambda x, dim: _int(x)),
-    "count": ("an integer >= 0", lambda x, dim: _int(x) and x >= 0),
-    "text": ("a string", lambda x, dim: type(x) is str),
-    "path": ("a nonempty string", lambda x, dim: _path(x)),
-    "reals": ("a list of finite numbers", lambda x, dim: _list_of(_real, x)),
-    "per-axis real": ("a finite number or a list of them",
-                      lambda x, dim: _real(x) or _list_of(_real, x)),
-    "per-axis int": ("an integer or a list of them",
-                     lambda x, dim: _int(x) or _list_of(_int, x)),
-    "point": ("a list of one finite number per axis",
-              lambda x, dim: _list_of(_real, x, dim)),
-    "paths": ("a list of one nonempty string per axis",
-              lambda x, dim: _list_of(_path, x, dim)),
-}
 _CASE_ORDER = {"i": 0, "ii": 1, "iii": 2}
 
 
@@ -84,21 +46,15 @@ def _fields(cls, skip=()):
 
 
 # per section: a schema entry (see INITIAL_SCHEMA), whose keys may take entries
-# (`initial`), or None for any JSON object (`oracle`: the study's signature)
+# (`initial`), or None for any JSON object (`oracle`: its study's table)
 _SECTIONS = {
     "domain": _fields(DomainSpec),
     "params": _fields(SimParams, skip=("domain",)),
     "model": _fields(ChiKappaModel),
     "initial": (None, {None: ({}, INITIAL_SCHEMA)}),
-    "output": OUTPUT_SCHEMA,
+    "output": (None, {None: ({}, OUTPUT_SCHEMA)}),
     "oracle": None,
 }
-
-
-class UsageError(Exception):
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("\n".join(self.problems))
 
 
 def _load_json(path: str) -> dict:
@@ -106,48 +62,12 @@ def _load_json(path: str) -> dict:
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise UsageError([f"cannot read config {path}: {exc}"]) from None
+        raise ConfigError([f"cannot read config {path}: {exc}"]) from None
     except json.JSONDecodeError as exc:
-        raise UsageError([f"config {path} is not valid JSON: {exc}"]) from None
+        raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from None
     if not isinstance(cfg, dict):
-        raise UsageError([f"config {path} must hold a JSON object at top level"])
+        raise ConfigError([f"config {path} must hold a JSON object at top level"])
     return cfg
-
-
-def _schema_problems(where: str, value, schema, dim: int | None) -> list[str]:
-    """Every way `value`, found at `where`, departs from `schema`."""
-    if not isinstance(value, dict):
-        return [f"{where}: must be a JSON object"]
-    if schema is None:
-        return []
-    default, types = schema
-    typed = default is not None
-    kind = value.get("type", default) if typed else None
-    # tuple membership compares by ==, so an unhashable kind is no error
-    if kind not in tuple(types):
-        return [f"{where}.type: unknown type {kind!r} "
-                f"(expected one of {', '.join(types)})"]
-    required, optional = types[kind]
-    keys = {**required, **optional}
-    suffix = f" for type {kind!r}" if typed else ""
-    problems = []
-    for key, item in value.items():
-        if typed and key == "type":
-            continue
-        takes = keys.get(key)
-        if takes is None:
-            names = (["type"] if typed else []) + list(keys)
-            problems.append(f"{where}.{key}: unknown key{suffix} "
-                            f"(expected one of {', '.join(names)})")
-        elif isinstance(takes, tuple):
-            problems += _schema_problems(f"{where}.{key}", item, takes, dim)
-        elif not (item is None and takes.endswith("?")):
-            what, ok = _VALUE_KINDS[takes.rstrip("?")]
-            if not ok(item, dim):
-                problems.append(f"{where}.{key}: must be {what}, got {item!r}")
-    problems.extend(f"{where}.{key}: required key missing{suffix}"
-                    for key in required if key not in value)
-    return problems
 
 
 def _build(name: str, cls, kwargs: dict, problems: list, **extra):
@@ -160,7 +80,7 @@ def _build(name: str, cls, kwargs: dict, problems: list, **extra):
 
 
 def _require(cfg: dict):
-    """(params, model) built from `cfg`, or UsageError listing every problem.
+    """(params, model) built from `cfg`, or ConfigError listing every problem.
 
     Each section is checked against its schema, and a dataclass is built
     only from a section that passes.  Parameter range checks still run when
@@ -172,7 +92,7 @@ def _require(cfg: dict):
 
     def section(name, dim=None):
         value = cfg.get(name, {})
-        found = _schema_problems(name, value, _SECTIONS[name], dim)
+        found = schema_problems(name, value, _SECTIONS[name], dim)
         problems.extend(found)
         return None if found else dict(value)
 
@@ -197,7 +117,7 @@ def _require(cfg: dict):
     for name in ("initial", "output", "oracle"):
         section(name, None if domain is None else domain.dim)
     if problems:        # every section or build that failed listed one
-        raise UsageError(problems)
+        raise ConfigError(problems)
     return params, model
 
 
@@ -236,9 +156,9 @@ def _cmd_run(args) -> int:
     try:
         result = run(params, model, cfg.get("initial", {}), output)
     except ConfigError as exc:
-        # run checks output.sample_interval before it builds the initial data
-        raise UsageError([p if p.startswith("output.") else f"initial: {p}"
-                          for p in exc.problems]) from None
+        # run checks its output before it builds the initial data
+        raise ConfigError([p if p.startswith("output.") else f"initial: {p}"
+                           for p in exc.problems]) from None
     except (SolverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -270,7 +190,7 @@ def _cmd_classify(args) -> int:
     try:
         state = initial_state(params, cfg.get("initial", {}))
     except (ValueError, OSError) as exc:
-        raise UsageError([f"initial: {exc}"]) from None
+        raise ConfigError([f"initial: {exc}"]) from None
     cls = _print_classification(model, params, float(state.c.data.max()))
     if not cls.weak_cases and not cls.bounded_cases:
         print("note: no structural assumption case is satisfied; "
@@ -292,16 +212,16 @@ def _cmd_ledger(args) -> int:
             entries = [get_entry(args.entry, catalog)]
         except KeyError:
             known = ", ".join(e.id for e in catalog)
-            raise UsageError([f"unknown entry {args.entry!r}; known: {known}"]) \
+            raise ConfigError([f"unknown entry {args.entry!r}; known: {known}"]) \
                 from None
     else:
         entries = list(catalog)
     if args.p is not None and args.alpha is None:
-        raise UsageError(["--p needs --alpha (it is the integrability index of "
-                          "a point evaluation)"])
+        raise ConfigError(["--p needs --alpha (it is the integrability index of "
+                           "a point evaluation)"])
     if args.p is not None and args.entry is not None and not entries[0].uses_p:
-        raise UsageError([f"entry {args.entry!r} takes no --p (its window does "
-                          "not depend on the integrability index)"])
+        raise ConfigError([f"entry {args.entry!r} takes no --p (its window does "
+                           "not depend on the integrability index)"])
 
     rc = 0
     acted = False
@@ -324,7 +244,7 @@ def _cmd_ledger(args) -> int:
         for entry in entries:
             if entry.uses_p and args.p is None:
                 if args.entry is not None:
-                    raise UsageError(
+                    raise ConfigError(
                         [f"entry {entry.id!r} needs --p (its window depends "
                          "on the integrability index)"])
                 print(f"{entry.id:32s} needs --p; skipped")
@@ -354,29 +274,21 @@ def _cmd_oracle(args) -> int:
     from . import oracle as orc
     from .solver import SolverError
 
-    studies = {
-        "uniform": (orc.uniform_consumption_study, "dt", True),
-        "barenblatt": (orc.barenblatt_convergence, "N", False),
-        "manufactured": (orc.manufactured_convergence, "N", False),
-    }
-    fn, key_name, key_decreasing = studies[args.study]
+    fn, keywords, key_name, key_decreasing = {
+        "uniform": (orc.uniform_consumption_study, orc.UNIFORM_KEYWORDS, "dt", True),
+        "barenblatt": (orc.barenblatt_convergence, orc.BARENBLATT_KEYWORDS, "N", False),
+        "manufactured": (orc.manufactured_convergence, orc.MANUFACTURED_KEYWORDS,
+                         "N", False),
+    }[args.study]
     kwargs = {}
     if args.config is not None:
-        cfg = _load_json(args.config)
-        kwargs = cfg.get("oracle", {})
-        allowed = set(inspect.signature(fn).parameters)
-        problems = _schema_problems("oracle", kwargs, None, None) or [
-            f"oracle.{k}: unknown key for study {args.study!r} "
-            f"(expected one of {', '.join(sorted(allowed))})"
-            for k in sorted(set(kwargs) - allowed)]
-        if problems:
-            raise UsageError(problems)
+        kwargs = _load_json(args.config).get("oracle", {})
+        check_section("oracle", kwargs, keywords)
 
     try:
         rows = fn(**kwargs)
-    except (ConfigError, TypeError, ValueError) as exc:
-        # a study builds its inputs from the kwargs as it goes
-        raise UsageError([f"oracle: {exc}"]) from None
+    except ValueError as exc:   # dataclass checks, manufactured's dt bound
+        raise ConfigError([f"oracle: {exc}"]) from None
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -474,7 +386,7 @@ def main(argv=None) -> int:
         set_threads(args.threads)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except ConfigError as exc:
         for line in exc.problems:
             print(f"config problem: {line}", file=sys.stderr)
         return 2

@@ -148,10 +148,18 @@ class LedgerEntry:
         if self.uses_p:
             if p is None:
                 raise ValueError(f"entry {self.id!r} requires a p value")
-            if p <= self.p_lo(a, None) or (self.p_hi is not None
-                                           and p >= self.p_hi(a, None)):
+            lo, hi = self.p_window(a)
+            if p <= lo or (hi is not None and p >= hi):
                 return False
         return True
+
+    def p_window(self, a: Fraction) -> tuple[Fraction, Fraction | None]:
+        """(p_lo, p_hi) at alpha a (p_hi None: unbounded); CatalogError at a pole."""
+        try:
+            return self.p_lo(a, None), self.p_hi and self.p_hi(a, None)
+        except ZeroDivisionError:
+            raise CatalogError(f"entry {self.id!r}: p window undefined at "
+                               f"alpha={a} (a denominator vanishes)") from None
 
 
 @dataclass
@@ -371,10 +379,8 @@ def _lattice(entry: LedgerEntry, m: int) -> tuple:
         return entry.alpha_lo + step * _J, None, [(0, alphas)]
     rows = []
     for i in alphas:
-        a = entry.alpha_lo + step * i
-        lo = entry.p_lo(a, None)
-        hi = lo + SCAN_P_SPAN if entry.p_hi is None else entry.p_hi(a, None)
-        if lo < hi:
+        lo, hi = entry.p_window(entry.alpha_lo + step * i)
+        if hi is None or lo < hi:
             rows.append((i, range(1, m + 1)))
     a = entry.alpha_lo + step * _I
     lo = entry.p_lo(a, None)

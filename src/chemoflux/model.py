@@ -15,23 +15,25 @@ well-posedness theory the parameter choice satisfies, in two flavors: the weak
 Its alpha thresholds are `ledger.ALPHA_CASE_I` and `ledger.ALPHA_CASES_II_III`,
 the same numbers the exponent catalog's regions start and end at.
 
-The module also holds the config format: each dataclass field names its JSON
-value kind, and `INITIAL_SCHEMA` and `OUTPUT_SCHEMA` describe the sections no
-dataclass holds.  It imports only the standard library and `ledger`, so the
-CLI checks a config without loading numpy.
+The module also holds the config format and its one checker: each dataclass
+field names its value kind, `INITIAL_SCHEMA` and `OUTPUT_SCHEMA` describe the
+sections no dataclass holds, and `schema_problems` checks any section (the
+CLI's, `run`'s output, an oracle study's keywords) against `VALUE_KINDS`.  It
+imports only the standard library and `ledger`, so no check loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 from .ledger import ALPHA_CASE_I, ALPHA_CASES_II_III
 
 VALID_MODES = ("periodic", "neumann")
 
-# Config fields carry their JSON value kind (cli._VALUE_KINDS) in metadata.
+# Config fields carry their value kind (VALUE_KINDS) in metadata.
 # Every value of a field of one of these kinds must be finite.
 _REAL_KINDS = ("real", "per-axis real", "reals")
 
@@ -216,8 +218,8 @@ class ChiKappaModel:
 
 # The JSON schema of the `initial` section.  Per field: the type taken when
 # "type" is absent and, per type, its (required, optional) keys, each with
-# the kind of value it takes; `perturb` has no types.  The CLI checks configs
-# against this table and OUTPUT_SCHEMA, and `solver.build_initial` builds them.
+# the kind of value it takes; `perturb` has no types.  `schema_problems`
+# checks configs against this table, and `solver.build_initial` builds them.
 INITIAL_SCHEMA = {
     "n": ("constant", {"constant": ({"value": "nonneg"}, {}),
                        "gaussian": ({"sigma": "positive"},
@@ -231,9 +233,101 @@ INITIAL_SCHEMA = {
                    "snapshot": ({"paths": "paths"}, {})}),
     "perturb": (None, {None: ({}, {"amplitude": "fraction", "seed": "count"})}),
 }
-OUTPUT_SCHEMA = (None, {None: ({}, {"out_dir": "text", "csv": "path",
-                                    "sample_interval": "positive",
-                                    "snapshot_every": "count"})})
+OUTPUT_SCHEMA = {"out_dir": "text", "csv": "path", "sample_interval": "positive",
+                 "snapshot_every": "count"}
+
+
+def _real(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _path(x) -> bool:
+    return isinstance(x, (str, os.PathLike)) and x != ""
+
+
+def _list_of(test, x, dim=None) -> bool:
+    return (isinstance(x, (list, tuple)) and (dim is None or len(x) == dim)
+            and all(map(test, x)))
+
+
+def _distinct(test, x) -> bool:
+    return _list_of(test, x) and 0 < len(x) == len(set(x))
+
+
+# value kinds of every config key: (description, test of a value on `dim`
+# axes; None: any axis count).  A test takes a Python caller's form of a JSON
+# value too (a tuple, a numpy scalar, a path object); a bool is never a number.
+VALUE_KINDS = {
+    "real": ("a finite number", lambda x, dim: _real(x)),
+    "nonneg": ("a finite number >= 0", lambda x, dim: _real(x) and x >= 0),
+    "positive": ("a finite number > 0", lambda x, dim: _real(x) and x > 0),
+    "fraction": ("a number in [0, 1]", lambda x, dim: _real(x) and 0 <= x <= 1),
+    "int": ("an integer", lambda x, dim: _int(x)),
+    "count": ("an integer >= 0", lambda x, dim: _int(x) and x >= 0),
+    "text": ("a string", lambda x, dim: isinstance(x, (str, os.PathLike))),
+    "path": ("a nonempty string", lambda x, dim: _path(x)),
+    "reals": ("a list of finite numbers", lambda x, dim: _list_of(_real, x)),
+    "per-axis real": ("a finite number or a list of them",
+                      lambda x, dim: _real(x) or _list_of(_real, x)),
+    "per-axis int": ("an integer or a list of them",
+                     lambda x, dim: _int(x) or _list_of(_int, x)),
+    "point": ("a list of one finite number per axis",
+              lambda x, dim: _list_of(_real, x, dim)),
+    "paths": ("a list of one nonempty string per axis",
+              lambda x, dim: _list_of(_path, x, dim)),
+    "distinct positives": ("a nonempty list of distinct finite numbers > 0",
+                           lambda x, dim: _distinct(lambda v: _real(v) and v > 0, x)),
+    "distinct ints": ("a nonempty list of distinct integers",
+                      lambda x, dim: _distinct(_int, x)),
+}
+
+
+def schema_problems(where: str, value, schema, dim: int | None = None) -> list[str]:
+    """Every way `value`, found at `where`, departs from `schema`."""
+    if not isinstance(value, dict):
+        return [f"{where}: must be a JSON object"]
+    if schema is None:
+        return []
+    default, types = schema
+    typed = default is not None
+    kind = value.get("type", default) if typed else None
+    # tuple membership compares by ==, so an unhashable kind is no error
+    if kind not in tuple(types):
+        return [f"{where}.type: unknown type {kind!r} "
+                f"(expected one of {', '.join(types)})"]
+    required, optional = types[kind]
+    keys = {**required, **optional}
+    suffix = f" for type {kind!r}" if typed else ""
+    problems = []
+    for key, item in value.items():
+        if typed and key == "type":
+            continue
+        takes = keys.get(key)
+        if takes is None:
+            names = (["type"] if typed else []) + list(keys)
+            problems.append(f"{where}.{key}: unknown key{suffix} "
+                            f"(expected one of {', '.join(names)})")
+        elif isinstance(takes, tuple):
+            problems += schema_problems(f"{where}.{key}", item, takes, dim)
+        elif not (item is None and takes.endswith("?")):
+            what, ok = VALUE_KINDS[takes.rstrip("?")]
+            if not ok(item, dim):
+                problems.append(f"{where}.{key}: must be {what}, got {item!r}")
+    problems.extend(f"{where}.{key}: required key missing{suffix}"
+                    for key in required if key not in value)
+    return problems
+
+
+def check_section(where: str, value, keys: dict) -> None:
+    """Raise ConfigError listing every problem of `value`, a section whose
+    keys are all optional and take the kinds in `keys`."""
+    problems = schema_problems(where, value, (None, {None: ({}, keys)}))
+    if problems:
+        raise ConfigError(problems)
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,22 @@ Three routes, none of which touch the discrete operators under test:
 * a manufactured solution whose exact fields and forcings are closed-form
   numpy, turning the full coupled stepper into a convergence study against
   known smooth fields.
+
+A study checks its keywords against its table, as the CLI does (see
+`model.check_section`), and builds every row before its first run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .grid import ScalarField, cell_centers, lp_norm, mesh
-from .model import ChiKappaModel, DomainSpec, SimParams
+from .model import ChiKappaModel, DomainSpec, SimParams, check_section
 
 __all__ = [
     "uniform_state_ode", "barenblatt", "ManufacturedProblem",
@@ -179,23 +181,15 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
 # ---------------------------------------------------------------------------
 # study drivers (these DO run the solver; the closed forms above do not)
 
-def _distinct(name: str, values: list) -> list:
-    """A study's grid sizes or dts, refused if empty or if one repeats (two
-    rows at one value have no order between them)."""
-    if not values:
-        raise ValueError(f"{name} must not be empty")
-    if len(set(values)) < len(values):
-        raise ValueError(f"{name} must not repeat a value, got {values}")
-    return values
-
-
-def _resolutions(values) -> list[int]:
-    """A study's grid sizes, all checked before the first run: 8.5 must not
-    run as 8."""
-    values = list(values)
-    if not all(isinstance(N, Integral) for N in values):
-        raise ValueError(f"resolutions must be integers, got {values}")
-    return _distinct("resolutions", [int(N) for N in values])
+# each study's keywords with their kinds (model.VALUE_KINDS)
+UNIFORM_KEYWORDS = {"dts": "distinct positives", "n_bar": "positive",
+                    "c0": "positive", "kappa_coeff": "positive",
+                    "t_final": "real", "kappa_power": "real"}
+BARENBLATT_KEYWORDS = {"resolutions": "distinct ints", "alpha": "real",
+                       "length": "positive", "t0": "positive",
+                       "t_run": "positive", "rho": "real", "mass": "positive"}
+MANUFACTURED_KEYWORDS = {"resolutions": "distinct ints", "alpha": "real",
+                         "t_end": "positive", "dt_factor": "positive"}
 
 
 def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
@@ -203,30 +197,24 @@ def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
                               t_final: float = 0.5, kappa_power: float = 1.0):
     """Run the full stepper on uniform data for each dt; return
     [(dt, relative error vs the closed form)].  kappa_power m != 1 takes the
-    step's c^(m-1) consumption branch.  An empty or repeating dts, a c0 <= 0
-    (whose closed form 0 the relative error cannot divide by), and an n_bar
-    or kappa_coeff <= 0 (nothing is consumed, so c stays c0) raise
-    ValueError."""
+    step's c^(m-1) consumption branch.  c0 > 0: the error is relative to
+    the closed form; n_bar, kappa_coeff > 0: else nothing is consumed."""
+    check_section("oracle", locals(), UNIFORM_KEYWORDS)
     from .solver import run
 
-    dts = _distinct("dts", [float(dt) for dt in dts])
-    for name, value in (("n_bar", n_bar), ("c0", c0),
-                        ("kappa_coeff", kappa_coeff)):
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value!r}")
     spec = DomainSpec(1, "periodic", (2.0,), (8,))
     model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
                           kappa_coeff=kappa_coeff, kappa_power=kappa_power)
+    rows = [(dt, SimParams(alpha=0.5, tau=0, rho=0.5, t_final=t_final,
+                           domain=spec, cfl_safety=1.0, dt_max=dt))
+            for dt in map(float, dts)]
     exact = uniform_state_ode(model, n_bar, c0, t_final)
+    initial = {"n": {"type": "constant", "value": n_bar},
+               "c": {"type": "constant", "value": c0},
+               "u": {"type": "zero"}}
     out = []
-    for dt in dts:
-        params = SimParams(alpha=0.5, tau=0, rho=0.5, t_final=t_final,
-                           domain=spec, cfl_safety=1.0, dt_max=dt)
-        initial = {"n": {"type": "constant", "value": n_bar},
-                   "c": {"type": "constant", "value": c0},
-                   "u": {"type": "zero"}}
-        res = run(params, model, initial,
-                  output={"sample_interval": t_final})
+    for dt, params in rows:
+        res = run(params, model, initial, output={"sample_interval": t_final})
         c_num = float(np.mean(res.state.c.data))
         out.append((dt, abs(c_num - exact) / abs(exact)))
     return out
@@ -237,20 +225,19 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
                            t_run: float = 0.25, rho: float = 1e-6,
                            mass: float = 1.0):
     """L1 errors of the degenerate-diffusion front against the exact
-    self-similar solution, one entry per resolution.  A t0 or mass <= 0
-    (no source solution) raises ValueError."""
+    self-similar solution, one entry per resolution.  t0, mass > 0: else
+    there is no source solution."""
+    check_section("oracle", locals(), BARENBLATT_KEYWORDS)
     from .solver import run
 
-    for name, value in (("t0", t0), ("mass", mass)):
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value!r}")
+    model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
+                          kappa_coeff=0.0, kappa_power=1.0)
+    rows = [SimParams(alpha=alpha, tau=0, rho=rho, t_final=t_run,
+                      domain=DomainSpec(1, "periodic", (length,), (N,)),
+                      cfl_safety=0.4) for N in resolutions]
     out = []
-    for N in _resolutions(resolutions):
-        spec = DomainSpec(1, "periodic", (length,), (N,))
-        params = SimParams(alpha=alpha, tau=0, rho=rho, t_final=t_run,
-                           domain=spec, cfl_safety=0.4)
-        model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
-                              kappa_coeff=0.0, kappa_power=1.0)
+    for params in rows:
+        spec = params.domain
         xs = cell_centers(spec)[0]
         n0 = barenblatt(alpha, mass, 1, t0, xs)
         initial = {"n": {"type": "array", "values": n0},
@@ -259,7 +246,7 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
         res = run(params, model, initial, output={"sample_interval": t_run})
         exact = barenblatt(alpha, mass, 1, t0 + t_run, xs)
         err = float(np.sum(np.abs(res.state.n.data - exact))) * spec.spacing[0]
-        out.append((N, err))
+        out.append((spec.resolution[0], err))
     return out
 
 
@@ -270,17 +257,13 @@ def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
     time error rides below the second-order spatial measurement.  A row
     whose dt exceeds the explicit stability bound (`stable_dt` at
     cfl_safety 1 on its initial state, about 0.1435 h^2) raises ValueError
-    before its first step, as do a t_end that is not finite and > 0 and a
-    dt_factor <= 0."""
+    before the first step of any row."""
+    check_section("oracle", locals(), MANUFACTURED_KEYWORDS)
     from .solver import FieldState, stable_dt, step
     from .grid import VectorField
 
-    if not (isinstance(t_end, Real) and math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
-    if not dt_factor > 0:
-        raise ValueError(f"dt_factor must be > 0, got {dt_factor!r}")
-    out = []
-    for N in _resolutions(resolutions):
+    rows = []
+    for N in resolutions:
         mp = manufactured_problem(N, alpha=alpha, t_final=t_end)
         spec = mp.params.domain
         h = spec.spacing[0]
@@ -294,9 +277,12 @@ def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
         if dt > bound:
             raise ValueError(f"N={N}: dt={dt:.6g} exceeds the stability bound "
                              f"{bound:.6g} (dt_factor {dt_factor:g})")
+        rows.append((spec, mp, state, n_steps, dt))
+    out = []
+    for spec, mp, state, n_steps, dt in rows:
         for _ in range(n_steps):
             state = step(state, mp.params, mp.model, dt, sources=mp.sources)
         n_exact = mp.fields(state.t)[0]
         err = lp_norm(ScalarField(spec, state.n.data - n_exact), 2)
-        out.append((N, err))
+        out.append((spec.resolution[0], err))
     return out

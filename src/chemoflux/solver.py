@@ -49,8 +49,8 @@ from .diagnostics import DiagnosticsRecord, compute_record, write_csv
 from .grid import (ScalarField, VectorField, diff_central, divergence, integrate,
                    mesh, save_field, load_field, lp_norm, shifted)
 from .mollify import mollify_values
-from .model import (INITIAL_SCHEMA, ChiKappaModel, ConfigError, DomainSpec,
-                    SimParams, classify_assumption)
+from .model import (INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel, ConfigError,
+                    DomainSpec, SimParams, check_section, classify_assumption)
 
 NEG_TOL = -1e-13          # below this, the cell update is declared unstable
 _workers = 1
@@ -545,11 +545,12 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
 
     The `guards` dict tracks per-step (not just per-sample) invariants:
     max_div_residual, mass_drift, max_c_increase, min_n_raw, min_c_raw, steps.
-    Raises ConfigError for a sample_interval that is not finite and above
-    the time tolerance 1e-12 max(t_final, 1), below which the next sample
-    time could no longer advance.
+    Raises ConfigError, before building the initial data, for an `output`
+    off model.OUTPUT_SCHEMA or a sample_interval not above the time
+    tolerance 1e-12 max(t_final, 1), where sample times stop advancing.
     """
     output = dict(output or {})
+    check_section("output", output, OUTPUT_SCHEMA)
     sample_interval = float(output.get("sample_interval", params.t_final / 50.0))
     eps = 1e-12 * max(params.t_final, 1.0)
     if not eps < sample_interval < np.inf:

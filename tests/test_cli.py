@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -233,17 +234,28 @@ class TestConfigValidation:
                     (section, f.name, value, rc)
 
     def test_every_key_has_a_known_kind(self):
-        # the schema's single source: a field added without a kind fails here
-        from chemoflux.model import INITIAL_SCHEMA, OUTPUT_SCHEMA
+        # the schema's single source: a field or study keyword added without
+        # a kind fails here
+        from chemoflux import oracle
+        from chemoflux.model import INITIAL_SCHEMA, OUTPUT_SCHEMA, VALUE_KINDS
         kinds = {f"{cls.__name__}.{f.name}": f.metadata.get("kind")
                  for cls in (cf.DomainSpec, cf.SimParams, cf.ChiKappaModel)
                  for f in dataclasses.fields(cls) if f.name != "domain"}
-        for name, (_, types) in [*INITIAL_SCHEMA.items(), ("output", OUTPUT_SCHEMA)]:
+        studies = {oracle.uniform_consumption_study: oracle.UNIFORM_KEYWORDS,
+                   oracle.barenblatt_convergence: oracle.BARENBLATT_KEYWORDS,
+                   oracle.manufactured_convergence: oracle.MANUFACTURED_KEYWORDS}
+        for study, table in studies.items():
+            assert list(table) == list(inspect.signature(study).parameters)
+        tables = [("output", OUTPUT_SCHEMA),
+                  *((f.__name__, table) for f, table in studies.items())]
+        for name, table in tables:
+            kinds.update((f"{name}.{k}", v) for k, v in table.items())
+        for name, (_, types) in INITIAL_SCHEMA.items():
             for required, optional in types.values():
                 kinds.update((f"{name}.{k}", v)
                              for k, v in {**required, **optional}.items())
         assert {k: v for k, v in kinds.items()
-                if v not in cli._VALUE_KINDS} == {}
+                if v not in VALUE_KINDS} == {}
 
     def test_initial_field_not_object_listed(self, tmp_path, capsys):
         cfg = _base_cfg()
@@ -522,48 +534,68 @@ class TestOracleCommand:
         assert "uniform study (2 runs)" in out
 
     def test_unknown_study_kwarg_rejected(self, tmp_path, capsys):
+        pos = "must be a finite number > 0, got"
+        ints = "must be a nonempty list of distinct integers, got"
         cases = [
             ("uniform", {"resolution": 99}, 2, "oracle.resolution"),
-            # values the study rejects while it sets up its inputs
-            ("uniform", {"dts": "abc"}, 2, "oracle: could not convert"),
+            # values outside a keyword's kind, or that the study rejects
+            # while it sets up its inputs
+            ("uniform", {"dts": "abc"}, 2, "oracle.dts: must be a nonempty "
+             "list of distinct finite numbers > 0, got 'abc'"),
             ("uniform", {"t_final": -1}, 2, "oracle: t_final must be > 0"),
             ("barenblatt", {"resolutions": [4]}, 2,
              "oracle: resolution must be >= 8"),
             ("barenblatt", {"resolutions": [8.5]}, 2,
-             "oracle: resolutions must be integers"),
-            ("manufactured", {"dt_factor": 0}, 2, "oracle: dt_factor must be > 0"),
-            ("manufactured", {"dt_factor": -1}, 2, "oracle: dt_factor must be > 0"),
-            ("manufactured", {"t_end": 0}, 2,
-             "oracle: t_end must be finite and > 0, got 0"),
-            ("manufactured", {"t_end": -1}, 2,
-             "oracle: t_end must be finite and > 0, got -1"),
+             f"oracle.resolutions: {ints} [8.5]"),
+            ("manufactured", {"dt_factor": 0}, 2, f"oracle.dt_factor: {pos} 0"),
+            ("manufactured", {"dt_factor": -1}, 2, f"oracle.dt_factor: {pos} -1"),
+            ("manufactured", {"t_end": 0}, 2, f"oracle.t_end: {pos} 0"),
+            ("manufactured", {"t_end": -1}, 2, f"oracle.t_end: {pos} -1"),
             ("manufactured", {"dt_factor": 0.2}, 2,
              "oracle: N=16: dt=0.025 exceeds the stability bound"),
             # values with no closed form to compare against, and empty
             # studies, refused before the first run
-            ("barenblatt", {"t0": 0}, 2, "oracle: t0 must be > 0, got 0"),
-            ("barenblatt", {"t0": -1}, 2, "oracle: t0 must be > 0, got -1"),
-            ("barenblatt", {"mass": -1}, 2, "oracle: mass must be > 0, got -1"),
-            ("uniform", {"c0": 0}, 2, "oracle: c0 must be > 0, got 0"),
+            ("barenblatt", {"t0": 0}, 2, f"oracle.t0: {pos} 0"),
+            ("barenblatt", {"t0": -1}, 2, f"oracle.t0: {pos} -1"),
+            ("barenblatt", {"mass": -1}, 2, f"oracle.mass: {pos} -1"),
+            ("uniform", {"c0": 0}, 2, f"oracle.c0: {pos} 0"),
             ("barenblatt", {"resolutions": []}, 2,
-             "oracle: resolutions must not be empty"),
+             f"oracle.resolutions: {ints} []"),
             ("manufactured", {"resolutions": []}, 2,
-             "oracle: resolutions must not be empty"),
-            ("uniform", {"dts": []}, 2, "oracle: dts must not be empty"),
+             f"oracle.resolutions: {ints} []"),
+            ("uniform", {"dts": []}, 2, "oracle.dts: must be a nonempty list"),
             # nothing is consumed, so c stays at c0 and every error reads 0
-            ("uniform", {"n_bar": 0}, 2, "oracle: n_bar must be > 0, got 0"),
-            ("uniform", {"kappa_coeff": 0}, 2,
-             "oracle: kappa_coeff must be > 0, got 0"),
+            ("uniform", {"n_bar": 0}, 2, f"oracle.n_bar: {pos} 0"),
+            ("uniform", {"kappa_coeff": 0}, 2, f"oracle.kappa_coeff: {pos} 0"),
             # a repeated grid size or dt has no order between its two rows
             ("uniform", {"dts": [0.002, 0.002]}, 2,
-             "oracle: dts must not repeat a value, got [0.002, 0.002]"),
+             "oracle.dts: must be a nonempty list of distinct finite numbers "
+             "> 0, got [0.002, 0.002]"),
             ("barenblatt", {"resolutions": [16, 16]}, 2,
-             "oracle: resolutions must not repeat a value, got [16, 16]"),
+             f"oracle.resolutions: {ints} [16, 16]"),
             ("manufactured", {"resolutions": [16, 16]}, 2,
-             "oracle: resolutions must not repeat a value, got [16, 16]"),
+             f"oracle.resolutions: {ints} [16, 16]"),
             # a run that breaks down is an error, as for `run`
             ("barenblatt", {"mass": 1e300, "resolutions": [8]}, 1,
              "error: non-finite cell density"),
+            # each refusal names the study's own key (not t_final, lengths
+            # or dt_max, the dataclass fields it feeds), before any row runs
+            ("barenblatt", {"t_run": 0}, 2,
+             f"config problem: oracle.t_run: {pos} 0\n"),
+            ("barenblatt", {"length": 0}, 2,
+             f"config problem: oracle.length: {pos} 0\n"),
+            ("barenblatt", {"t0": "x"}, 2,
+             f"config problem: oracle.t0: {pos} 'x'\n"),
+            ("barenblatt", {"resolutions": [64, 4]}, 2,
+             "config problem: oracle: resolution must be >= 8 along every "
+             "axis, got (4,)\n"),
+            ("manufactured", {"alpha": "x"}, 2,
+             "config problem: oracle.alpha: must be a finite number, got 'x'\n"),
+            ("uniform", {"kappa_power": "x"}, 2, "config problem: "
+             "oracle.kappa_power: must be a finite number, got 'x'\n"),
+            ("uniform", {"dts": [0.002, -0.001]}, 2,
+             "config problem: oracle.dts: must be a nonempty list of distinct "
+             "finite numbers > 0, got [0.002, -0.001]\n"),
         ]
         for study, section, code, message in cases:
             cfg = {"oracle": section}

@@ -295,6 +295,21 @@ class TestScan:
         with pytest.raises(cf.CatalogError, match=r"alpha=1/4, p=5/2$"):
             cf.scan_region(e, density=3)
 
+    def test_window_pole_on_a_row_raises(self):
+        # density 3 puts the second row on a = 1/4, where both window ends
+        # have a pole; so does a point evaluation there
+        e = lg.LedgerEntry(id="x-window-pole", title="p window with a pole",
+                           alpha_lo=F(1, 6), alpha_hi=F(1, 3),
+                           alpha_hi_strict=False,
+                           p_lo=lambda a, p: 1 / (a - F(1, 4)) + 10,
+                           p_hi=lambda a, p: 1 / (a - F(1, 4)) + 12,
+                           checks=(lg.Check("p", lambda a, p: p, lo=F(0)),))
+        pattern = r"^entry 'x-window-pole': p window undefined at alpha=1/4 "
+        with pytest.raises(cf.CatalogError, match=pattern):
+            cf.scan_region(e, density=3)
+        with pytest.raises(cf.CatalogError, match=pattern):
+            cf.check_entry(e, F(1, 4), F(3))
+
     def test_divisor_zero_everywhere_raises_at_first_point(self):
         e = lg.LedgerEntry(id="x-zero-divisor", title="a divisor that is 0",
                            alpha_lo=F(1, 6), alpha_hi=F(1, 3),

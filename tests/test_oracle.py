@@ -242,7 +242,8 @@ class TestManufactured:
     @pytest.mark.parametrize("t_end", [0, -1, math.inf, math.nan, "0.1"])
     def test_end_time_not_finite_and_positive_rejected(self, t_end):
         # refused by name before the problem's own t_final check
-        with pytest.raises(ValueError, match=r"^t_end must be finite and > 0"):
+        with pytest.raises(ValueError,
+                           match=r"^oracle\.t_end: must be a finite number > 0"):
             manufactured_convergence(resolutions=(16,), t_end=t_end)
 
 
@@ -282,3 +283,39 @@ class TestStudies:
         rows = barenblatt_convergence(resolutions=(32, 64))
         assert rows[0][1] > rows[1][1]
         assert rows[1][1] < 1e-3
+
+    @pytest.mark.parametrize("study, kwargs, message", [
+        (uniform_consumption_study, {"dts": (0.002, -0.001)}, r"^oracle\.dts: "),
+        (uniform_consumption_study, {"kappa_power": "x"}, r"^oracle\.kappa_power: "),
+        (uniform_consumption_study, {"n_bar": 0}, r"^oracle\.n_bar: "),
+        (uniform_consumption_study, {"t_final": -1}, r"^t_final must be > 0"),
+        (barenblatt_convergence, {"resolutions": (64, 4)},
+         r"^resolution must be >= 8"),
+        (barenblatt_convergence, {"t_run": 0}, r"^oracle\.t_run: "),
+        (barenblatt_convergence, {"length": 0}, r"^oracle\.length: "),
+        (barenblatt_convergence, {"t0": "x"}, r"^oracle\.t0: "),
+        (manufactured_convergence, {"resolutions": (16, 4)},
+         r"^resolution must be >= 8"),
+        (manufactured_convergence, {"alpha": "x"}, r"^oracle\.alpha: "),
+        # the N = 16 row is under the stability bound, the N = 32 row above
+        (manufactured_convergence, {"resolutions": (16, 32), "dt_factor": 0.155},
+         r"^N=32: dt=.* exceeds the stability bound"),
+    ])
+    def test_bad_keyword_refused_before_any_row_runs(self, monkeypatch, study,
+                                                     kwargs, message):
+        from chemoflux import solver
+
+        def no_run(*args, **kw):
+            raise AssertionError("a study row ran before its inputs were checked")
+        monkeypatch.setattr(solver, "run", no_run)
+        monkeypatch.setattr(solver, "step", no_run)
+        with pytest.raises(ValueError, match=message):
+            study(**kwargs)
+
+    def test_numpy_scalars_and_tuples_accepted(self):
+        # what a Python caller passes for a JSON value: tuples, numpy scalars
+        rows = uniform_consumption_study(dts=(np.float64(4e-3), 2e-3),
+                                         n_bar=np.float64(0.5), t_final=0.25)
+        assert [dt for dt, _ in rows] == [4e-3, 2e-3]
+        rows = manufactured_convergence(resolutions=(np.int64(16),))
+        assert [N for N, _ in rows] == [16] and type(rows[0][0]) is int

@@ -674,6 +674,27 @@ class TestRun:
         with pytest.raises(cf.ConfigError, match="output.sample_interval"):
             _small_run(output={"sample_interval": 1e-30})
 
+    def test_output_checked_before_initial_state(self, tmp_path, monkeypatch):
+        from chemoflux import solver
+
+        def no_build(*args):
+            raise AssertionError("initial state built before output was checked")
+        monkeypatch.setattr(solver, "initial_state", no_build)
+        cases = [
+            ({"out_dir": str(tmp_path), "csv": 5},
+             ["output.csv: must be a nonempty string, got 5"]),
+            ({"sampel_interval": 0.001},
+             ["output.sampel_interval: unknown key (expected one of out_dir, "
+              "csv, sample_interval, snapshot_every)"]),
+            ({"snapshot_every": 1.5, "out_dir": 7},
+             ["output.snapshot_every: must be an integer >= 0, got 1.5",
+              "output.out_dir: must be a string, got 7"]),
+        ]
+        for output, problems in cases:
+            with pytest.raises(cf.ConfigError) as exc:
+                _small_run(output=output)
+            assert exc.value.problems == problems
+
     def test_unbacked_model_warns(self):
         # quadratic consumption with tiny alpha satisfies no structural case
         model = cf.ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
