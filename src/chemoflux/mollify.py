@@ -9,6 +9,15 @@ the wall, so each output cell is renormalized by the sum of the weights that
 actually landed inside the box (this keeps constants exact and positivity
 intact, at the price of exact mass conservation near walls).
 
+The sum is plain numpy (no scipy) over the data padded by the kernel's
+half-widths: wrapped in periodic boxes, zeros at walls.  The bump is even in
+every axis, so each axis is folded, x[i+m] + x[i-m] once for each offset
+m >= 0, before the weights are applied.  At 64^3 and rho = 0.15 in a box of
+side 2 that is 260 passes over an array, against 922 for one weighted slice
+per kernel offset.  Every term is a nonnegative weight times the data, so a
+nonnegative input gives a nonnegative output, and a cell at distance rho or
+more from every nonzero input cell stays exactly 0.
+
 A radius below two grid spacings cannot be resolved and degenerates to the
 identity by design.
 """
@@ -18,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import convolve
 
 from .model import DomainSpec
 
@@ -46,12 +54,44 @@ def _kernel(spec: DomainSpec, rho: float) -> np.ndarray | None:
     return w / total
 
 
+def _smooth(values: np.ndarray, kern: np.ndarray, mode: str) -> np.ndarray:
+    """out[i] = sum_k kern[K + k] values[i + k], the data padded by `mode`.
+
+    Folded from the last axis to the first, so the innermost sums take
+    contiguous slabs of axis 0, in one reused buffer."""
+    half = [s // 2 for s in kern.shape]
+    shape = values.shape
+    out, term = np.zeros(shape), np.empty(shape)
+
+    def side(x, d, start):
+        return x[(slice(None),) * d + (slice(start, start + shape[d]),)]
+
+    def fold(x, w, d):
+        k = half[d]
+        for m in range(k + 1):
+            if not w[..., m].any():
+                continue
+            if d:
+                y = side(x, d, k + m)
+                fold(y + side(x, d, k - m) if m else y, w[..., m], d - 1)
+                continue
+            if m:
+                np.add(side(x, 0, k + m), side(x, 0, k - m), out=term)
+                np.multiply(term, w[m], out=term)
+            else:
+                np.multiply(side(x, 0, k), w[0], out=term)
+            np.add(out, term, out=out)
+
+    quadrant = kern[tuple(slice(k, None) for k in half)]
+    fold(np.pad(values, [(k, k) for k in half], mode=mode), quadrant,
+         values.ndim - 1)
+    return out
+
+
 @lru_cache(maxsize=64)
 def _wall_weight(spec: DomainSpec, rho: float) -> np.ndarray:
     # Sum of in-box kernel weights per cell; equals 1 away from walls.
-    kern = _kernel(spec, rho)
-    ones = np.ones(spec.shape)
-    return convolve(ones, kern, mode="constant", cval=0.0)
+    return _smooth(np.ones(spec.shape), _kernel(spec, rho), "constant")
 
 
 def mollify_values(values: np.ndarray, spec: DomainSpec, rho: float) -> np.ndarray:
@@ -61,6 +101,5 @@ def mollify_values(values: np.ndarray, spec: DomainSpec, rho: float) -> np.ndarr
     if kern is None:
         return values.copy()
     if spec.mode == "periodic":
-        return convolve(values, kern, mode="wrap")
-    out = convolve(values, kern, mode="constant", cval=0.0)
-    return out / _wall_weight(spec, rho)
+        return _smooth(values, kern, "wrap")
+    return _smooth(values, kern, "constant") / _wall_weight(spec, rho)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .grid import ScalarField, cell_centers, lp_norm, mesh
 from .model import ChiKappaModel, DomainSpec, SimParams, check_section
@@ -75,7 +74,12 @@ def barenblatt(alpha: float, mass: float, dim: int, t: float, x) -> np.ndarray:
     e = 1.0 / alpha
     b = 1.0 / (dim * alpha + 2.0)
     k0 = alpha * b / (2.0 * (1.0 + alpha))
-    j = np.pi ** (dim / 2.0) * gamma_fn(e + 1.0) / gamma_fn(e + 1.0 + dim / 2.0)
+    try:
+        j = (math.pi ** (dim / 2.0) * math.gamma(e + 1.0)
+             / math.gamma(e + 1.0 + dim / 2.0))
+    except OverflowError:
+        raise ValueError(f"alpha {alpha} is too small: Gamma(1/alpha + 1) "
+                         "overflows") from None
     big_c = (mass * k0 ** (dim / 2.0) / j) ** (1.0 / (e + dim / 2.0))
     r2 = np.sum(x * x, axis=0)
     core = np.maximum(big_c - k0 * r2 * t ** (-2.0 * b), 0.0)

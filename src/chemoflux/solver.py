@@ -40,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from importlib import import_module
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
-import scipy.fft as sfft
 
 from .diagnostics import DiagnosticsRecord, compute_record, write_csv
 from .grid import (ScalarField, VectorField, diff_central, divergence, integrate,
@@ -54,6 +55,20 @@ from .model import (INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel, ConfigError,
 
 NEG_TOL = -1e-13          # below this, the cell update is declared unstable
 _workers = 1
+
+
+class _ImportedOnFirstUse(ModuleType):
+    """A module imported on the first read of one of its names."""
+
+    def __getattr__(self, name):
+        value = getattr(import_module(self.__name__), name)
+        setattr(self, name, value)
+        return value
+
+
+# scipy.fft loads on the first periodic solve, so a walled run loads no scipy.
+# Every FFT goes through this module attribute: tests and tracers swap it.
+sfft = _ImportedOnFirstUse("scipy.fft")
 
 
 def set_threads(k: int) -> None:

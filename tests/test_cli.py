@@ -558,6 +558,8 @@ class TestOracleCommand:
             ("barenblatt", {"t0": 0}, 2, f"oracle.t0: {pos} 0"),
             ("barenblatt", {"t0": -1}, 2, f"oracle.t0: {pos} -1"),
             ("barenblatt", {"mass": -1}, 2, f"oracle.mass: {pos} -1"),
+            ("barenblatt", {"alpha": 0.005}, 2,
+             "oracle: alpha 0.005 is too small: Gamma(1/alpha + 1) overflows"),
             ("uniform", {"c0": 0}, 2, f"oracle.c0: {pos} 0"),
             ("barenblatt", {"resolutions": []}, 2,
              f"oracle.resolutions: {ints} []"),

@@ -181,6 +181,27 @@ class TestSelfSimilarProfile:
         peaks = [barenblatt(0.5, 1.0, 1, t, xs)[0] for t in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
+    @pytest.mark.parametrize("alpha", [1.0 / 6.0, 0.25, 0.5, 0.8, 2.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_profile_matches_scipy_gamma_normalization(self, alpha, dim):
+        # the same closed form with scipy's gamma, as the reference
+        from scipy.special import gamma
+        g = np.linspace(-3.0, 3.0, 25)
+        x = np.stack(np.meshgrid(*[g] * dim, indexing="ij"))
+        e, b = 1.0 / alpha, 1.0 / (dim * alpha + 2.0)
+        k0 = alpha * b / (2.0 * (1.0 + alpha))
+        j = np.pi ** (dim / 2.0) * gamma(e + 1.0) / gamma(e + 1.0 + dim / 2.0)
+        big_c = (1.3 * k0 ** (dim / 2.0) / j) ** (1.0 / (e + dim / 2.0))
+        core = np.maximum(big_c - k0 * np.sum(x * x, axis=0) * 0.7 ** (-2.0 * b), 0.0)
+        ref = 0.7 ** (-dim * b) * np.power(core, e)
+        n = barenblatt(alpha, 1.3, dim, 0.7, x)
+        np.testing.assert_array_equal(n > 0.0, ref > 0.0)
+        assert np.max(np.abs(n - ref)) <= 1e-15 * np.max(ref)
+
+    def test_overflowing_normalization_is_a_value_error(self):
+        with pytest.raises(ValueError, match="alpha 0.005 is too small"):
+            barenblatt(0.005, 1.0, 1, 1.0, np.zeros(3))
+
 
 class TestManufactured:
 
