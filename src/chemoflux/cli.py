@@ -2,14 +2,16 @@
 
 Subcommands: `run` integrates a JSON-configured problem and writes the
 diagnostics stream, `classify` reports which structural assumption cases a
-configuration satisfies, `ledger` evaluates or lattice-scans the exact
-exponent catalog, and `oracle` drives the independent convergence studies.
+configuration satisfies (it checks the configuration and builds nothing, so
+it loads no numpy), `ledger` evaluates or lattice-scans the exact exponent
+catalog, and `oracle` drives the independent convergence studies.
 
 Exit codes: 0 success, 1 runtime or verification failure (under `run`, also an
 unreadable snapshot file) or a standard output closed by its reader, 2
-configuration or usage problems, including initial data that are bad only
-once built.  Configuration problems (`model.ConfigError`, from the checker in
-`model`) are all reported together, one line each, not just the first.
+configuration or usage problems, including (under `run`) initial data that
+are bad only once built.  Configuration problems (`model.ConfigError`, from
+the checker in `model`) are all reported together, one line each, not just
+the first.
 """
 
 from __future__ import annotations
@@ -20,37 +22,25 @@ import math
 import os
 import sys
 import time
-from dataclasses import MISSING, fields
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .ledger import build_ledger, check_entry, get_entry, scan_region
-from .model import (INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel, ConfigError,
-                    DomainSpec, SimParams, check_section, classify_assumption,
-                    schema_problems)
+from .model import (FIELD_SCHEMAS, INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel,
+                    ConfigError, DomainSpec, SimParams, check_section,
+                    classify_assumption, schema_problems)
 
 
 _CASE_ORDER = {"i": 0, "ii": 1, "iii": 2}
 
 
-def _fields(cls, skip=()):
-    """Dataclass `cls` as an untyped schema entry: required keys have no
-    default, and a key whose default is None also takes null (kind "...?")."""
-    required, optional = {}, {}
-    for f in fields(cls):
-        if f.name not in skip:
-            kind = f.metadata["kind"] + ("?" if f.default is None else "")
-            (required if f.default is MISSING else optional)[f.name] = kind
-    return None, {None: (required, optional)}
-
-
 # per section: a schema entry (see INITIAL_SCHEMA), whose keys may take entries
 # (`initial`), or None for any JSON object (`oracle`: its study's table)
 _SECTIONS = {
-    "domain": _fields(DomainSpec),
-    "params": _fields(SimParams, skip=("domain",)),
-    "model": _fields(ChiKappaModel),
+    "domain": FIELD_SCHEMAS[DomainSpec],
+    "params": FIELD_SCHEMAS[SimParams],
+    "model": FIELD_SCHEMAS[ChiKappaModel],
     "initial": (None, {None: ({}, INITIAL_SCHEMA)}),
     "output": (None, {None: ({}, OUTPUT_SCHEMA)}),
     "oracle": None,
@@ -99,11 +89,6 @@ def _require(cfg: dict):
     domain = None
     dom_cfg = section("domain")
     if dom_cfg is not None:
-        # a bare number for lengths/resolution means "the same on every axis"
-        axes = dom_cfg["dim"] if dom_cfg["dim"] in (1, 2, 3) else 1
-        for key in ("lengths", "resolution"):
-            if type(dom_cfg[key]) is not list:
-                dom_cfg[key] = [dom_cfg[key]] * axes
         domain = _build("domain", DomainSpec, dom_cfg, problems)
     par_cfg = section("params")
     if par_cfg is not None:
@@ -131,10 +116,9 @@ def _fmt_witnesses(witnesses: dict) -> str:
     return "  ".join(f"{k}={v:g}" for k, v in sorted(witnesses.items()))
 
 
-def _print_classification(model, params, c_max: float):
-    """Print c_max and the case table of the configuration; return its cases."""
+def _print_classification(model, params):
+    """Print the case table of the configuration; return its cases."""
     cls = classify_assumption(model, params)
-    print(f"c_max:         {c_max:g}")
     print(f"weak cases:    {_fmt_cases(cls.weak_cases)}")
     print(f"bounded cases: {_fmt_cases(cls.bounded_cases)}")
     print(f"witnesses:     {_fmt_witnesses(cls.witnesses)}")
@@ -164,7 +148,7 @@ def _cmd_run(args) -> int:
         return 1
     wall = time.perf_counter() - t0
 
-    _print_classification(model, params, result.records[0].max_c)
+    _print_classification(model, params)
     for w in result.warnings:
         print(f"warning: {w}")
     g = result.guards
@@ -183,15 +167,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .solver import initial_state
-
-    cfg = _load_json(args.config)
-    params, model = _require(cfg)
-    try:
-        state = initial_state(params, cfg.get("initial", {}))
-    except (ValueError, OSError) as exc:
-        raise ConfigError([f"initial: {exc}"]) from None
-    cls = _print_classification(model, params, float(state.c.data.max()))
+    params, model = _require(_load_json(args.config))
+    cls = _print_classification(model, params)
     if not cls.weak_cases and not cls.bounded_cases:
         print("note: no structural assumption case is satisfied; "
               "no a priori bound backs this configuration")
@@ -287,7 +264,9 @@ def _cmd_oracle(args) -> int:
 
     try:
         rows = fn(**kwargs)
-    except ValueError as exc:   # dataclass checks, manufactured's dt bound
+    except ConfigError as exc:  # the dataclass checks
+        raise ConfigError([f"oracle: {p}" for p in exc.problems]) from None
+    except ValueError as exc:   # a study's own check, e.g. manufactured's dt bound
         raise ConfigError([f"oracle: {exc}"]) from None
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -381,7 +360,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command != "ledger":          # the one command without an FFT
+    if args.command in ("run", "oracle"):   # the commands that run an FFT
         from .solver import set_threads
         set_threads(args.threads)
     try:

@@ -16,26 +16,24 @@ Its alpha thresholds are `ledger.ALPHA_CASE_I` and `ledger.ALPHA_CASES_II_III`,
 the same numbers the exponent catalog's regions start and end at.
 
 The module also holds the config format and its one checker: each dataclass
-field names its value kind, `INITIAL_SCHEMA` and `OUTPUT_SCHEMA` describe the
-sections no dataclass holds, and `schema_problems` checks any section (the
-CLI's, `run`'s output, an oracle study's keywords) against `VALUE_KINDS`.  It
-imports only the standard library and `ledger`, so no check loads numpy.
+field names its value kind (`FIELD_SCHEMAS`), `INITIAL_SCHEMA` and
+`OUTPUT_SCHEMA` describe the sections no dataclass holds, and
+`schema_problems` checks any of them (a dataclass's own fields, the CLI's
+sections, `run`'s initial and output, an oracle study's keywords) against
+`VALUE_KINDS`.  It imports only the standard library and `ledger`, so no
+check loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
 
 from .ledger import ALPHA_CASE_I, ALPHA_CASES_II_III
 
 VALID_MODES = ("periodic", "neumann")
-
-# Config fields carry their value kind (VALUE_KINDS) in metadata.
-# Every value of a field of one of these kinds must be finite.
-_REAL_KINDS = ("real", "per-axis real", "reals")
 
 
 class ConfigError(ValueError):
@@ -50,18 +48,14 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def _nonfinite(config) -> list[str]:
-    """One problem per field of the dataclass `config` whose kind is in
-    _REAL_KINDS and that holds a value that is not finite (None, the default
-    of an optional field, passes)."""
-    problems = []
-    for f in fields(config):
-        if f.metadata.get("kind") in _REAL_KINDS:
-            value = getattr(config, f.name)
-            values = value if isinstance(value, (tuple, list)) else (value,)
-            if not all(v is None or math.isfinite(v) for v in values):
-                problems.append(f"{f.name} must be finite, got {value}")
-    return problems
+def _kind_problems(config) -> tuple[list[str], set[str]]:
+    """Every way the fields of dataclass `config` depart from the kinds in
+    FIELD_SCHEMAS, and the names of the fields that do."""
+    values = {f.name: getattr(config, f.name) for f in fields(config)
+              if "kind" in f.metadata}
+    problems = schema_problems("", values, FIELD_SCHEMAS[type(config)])
+    # with no `where`, each problem reads "<field>: ..."
+    return problems, {p.split(":")[0] for p in problems}
 
 
 @dataclass(frozen=True)
@@ -80,34 +74,33 @@ class DomainSpec:
     resolution: tuple[int, ...] = field(metadata={"kind": "per-axis int"})
 
     def __post_init__(self):
-        problems = []
-        if self.dim not in (1, 2, 3):
+        problems, wrong = _kind_problems(self)
+        dim = self.dim if "dim" not in wrong and self.dim in (1, 2, 3) else None
+        if "dim" not in wrong and dim is None:
             problems.append(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.mode not in VALID_MODES:
+        if "mode" not in wrong and self.mode not in VALID_MODES:
             problems.append(f"mode must be one of {VALID_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))
-        # 8.5 must not run as 8: a resolution entry is an integer or a problem
-        integral = all(isinstance(N, Integral) for N in self.resolution)
-        object.__setattr__(self, "resolution", tuple(
-            int(N) if integral else N for N in self.resolution))
-        if self.dim in (1, 2, 3):
-            if len(self.lengths) != self.dim:
-                problems.append(f"lengths must have {self.dim} entries, got {len(self.lengths)}")
-            if len(self.resolution) != self.dim:
-                problems.append(f"resolution must have {self.dim} entries, got {len(self.resolution)}")
-        if any(not (L > 0) for L in self.lengths):
+        # a bare number is the same on every axis; a numpy scalar becomes a
+        # builtin number, as snapshot metadata holds the box as JSON
+        for name, number in (("lengths", float), ("resolution", int)):
+            if name not in wrong:
+                value = getattr(self, name)
+                if not isinstance(value, (list, tuple)):
+                    value = (value,) * (dim or 1)
+                object.__setattr__(self, name, tuple(map(number, value)))
+                if dim is not None and len(value) != dim:
+                    problems.append(f"{name} must have {dim} entries, got {len(value)}")
+        if "lengths" not in wrong and any(not (L > 0) for L in self.lengths):
             problems.append(f"lengths must be positive and finite, got {self.lengths}")
-        elif (integral and min(self.resolution, default=8) >= 8
+        elif (not wrong & {"lengths", "resolution"}
+              and min(self.resolution, default=8) >= 8
               and not 0 < self.cell_volume < math.inf):
             problems.append(f"lengths {self.lengths} give a cell volume of "
                             f"{self.cell_volume:g}; it must be positive and finite")
-        if not integral:
-            problems.append(f"resolution entries must be integers, got {self.resolution}")
-        elif any(N < 8 for N in self.resolution):
+        if "resolution" not in wrong and any(N < 8 for N in self.resolution):
             problems.append(f"resolution must be >= 8 along every axis, got {self.resolution}")
-        if self.mode == "neumann" and self.dim == 1:
+        if self.mode == "neumann" and dim == 1:
             problems.append("neumann mode requires dim >= 2 (no-slip fluid walls)")
-        problems += _nonfinite(self)
         if problems:
             raise ConfigError(problems)
 
@@ -155,31 +148,32 @@ class SimParams:
     max_steps: int | None = field(default=None, metadata={"kind": "int"})
 
     def __post_init__(self):
-        problems = []
-        if not (self.alpha > 0):
+        problems, wrong = _kind_problems(self)
+        if "alpha" not in wrong and not (self.alpha > 0):
             problems.append(f"alpha must be > 0, got {self.alpha}")
-        if self.tau not in (0, 1):
+        if "tau" not in wrong and self.tau not in (0, 1):
             problems.append(f"tau must be 0 or 1, got {self.tau}")
-        if not (0 < self.rho < 1):
+        if "rho" not in wrong and not (0 < self.rho < 1):
             problems.append(f"rho must lie in (0, 1), got {self.rho}")
-        if not (self.em_weight > 0):
+        if "em_weight" not in wrong and not (self.em_weight > 0):
             problems.append(f"em_weight must be > 0, got {self.em_weight}")
-        if not (self.t_final > 0):
+        if "t_final" not in wrong and not (self.t_final > 0):
             problems.append(f"t_final must be > 0, got {self.t_final}")
-        if not (0 < self.cfl_safety <= 1):
+        if "cfl_safety" not in wrong and not (0 < self.cfl_safety <= 1):
             problems.append(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if self.dt_max is not None and not (self.dt_max > 0):
+        if "dt_max" not in wrong and self.dt_max is not None and not (self.dt_max > 0):
             problems.append(f"dt_max must be > 0 when given, got {self.dt_max}")
-        if self.max_steps is not None and self.max_steps < 1:
+        if ("max_steps" not in wrong and self.max_steps is not None
+                and self.max_steps < 1):
             problems.append(f"max_steps must be >= 1 when given, got {self.max_steps}")
-        grad = tuple(float(g) for g in self.phi_gradient)
-        if not grad:
-            grad = (0.0,) * self.domain.dim
-        object.__setattr__(self, "phi_gradient", grad)
-        if len(grad) != self.domain.dim:
-            problems.append(
-                f"phi_gradient must have {self.domain.dim} entries, got {len(grad)}")
-        problems += _nonfinite(self)
+        if not isinstance(self.domain, DomainSpec):
+            problems.append(f"domain must be a DomainSpec, got {self.domain!r}")
+        elif "phi_gradient" not in wrong:
+            grad = tuple(self.phi_gradient) or (0.0,) * self.domain.dim
+            object.__setattr__(self, "phi_gradient", grad)
+            if len(grad) != self.domain.dim:
+                problems.append(
+                    f"phi_gradient must have {self.domain.dim} entries, got {len(grad)}")
         if problems:
             raise ConfigError(problems)
 
@@ -200,20 +194,38 @@ class ChiKappaModel:
     kappa_power: float = field(default=1.0, metadata={"kind": "real"})
 
     def __post_init__(self):
-        problems = []
-        if self.chi_offset < 0:
+        problems, wrong = _kind_problems(self)
+        if "chi_offset" not in wrong and self.chi_offset < 0:
             problems.append(f"chi_offset must be >= 0, got {self.chi_offset}")
-        if self.chi_slope < 0:
+        if "chi_slope" not in wrong and self.chi_slope < 0:
             problems.append(f"chi_slope must be >= 0, got {self.chi_slope}")
-        if self.kappa_coeff < 0:
+        if "kappa_coeff" not in wrong and self.kappa_coeff < 0:
             problems.append(f"kappa_coeff must be >= 0, got {self.kappa_coeff}")
-        if self.kappa_power < 1:
+        if "kappa_power" not in wrong and self.kappa_power < 1:
             problems.append(f"kappa_power must be >= 1, got {self.kappa_power}")
-        if not (self.chi_offset + self.chi_slope > 0):
+        if (not wrong & {"chi_offset", "chi_slope"}
+                and not (self.chi_offset + self.chi_slope > 0)):
             problems.append("chi_offset + chi_slope must be > 0 (chi not identically 0)")
-        problems += _nonfinite(self)
         if problems:
             raise ConfigError(problems)
+
+
+def _fields(cls):
+    """The fields of dataclass `cls` that name a kind, as an untyped schema
+    entry: required keys have no default, and a key whose default is None
+    also takes null (kind "...?")."""
+    required, optional = {}, {}
+    for f in fields(cls):
+        if "kind" in f.metadata:
+            kind = f.metadata["kind"] + ("?" if f.default is None else "")
+            (required if f.default is MISSING else optional)[f.name] = kind
+    return None, {None: (required, optional)}
+
+
+# Each config dataclass's fields as a schema entry: its __post_init__ checks
+# itself against it, and the CLI checks the dataclass's section against it.
+# Every field but SimParams.domain names a kind.
+FIELD_SCHEMAS = {cls: _fields(cls) for cls in (DomainSpec, SimParams, ChiKappaModel)}
 
 
 # The JSON schema of the `initial` section.  Per field: the type taken when
@@ -287,17 +299,19 @@ VALUE_KINDS = {
 
 
 def schema_problems(where: str, value, schema, dim: int | None = None) -> list[str]:
-    """Every way `value`, found at `where`, departs from `schema`."""
+    """Every way `value`, found at `where`, departs from `schema`.  With
+    `where` empty (a dataclass's own fields), a problem names just its key."""
     if not isinstance(value, dict):
         return [f"{where}: must be a JSON object"]
     if schema is None:
         return []
+    at = f"{where}." if where else ""
     default, types = schema
     typed = default is not None
     kind = value.get("type", default) if typed else None
     # tuple membership compares by ==, so an unhashable kind is no error
     if kind not in tuple(types):
-        return [f"{where}.type: unknown type {kind!r} "
+        return [f"{at}type: unknown type {kind!r} "
                 f"(expected one of {', '.join(types)})"]
     required, optional = types[kind]
     keys = {**required, **optional}
@@ -309,23 +323,23 @@ def schema_problems(where: str, value, schema, dim: int | None = None) -> list[s
         takes = keys.get(key)
         if takes is None:
             names = (["type"] if typed else []) + list(keys)
-            problems.append(f"{where}.{key}: unknown key{suffix} "
+            problems.append(f"{at}{key}: unknown key{suffix} "
                             f"(expected one of {', '.join(names)})")
         elif isinstance(takes, tuple):
-            problems += schema_problems(f"{where}.{key}", item, takes, dim)
+            problems += schema_problems(f"{at}{key}", item, takes, dim)
         elif not (item is None and takes.endswith("?")):
             what, ok = VALUE_KINDS[takes.rstrip("?")]
             if not ok(item, dim):
-                problems.append(f"{where}.{key}: must be {what}, got {item!r}")
-    problems.extend(f"{where}.{key}: required key missing{suffix}"
+                problems.append(f"{at}{key}: must be {what}, got {item!r}")
+    problems.extend(f"{at}{key}: required key missing{suffix}"
                     for key in required if key not in value)
     return problems
 
 
-def check_section(where: str, value, keys: dict) -> None:
-    """Raise ConfigError listing every problem of `value`, a section whose
-    keys are all optional and take the kinds in `keys`."""
-    problems = schema_problems(where, value, (None, {None: ({}, keys)}))
+def check_section(where: str, value, keys: dict, dim: int | None = None) -> None:
+    """Raise ConfigError listing every problem of `value`, a section on `dim`
+    axes whose keys are all optional and take the kinds or entries in `keys`."""
+    problems = schema_problems(where, value, (None, {None: ({}, keys)}), dim)
     if problems:
         raise ConfigError(problems)
 

@@ -243,10 +243,8 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
     for params in rows:
         spec = params.domain
         xs = cell_centers(spec)[0]
-        n0 = barenblatt(alpha, mass, 1, t0, xs)
-        initial = {"n": {"type": "array", "values": n0},
-                   "c": {"type": "constant", "value": 0.0},
-                   "u": {"type": "zero"}}
+        initial = (barenblatt(alpha, mass, 1, t0, xs), np.zeros(spec.shape),
+                   np.zeros((1,) + spec.shape))
         res = run(params, model, initial, output={"sample_interval": t_run})
         exact = barenblatt(alpha, mass, 1, t0 + t_run, xs)
         err = float(np.sum(np.abs(res.state.n.data - exact))) * spec.spacing[0]

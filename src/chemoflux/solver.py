@@ -31,9 +31,10 @@ Kronecker sum of 1D matrices, so a dense eigendecomposition per axis solves
 it exactly, and the projected velocity is discrete divergence-free to
 roundoff as well.
 
-`build_initial` builds the fields an `initial` config section describes (its
-format is `model.INITIAL_SCHEMA`), and `run` drives the steps, the records and
-the output an `output` section (`model.OUTPUT_SCHEMA`) asks for.
+`build_initial` checks an `initial` config section against
+`model.INITIAL_SCHEMA` and builds the fields it describes, and `run` drives
+the steps, the records and the output an `output` section
+(`model.OUTPUT_SCHEMA`) asks for.
 """
 
 from __future__ import annotations
@@ -458,78 +459,84 @@ def _vortex(spec: DomainSpec, amplitude: float) -> np.ndarray:
 
 def build_initial(spec: DomainSpec, initial: dict):
     """Construct (n, c, u) arrays from the `initial` config section (see
-    model.INITIAL_SCHEMA; n may also be {"type": "array", "values"}, a programmatic
-    route outside the JSON schema).  `perturb` multiplies n by 1 + amplitude
+    model.INITIAL_SCHEMA).  `perturb` multiplies n by 1 + amplitude
     * U(-1, 1), before a gaussian n is normalized to its mass.
 
-    Raises ConfigError for data bad only once built: a gaussian sigma that
-    squares to 0 or n without mass, non-finite data, negative n or c, and a
-    snapshot `load_field` rejects; OSError for a snapshot it cannot read.
+    Raises, before anything is built, one ConfigError listing every way
+    `initial` departs from the schema on this box; then ConfigError for
+    data bad only once built: a gaussian sigma that squares to 0 or n
+    without mass, non-finite data, negative n or c, and a snapshot
+    `load_field` rejects; OSError for a snapshot it cannot read.
     """
+    check_section("initial", initial, INITIAL_SCHEMA, spec.dim)
     cfg_n = initial.get("n", {"type": "constant", "value": 1.0})
     cfg_c = initial.get("c", {"type": "constant", "value": 1.0})
     cfg_u = initial.get("u", {"type": "zero"})
-    center = tuple(cfg_n.get("center", (0.0,) * spec.dim))
 
     kind = cfg_n.get("type", INITIAL_SCHEMA["n"][0])
     if kind == "gaussian":
-        n = _gaussian(spec, float(cfg_n["sigma"]), center)
+        n = _gaussian(spec, cfg_n["sigma"], cfg_n.get("center", (0.0,) * spec.dim))
     elif kind == "constant":
-        n = np.full(spec.shape, float(cfg_n["value"]))
-    elif kind == "snapshot":
-        n = load_field(cfg_n["path"], spec)[0].data
-    elif kind == "array":
-        # programmatic route (oracle studies); not part of the JSON schema
-        n = np.array(cfg_n["values"], dtype=float).reshape(spec.shape)
+        n = np.full(spec.shape, cfg_n["value"], dtype=float)
     else:
-        raise ValueError(f"unknown initial n type {kind!r}")
+        n = load_field(cfg_n["path"], spec)[0].data
 
-    perturb = initial.get("perturb")
-    if perturb and float(perturb.get("amplitude", 0.0)) > 0.0:
-        rng = np.random.default_rng(int(perturb.get("seed", 0)))
-        n = n * (1.0 + float(perturb["amplitude"]) * (2.0 * rng.random(spec.shape) - 1.0))
+    perturb = initial.get("perturb", {})
+    if perturb.get("amplitude", 0.0) > 0.0:
+        rng = np.random.default_rng(perturb.get("seed", 0))
+        n = n * (1.0 + perturb["amplitude"] * (2.0 * rng.random(spec.shape) - 1.0))
     if kind == "gaussian":
         total = float(np.sum(n)) * spec.cell_volume
         if not total > 0:
             raise ConfigError([f"initial n: a gaussian of sigma {cfg_n['sigma']} "
                                "has no mass on this grid"])
-        n = n * (float(cfg_n.get("mass", 1.0)) / total)
+        n = n * (cfg_n.get("mass", 1.0) / total)
 
     kind = cfg_c.get("type", INITIAL_SCHEMA["c"][0])
     if kind == "constant":
-        c = np.full(spec.shape, float(cfg_c["value"]))
+        c = np.full(spec.shape, cfg_c["value"], dtype=float)
     elif kind == "gaussian":
-        c = (float(cfg_c.get("base", 0.0))
-             + float(cfg_c["amplitude"])
-             * _gaussian(spec, float(cfg_c["sigma"]),
-                         tuple(cfg_c.get("center", (0.0,) * spec.dim))))
-    elif kind == "snapshot":
-        c = load_field(cfg_c["path"], spec)[0].data
+        c = (cfg_c.get("base", 0.0)
+             + cfg_c["amplitude"]
+             * _gaussian(spec, cfg_c["sigma"], cfg_c.get("center", (0.0,) * spec.dim)))
     else:
-        raise ValueError(f"unknown initial c type {kind!r}")
+        c = load_field(cfg_c["path"], spec)[0].data
 
     kind = cfg_u.get("type", INITIAL_SCHEMA["u"][0])
     if kind == "zero":
         u = np.zeros((spec.dim,) + spec.shape)
     elif kind == "vortex":
-        u = _vortex(spec, float(cfg_u.get("amplitude", 1.0)))
-    elif kind == "snapshot":
-        u = np.stack([load_field(p, spec)[0].data for p in cfg_u["paths"]])
+        u = _vortex(spec, cfg_u.get("amplitude", 1.0))
     else:
-        raise ValueError(f"unknown initial u type {kind!r}")
+        u = np.stack([load_field(p, spec)[0].data for p in cfg_u["paths"]])
+    return _checked_data(spec, (n, c, u))
 
-    if not all(np.all(np.isfinite(f)) for f in (n, c, u)):
+
+def _checked_data(spec: DomainSpec, data: tuple) -> tuple:
+    """`data`, (n, c, u), as float arrays; ConfigError unless they have the
+    box's shapes and are finite, with n and c nonnegative."""
+    shapes = (spec.shape, spec.shape, (spec.dim,) + spec.shape)
+    data = tuple(np.asarray(f, dtype=float) for f in data)
+    if tuple(f.shape for f in data) != shapes:
+        raise ConfigError([f"initial: the (n, c, u) arrays must have shapes "
+                           f"{shapes}, got {tuple(f.shape for f in data)}"])
+    if not all(np.all(np.isfinite(f)) for f in data):
         raise ConfigError(["initial n, c and u must be finite"])
-    if np.min(n) < 0 or np.min(c) < 0:
+    if np.min(data[0]) < 0 or np.min(data[1]) < 0:
         raise ConfigError(["initial n and c must be nonnegative"])
-    return n, c, u
+    return data
 
 
-def initial_state(params: SimParams, initial: dict) -> FieldState:
-    """The t = 0 state: `build_initial`'s data mollified at radius rho, with
-    the velocity projected.  Raises what `build_initial` raises."""
+def initial_state(params: SimParams, initial: dict | tuple) -> FieldState:
+    """The t = 0 state: the initial data (an `initial` section for
+    `build_initial`, or an (n, c, u) tuple of arrays of the box's shapes)
+    mollified at radius rho, with the velocity projected.  Raises what
+    `build_initial` raises."""
     spec = params.domain
-    n0, c0, u0 = build_initial(spec, initial)
+    if isinstance(initial, tuple):
+        n0, c0, u0 = _checked_data(spec, initial)
+    else:
+        n0, c0, u0 = build_initial(spec, initial)
     n0 = mollify_values(n0, spec, params.rho)
     c0 = mollify_values(c0, spec, params.rho)
     u0 = np.stack([mollify_values(u0[d], spec, params.rho) for d in range(spec.dim)])
@@ -551,12 +558,13 @@ class RunResult:
     csv_path: Path | None = None
 
 
-def run(params: SimParams, model: ChiKappaModel, initial: dict,
+def run(params: SimParams, model: ChiKappaModel, initial: dict | tuple,
         output: dict | None = None) -> RunResult:
-    """Mollify and project the initial data, advance adaptively to t_final
-    (or max_steps), record diagnostics at the sample cadence and the final
-    state, and optionally write the CSV stream and field snapshots (of every
-    `snapshot_every`-th record and of the final state).
+    """Mollify and project the initial data (an `initial` config section or
+    an (n, c, u) tuple of arrays: see `initial_state`), advance adaptively
+    to t_final (or max_steps), record diagnostics at the sample cadence and
+    the final state, and optionally write the CSV stream and field snapshots
+    (of every `snapshot_every`-th record and of the final state).
 
     The `guards` dict tracks per-step (not just per-sample) invariants:
     max_div_residual, mass_drift, max_c_increase, min_n_raw, min_c_raw, steps.
@@ -566,7 +574,7 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
     """
     output = dict(output or {})
     check_section("output", output, OUTPUT_SCHEMA)
-    sample_interval = float(output.get("sample_interval", params.t_final / 50.0))
+    sample_interval = output.get("sample_interval", params.t_final / 50.0)
     eps = 1e-12 * max(params.t_final, 1.0)
     if not eps < sample_interval < np.inf:
         raise ConfigError([f"output.sample_interval: must be finite and > "
@@ -575,7 +583,7 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict,
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
-    snapshot_every = int(output.get("snapshot_every", 0)) if out is not None else 0
+    snapshot_every = output.get("snapshot_every", 0) if out is not None else 0
 
     state = initial_state(params, initial)
     warnings = []

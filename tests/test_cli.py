@@ -171,8 +171,8 @@ class TestConfigValidation:
 
     def test_built_data_problems_listed_by_run_and_classify(self, tmp_path,
                                                             capsys):
-        # problems that show only once a field is built: the same line,
-        # exit 2, under both commands
+        # problems that show only once a field is built: listed by run
+        # (exit 2); classify builds nothing, so it classifies (exit 0)
         spec = cf.DomainSpec(2, "periodic", (2.0, 2.0), (16, 16))
         coarse = cf.DomainSpec(2, "periodic", (2.0, 2.0), (8, 8))
         cf.save_field(cf.ScalarField(coarse, np.ones(coarse.shape)),
@@ -197,14 +197,13 @@ class TestConfigValidation:
              "gaussian sigma 1e-300 squares to 0"),
         ]
         for initial, message in cases:
-            errs = []
-            for cmd in ("run", "classify"):
-                rc = cli.main([cmd, _write(tmp_path, _base_cfg(initial=initial))])
-                errs.append(capsys.readouterr().err)
-                assert rc == 2, (cmd, initial)
-            assert errs[0] == errs[1]
-            assert errs[0].startswith("config problem: initial: ")
-            assert message in errs[0]
+            path = _write(tmp_path, _base_cfg(initial=initial))
+            assert cli.main(["run", path]) == 2, initial
+            err = capsys.readouterr().err
+            assert err.startswith("config problem: initial: ")
+            assert message in err
+            assert cli.main(["classify", path]) == 0, initial
+            assert capsys.readouterr().err == ""
 
     def test_bad_value_sweep(self, tmp_path, capsys):
         # every domain/params/model key takes each bad JSON value in turn:
@@ -611,6 +610,14 @@ class TestOracleCommand:
             # the one line is the whole report: no numpy warning beside it
             assert len(err.splitlines()) == 1 and not caught, (err, caught)
 
+    def test_each_study_problem_on_its_own_line(self, tmp_path, capsys):
+        cfg = {"oracle": {"alpha": -0.5, "rho": 1.5}}
+        rc = cli.main(["oracle", "barenblatt", _write(tmp_path, cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config problem: oracle: alpha must be > 0, got -0.5\n"
+            "config problem: oracle: rho must lie in (0, 1), got 1.5\n")
+
     def test_non_object_study_section_listed(self, tmp_path, capsys):
         rc = cli.main(["oracle", "uniform", _write(tmp_path, {"oracle": [1]})])
         assert rc == 2
@@ -624,8 +631,14 @@ class TestThreads:
         from chemoflux import solver
         before = solver._workers
         try:
+            # classify runs no FFT and leaves the worker count alone
             rc = cli.main(["--threads", "2", "classify",
                            _write(tmp_path, _base_cfg())])
+            assert rc == 0
+            assert solver._workers == before
+            cfg = {"oracle": {"dts": [0.01], "t_final": 0.02}}
+            rc = cli.main(["--threads", "2", "oracle", "uniform",
+                           _write(tmp_path, cfg)])
             assert rc == 0
             assert solver._workers == 2
         finally:

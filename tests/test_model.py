@@ -1,12 +1,14 @@
 """Parameter containers, the chi/kappa family, and assumption classification."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import chemoflux as cf
+from chemoflux import cli, model
 from chemoflux.model import ConfigError
 
 
@@ -85,7 +87,7 @@ class TestValidation:
             with pytest.raises(ConfigError) as exc:
                 cf.DomainSpec(1, "periodic", (2.0,), res)
             assert exc.value.problems == [
-                f"resolution entries must be integers, got {res}"]
+                f"resolution: must be an integer or a list of them, got {res}"]
         spec = cf.DomainSpec(2, "periodic", (2.0, 2.0), (np.int64(8), np.int32(9)))
         assert spec.resolution == (8, 9)
         assert all(type(N) is int for N in spec.resolution)
@@ -136,9 +138,12 @@ class TestValidation:
             "domain": lambda kw: cf.DomainSpec(
                 **{"dim": 2, "mode": "periodic", "resolution": (8, 8), **kw}),
         }[kind]
+        what = {"phi_gradient": "a list of finite numbers",
+                "lengths": "a finite number or a list of them"}
         with pytest.raises(ConfigError) as exc:
             build({name: value})
-        assert f"{name} must be finite, got {value}" in exc.value.problems
+        assert exc.value.problems == [
+            f"{name}: must be {what.get(name, 'a finite number')}, got {value}"]
 
     def test_phi_gradient_defaults_to_zero(self):
         p = _params(0.5, domain=cf.DomainSpec(3, "periodic", (2.0,) * 3, (8,) * 3))
@@ -159,3 +164,152 @@ class TestValidation:
         p = _params(0.5)
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.alpha = 1.0
+
+
+# the bad JSON values of the CLI's sweep (tests/test_cli.py), as a Python
+# caller would pass them
+BAD = [None, True, False, "x", "", [], [1], [1, 2, 3], {}, {"a": 1},
+       math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e-300, 12,
+       [16.5, 16], ["a", 2.0], [None, None]]
+BOX = cf.DomainSpec(2, "periodic", (2.0, 2.0), (16, 16))
+VALID = {cf.DomainSpec: dict(dim=2, mode="periodic", lengths=(2.0, 2.0),
+                             resolution=(16, 16)),
+         cf.SimParams: dict(alpha=0.5, tau=1, rho=0.01, t_final=0.02,
+                            domain=BOX),
+         cf.ChiKappaModel: {}}
+
+
+def _problems(build):
+    try:
+        build()
+    except ConfigError as exc:
+        return exc.problems
+    return []
+
+
+class TestKinds:
+    """Each dataclass checks the kinds of its own fields, and `run` its
+    `initial`, with the checker the CLI uses: one ConfigError listing every
+    problem, never another exception, and no value of the wrong kind taken."""
+
+    @pytest.mark.parametrize("kw, problems", [
+        (dict(alpha="x"), ["alpha: must be a finite number, got 'x'"]),
+        (dict(t_final="1"), ["t_final: must be a finite number, got '1'"]),
+        (dict(alpha=True, tau=1.0, max_steps=2.5, rho=1.5),
+         ["alpha: must be a finite number, got True",
+          "tau: must be an integer, got 1.0",
+          "max_steps: must be an integer, got 2.5",
+          "rho must lie in (0, 1), got 1.5"]),
+        (dict(domain=2.0), ["domain must be a DomainSpec, got 2.0"]),
+        (dict(alpha=-1, phi_gradient=("g", 1.0)),
+         ["phi_gradient: must be a list of finite numbers, got ('g', 1.0)",
+          "alpha must be > 0, got -1"]),
+    ])
+    def test_params_kinds(self, kw, problems):
+        # the kind problems come first, in field order, then the ranges
+        assert _problems(lambda: cf.SimParams(
+            **{**VALID[cf.SimParams], **kw})) == problems
+
+    @pytest.mark.parametrize("args, problems", [
+        ((2.0, "periodic", (2.0, 2.0), (8, 8)), ["dim: must be an integer, got 2.0"]),
+        ((1, "periodic", ("x",), (8,)),
+         ["lengths: must be a finite number or a list of them, got ('x',)"]),
+        ((2, 5, (2.0,), 8.0),
+         ["mode: must be a string, got 5",
+          "resolution: must be an integer or a list of them, got 8.0",
+          "lengths must have 2 entries, got 1"]),
+    ])
+    def test_domain_kinds(self, args, problems):
+        assert _problems(lambda: cf.DomainSpec(*args)) == problems
+
+    def test_model_kinds(self):
+        assert _problems(lambda: cf.ChiKappaModel(chi_offset="a", kappa_power=None,
+                                                  chi_slope=-1.0)) == [
+            "chi_offset: must be a finite number, got 'a'",
+            "kappa_power: must be a finite number, got None",
+            "chi_slope must be >= 0, got -1.0"]
+
+    def test_bare_number_is_the_same_on_every_axis(self):
+        spec = cf.DomainSpec(3, "neumann", 2, np.int64(8))
+        assert spec.lengths == (2.0,) * 3 and spec.resolution == (8,) * 3
+        assert all(type(v) is float for v in spec.lengths)
+        assert all(type(v) is int for v in spec.resolution)
+
+    @pytest.mark.parametrize("cls", list(VALID))
+    def test_library_bad_value_sweep(self, cls):
+        # each bad value in each field: ConfigError or a valid object; a
+        # value of the wrong kind gives exactly its kind problem
+        for f, value in itertools.product(dataclasses.fields(cls), BAD):
+            problems = _problems(lambda: cls(**{**VALID[cls], f.name: value}))
+            if f.name == "domain":
+                assert problems == [f"domain must be a DomainSpec, got {value!r}"]
+                continue
+            what, ok = model.VALUE_KINDS[f.metadata["kind"]]
+            if not (ok(value, None) or value is None and f.default is None):
+                assert problems == [f"{f.name}: must be {what}, got {value!r}"], \
+                    (cls.__name__, f.name, value)
+
+    def test_one_schema_for_cli_and_dataclasses(self, monkeypatch):
+        # every field but SimParams.domain names a known kind, and the schema
+        # each __post_init__ checks against is the CLI's section schema itself
+        sections = {"domain": cf.DomainSpec, "params": cf.SimParams,
+                    "model": cf.ChiKappaModel}
+        seen = []
+        check = model.schema_problems
+        monkeypatch.setattr(model, "schema_problems",
+                            lambda where, value, schema, dim=None:
+                            seen.append(schema) or check(where, value, schema, dim))
+        for section, cls in sections.items():
+            schema = model.FIELD_SCHEMAS[cls]
+            assert cli._SECTIONS[section] is schema
+            required, optional = schema[1][None]
+            assert {**required, **optional}.keys() == {
+                f.name for f in dataclasses.fields(cls)} - {"domain"}
+            assert all(kind.rstrip("?") in model.VALUE_KINDS
+                       for kind in {**required, **optional}.values())
+            seen.clear()
+            cls(**VALID[cls])
+            assert seen == [schema] and seen[0] is schema
+
+    @pytest.mark.parametrize("initial, problems", [
+        ({"n": {"type": "gaussian"}},
+         ["initial.n.sigma: required key missing for type 'gaussian'"]),
+        ({"n": {"type": "gaussian", "sigma": "wide"}},
+         ["initial.n.sigma: must be a finite number > 0, got 'wide'"]),
+        ({"n": {"value": 1.0, "colour": "red"}, "c": {"type": "array"}},
+         ["initial.n.colour: unknown key for type 'constant' "
+          "(expected one of type, value)",
+          "initial.c.type: unknown type 'array' "
+          "(expected one of constant, gaussian, snapshot)"]),
+        ([], ["initial: must be a JSON object"]),
+        ({"c": {"type": "gaussian", "amplitude": 1.0, "sigma": 0.3,
+                "center": [0.0]}},
+         ["initial.c.center: must be a list of one finite number per axis, "
+          "got [0.0]"]),
+        ((np.ones((16, 16)), np.ones(16), np.zeros((2, 16, 16))),
+         ["initial: the (n, c, u) arrays must have shapes ((16, 16), (16, 16), "
+          "(2, 16, 16)), got ((16, 16), (16,), (2, 16, 16))"]),
+        ((np.ones((16, 16)), -np.ones((16, 16)), np.zeros((2, 16, 16))),
+         ["initial n and c must be nonnegative"]),
+        ((np.ones((16, 16)), np.ones((16, 16)), np.full((2, 16, 16), np.nan)),
+         ["initial n, c and u must be finite"]),
+    ])
+    def test_run_checks_initial_before_building(self, initial, problems,
+                                                monkeypatch):
+        from chemoflux import solver
+
+        def no_build(*args):
+            raise AssertionError("initial data built before they were checked")
+        monkeypatch.setattr(solver, "mollify_values", no_build)
+        params = cf.SimParams(**VALID[cf.SimParams])
+        with pytest.raises(ConfigError) as exc:
+            cf.run(params, cf.ChiKappaModel(), initial)
+        assert exc.value.problems == problems
+
+    def test_run_takes_arrays(self):
+        params = cf.SimParams(**{**VALID[cf.SimParams], "max_steps": 2})
+        data = (np.ones(BOX.shape), np.ones(BOX.shape), np.zeros((2,) + BOX.shape))
+        res = cf.run(params, cf.ChiKappaModel(), data)
+        want = cf.run(params, cf.ChiKappaModel(), {})
+        np.testing.assert_array_equal(res.state.n.data, want.state.n.data)
+        assert res.guards == want.guards

@@ -1,6 +1,6 @@
-"""The package's layering: lazy exports, the layers that load no
-numerical library, a walled run that loads no scipy, and a runtime that
-loads no sympy."""
+"""The package's layering: lazy exports, the layers and the `classify`
+command that load no numerical library, a walled run that loads no scipy,
+and a runtime that loads no sympy."""
 
 import json
 import os
@@ -17,6 +17,7 @@ import contextlib, io, sys
 import chemoflux, chemoflux.model, chemoflux.ledger, chemoflux.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert chemoflux.cli.main(["ledger", "--scan", "2"]) == 0
+    assert chemoflux.cli.main(["classify", CONFIG]) == 0
 print(sorted(m for m in sys.modules
              if m.split(".")[0] in ("numpy", "scipy", "sympy")))
 """
@@ -30,8 +31,24 @@ def _run_child(code: str) -> subprocess.CompletedProcess:
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
 
-def test_exact_layers_load_no_numerical_library():
-    out = _run_child(_CHILD)
+def _write_config(tmp_path, mode: str) -> str:
+    """An 8^3 box in `mode` with rho = 2.4h, so the mollifier sums."""
+    cfg = {"domain": {"dim": 3, "mode": mode, "lengths": 2.0, "resolution": 8},
+           "params": {"alpha": 0.5, "tau": 1, "rho": 0.6, "t_final": 0.01,
+                      "max_steps": 3},
+           "initial": {"n": {"type": "gaussian", "sigma": 0.4, "mass": 1.0},
+                       "c": {"type": "constant", "value": 1.0},
+                       "u": {"type": "vortex", "amplitude": 0.2}},
+           "output": {"sample_interval": 0.005}}
+    path = tmp_path / f"{mode}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+def test_exact_layers_load_no_numerical_library(tmp_path):
+    # classify checks the whole config, initial data included, by schema
+    config = _write_config(tmp_path, "periodic")
+    out = _run_child(_CHILD.replace("CONFIG", repr(config)))
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
 
@@ -53,18 +70,10 @@ def test_solver_and_oracle_import_no_scipy():
 
 
 def _run_cli_child(tmp_path, mode: str) -> list:
-    """`chemoflux --threads 2 run` on an 8^3 box in `mode` with rho = 2.4h,
-    so the mollifier sums; the scipy modules the run loaded."""
-    cfg = {"domain": {"dim": 3, "mode": mode, "lengths": 2.0, "resolution": 8},
-           "params": {"alpha": 0.5, "tau": 1, "rho": 0.6, "t_final": 0.01,
-                      "max_steps": 3},
-           "initial": {"n": {"type": "gaussian", "sigma": 0.4, "mass": 1.0},
-                       "c": {"type": "constant", "value": 1.0},
-                       "u": {"type": "vortex", "amplitude": 0.2}},
-           "output": {"sample_interval": 0.005}}
-    path = tmp_path / f"{mode}.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    args = ["--threads", "2", "run", str(path), "--out", str(tmp_path / mode)]
+    """`chemoflux --threads 2 run` on `_write_config`'s box in `mode`; the
+    scipy modules the run loaded."""
+    path = _write_config(tmp_path, mode)
+    args = ["--threads", "2", "run", path, "--out", str(tmp_path / mode)]
     out = _run_child("import contextlib, io, chemoflux.cli\n"
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
                      f"    assert chemoflux.cli.main({args!r}) == 0\n"
