@@ -72,10 +72,9 @@ def _build(name: str, cls, kwargs: dict, problems: list, **extra):
 def _require(cfg: dict):
     """(params, model) built from `cfg`, or ConfigError listing every problem.
 
-    Each section is checked against its schema, and a dataclass is built
-    only from a section that passes.  Parameter range checks still run when
-    the domain is invalid (against a placeholder box), so one pass reports
-    everything; only phi_gradient's arity needs the real domain.
+    Each section is checked against its schema, which decides every value
+    on its own, and a dataclass is built only from a section that passes,
+    for the rules across fields; `params` also needs a built domain.
     """
     problems = [f"{key}: unknown section (expected one of {', '.join(sorted(_SECTIONS))})"
                 for key in cfg if key not in _SECTIONS]
@@ -91,11 +90,8 @@ def _require(cfg: dict):
     if dom_cfg is not None:
         domain = _build("domain", DomainSpec, dom_cfg, problems)
     par_cfg = section("params")
-    if par_cfg is not None:
-        if domain is None:
-            par_cfg.pop("phi_gradient", None)
-        params = _build("params", SimParams, par_cfg, problems,
-                        domain=domain or DomainSpec(1, "periodic", (1.0,), (8,)))
+    if par_cfg is not None and domain is not None:
+        params = _build("params", SimParams, par_cfg, problems, domain=domain)
     mod_cfg = section("model")
     if mod_cfg is not None:
         model = _build("model", ChiKappaModel, mod_cfg, problems)
@@ -264,8 +260,6 @@ def _cmd_oracle(args) -> int:
 
     try:
         rows = fn(**kwargs)
-    except ConfigError as exc:  # the dataclass checks
-        raise ConfigError([f"oracle: {p}" for p in exc.problems]) from None
     except ValueError as exc:   # a study's own check, e.g. manufactured's dt bound
         raise ConfigError([f"oracle: {exc}"]) from None
     except SolverError as exc:

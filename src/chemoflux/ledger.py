@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
+from numbers import Integral
 from typing import Callable
 
 DIM = 3  # space dimension of the scaling bookkeeping
@@ -62,7 +63,7 @@ def _rational(value, name: str) -> Fraction:
         raise TypeError(
             f"{name} must be an int or Fraction, got float {value!r}; "
             "exact window checks do not admit floating point")
-    if not isinstance(value, (int, Fraction)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"{name} must be an int or Fraction, got {type(value).__name__}")
     return Fraction(value)
 
@@ -202,7 +203,7 @@ def check_entry(entry: LedgerEntry, alpha, p=None) -> CheckResult:
                     f"entry {entry.id!r} check {chk.name!r}: denominator vanishes "
                     f"at interior point alpha={a}, p={pv}") from None
             outcomes.append(CheckOutcome(chk.name, None, None,
-                                         "undefined (denominator vanishes)"))
+                                         "denominator vanishes"))
             continue
         good = chk.holds(v)
         ok_all = ok_all and good
@@ -469,7 +470,7 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     No point outside the region is scanned; `check_entry` decides any single
     point, inside or out.
     """
-    if density < 1:
+    if isinstance(density, bool) or not isinstance(density, Integral) or density < 1:
         raise ValueError(f"scan density must be an integer >= 1, got {density!r}")
     a, p, rows = _lattice(entry, density)
     traced = []

@@ -16,7 +16,8 @@ Its alpha thresholds are `ledger.ALPHA_CASE_I` and `ledger.ALPHA_CASES_II_III`,
 the same numbers the exponent catalog's regions start and end at.
 
 The module also holds the config format and its one checker: each dataclass
-field names its value kind (`FIELD_SCHEMAS`), `INITIAL_SCHEMA` and
+field names its value kind, type and range (`FIELD_SCHEMAS`), and its
+`__post_init__` adds only the rules across fields; `INITIAL_SCHEMA` and
 `OUTPUT_SCHEMA` describe the sections no dataclass holds, and
 `schema_problems` checks any of them (a dataclass's own fields, the CLI's
 sections, `run`'s initial and output, an oracle study's keywords) against
@@ -68,18 +69,14 @@ class DomainSpec:
     requires dim >= 2.
     """
 
-    dim: int = field(metadata={"kind": "int"})
-    mode: str = field(metadata={"kind": "text"})
-    lengths: tuple[float, ...] = field(metadata={"kind": "per-axis real"})
-    resolution: tuple[int, ...] = field(metadata={"kind": "per-axis int"})
+    dim: int = field(metadata={"kind": "dim"})
+    mode: str = field(metadata={"kind": "mode"})
+    lengths: tuple[float, ...] = field(metadata={"kind": "per-axis positive"})
+    resolution: tuple[int, ...] = field(metadata={"kind": "per-axis grid size"})
 
     def __post_init__(self):
         problems, wrong = _kind_problems(self)
-        dim = self.dim if "dim" not in wrong and self.dim in (1, 2, 3) else None
-        if "dim" not in wrong and dim is None:
-            problems.append(f"dim must be 1, 2 or 3, got {self.dim}")
-        if "mode" not in wrong and self.mode not in VALID_MODES:
-            problems.append(f"mode must be one of {VALID_MODES}, got {self.mode!r}")
+        dim = None if "dim" in wrong else self.dim
         # a bare number is the same on every axis; a numpy scalar becomes a
         # builtin number, as snapshot metadata holds the box as JSON
         for name, number in (("lengths", float), ("resolution", int)):
@@ -90,16 +87,11 @@ class DomainSpec:
                 object.__setattr__(self, name, tuple(map(number, value)))
                 if dim is not None and len(value) != dim:
                     problems.append(f"{name} must have {dim} entries, got {len(value)}")
-        if "lengths" not in wrong and any(not (L > 0) for L in self.lengths):
-            problems.append(f"lengths must be positive and finite, got {self.lengths}")
-        elif (not wrong & {"lengths", "resolution"}
-              and min(self.resolution, default=8) >= 8
-              and not 0 < self.cell_volume < math.inf):
+        if (not wrong & {"lengths", "resolution"}
+                and not 0 < self.cell_volume < math.inf):
             problems.append(f"lengths {self.lengths} give a cell volume of "
                             f"{self.cell_volume:g}; it must be positive and finite")
-        if "resolution" not in wrong and any(N < 8 for N in self.resolution):
-            problems.append(f"resolution must be >= 8 along every axis, got {self.resolution}")
-        if self.mode == "neumann" and dim == 1:
+        if "mode" not in wrong and self.mode == "neumann" and dim == 1:
             problems.append("neumann mode requires dim >= 2 (no-slip fluid walls)")
         if problems:
             raise ConfigError(problems)
@@ -136,36 +128,19 @@ class SimParams:
     max_steps    optional hard cap on step count
     """
 
-    alpha: float = field(metadata={"kind": "real"})
-    tau: int = field(metadata={"kind": "int"})
-    rho: float = field(metadata={"kind": "real"})
-    t_final: float = field(metadata={"kind": "real"})
+    alpha: float = field(metadata={"kind": "positive"})
+    tau: int = field(metadata={"kind": "switch"})
+    rho: float = field(metadata={"kind": "open fraction"})
+    t_final: float = field(metadata={"kind": "positive"})
     domain: DomainSpec
     phi_gradient: tuple[float, ...] = field(default=(), metadata={"kind": "reals"})
-    em_weight: float = field(default=1.0, metadata={"kind": "real"})
-    cfl_safety: float = field(default=0.4, metadata={"kind": "real"})
-    dt_max: float | None = field(default=None, metadata={"kind": "real"})
-    max_steps: int | None = field(default=None, metadata={"kind": "int"})
+    em_weight: float = field(default=1.0, metadata={"kind": "positive"})
+    cfl_safety: float = field(default=0.4, metadata={"kind": "step fraction"})
+    dt_max: float | None = field(default=None, metadata={"kind": "positive"})
+    max_steps: int | None = field(default=None, metadata={"kind": "positive count"})
 
     def __post_init__(self):
         problems, wrong = _kind_problems(self)
-        if "alpha" not in wrong and not (self.alpha > 0):
-            problems.append(f"alpha must be > 0, got {self.alpha}")
-        if "tau" not in wrong and self.tau not in (0, 1):
-            problems.append(f"tau must be 0 or 1, got {self.tau}")
-        if "rho" not in wrong and not (0 < self.rho < 1):
-            problems.append(f"rho must lie in (0, 1), got {self.rho}")
-        if "em_weight" not in wrong and not (self.em_weight > 0):
-            problems.append(f"em_weight must be > 0, got {self.em_weight}")
-        if "t_final" not in wrong and not (self.t_final > 0):
-            problems.append(f"t_final must be > 0, got {self.t_final}")
-        if "cfl_safety" not in wrong and not (0 < self.cfl_safety <= 1):
-            problems.append(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if "dt_max" not in wrong and self.dt_max is not None and not (self.dt_max > 0):
-            problems.append(f"dt_max must be > 0 when given, got {self.dt_max}")
-        if ("max_steps" not in wrong and self.max_steps is not None
-                and self.max_steps < 1):
-            problems.append(f"max_steps must be >= 1 when given, got {self.max_steps}")
         if not isinstance(self.domain, DomainSpec):
             problems.append(f"domain must be a DomainSpec, got {self.domain!r}")
         elif "phi_gradient" not in wrong:
@@ -188,21 +163,13 @@ class ChiKappaModel:
     term would vanish and the model silently collapse to a different system.
     """
 
-    chi_offset: float = field(default=1.0, metadata={"kind": "real"})
-    chi_slope: float = field(default=0.0, metadata={"kind": "real"})
-    kappa_coeff: float = field(default=1.0, metadata={"kind": "real"})
-    kappa_power: float = field(default=1.0, metadata={"kind": "real"})
+    chi_offset: float = field(default=1.0, metadata={"kind": "nonneg"})
+    chi_slope: float = field(default=0.0, metadata={"kind": "nonneg"})
+    kappa_coeff: float = field(default=1.0, metadata={"kind": "nonneg"})
+    kappa_power: float = field(default=1.0, metadata={"kind": "power"})
 
     def __post_init__(self):
         problems, wrong = _kind_problems(self)
-        if "chi_offset" not in wrong and self.chi_offset < 0:
-            problems.append(f"chi_offset must be >= 0, got {self.chi_offset}")
-        if "chi_slope" not in wrong and self.chi_slope < 0:
-            problems.append(f"chi_slope must be >= 0, got {self.chi_slope}")
-        if "kappa_coeff" not in wrong and self.kappa_coeff < 0:
-            problems.append(f"kappa_coeff must be >= 0, got {self.kappa_coeff}")
-        if "kappa_power" not in wrong and self.kappa_power < 1:
-            problems.append(f"kappa_power must be >= 1, got {self.kappa_power}")
         if (not wrong & {"chi_offset", "chi_slope"}
                 and not (self.chi_offset + self.chi_slope > 0)):
             problems.append("chi_offset + chi_slope must be > 0 (chi not identically 0)")
@@ -253,8 +220,16 @@ def _real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _positive(x) -> bool:
+    return _real(x) and x > 0
+
+
 def _int(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _grid_size(x) -> bool:
+    return _int(x) and x >= 8
 
 
 def _path(x) -> bool:
@@ -271,30 +246,39 @@ def _distinct(test, x) -> bool:
 
 
 # value kinds of every config key: (description, test of a value on `dim`
-# axes; None: any axis count).  A test takes a Python caller's form of a JSON
-# value too (a tuple, a numpy scalar, a path object); a bool is never a number.
+# axes; None: any axis count).  A kind states a value's whole rule, its type
+# and then its range, so one test decides each value.  A test takes a Python
+# caller's form of a JSON value too (a tuple, a numpy scalar, a path object);
+# a bool is never a number.
 VALUE_KINDS = {
     "real": ("a finite number", lambda x, dim: _real(x)),
     "nonneg": ("a finite number >= 0", lambda x, dim: _real(x) and x >= 0),
-    "positive": ("a finite number > 0", lambda x, dim: _real(x) and x > 0),
+    "positive": ("a finite number > 0", lambda x, dim: _positive(x)),
+    "power": ("a finite number >= 1", lambda x, dim: _real(x) and x >= 1),
     "fraction": ("a number in [0, 1]", lambda x, dim: _real(x) and 0 <= x <= 1),
-    "int": ("an integer", lambda x, dim: _int(x)),
+    "open fraction": ("a number in (0, 1)", lambda x, dim: _real(x) and 0 < x < 1),
+    "step fraction": ("a number in (0, 1]", lambda x, dim: _real(x) and 0 < x <= 1),
+    "switch": ("0 or 1", lambda x, dim: _int(x) and x in (0, 1)),
+    "dim": ("1, 2 or 3", lambda x, dim: _int(x) and x in (1, 2, 3)),
     "count": ("an integer >= 0", lambda x, dim: _int(x) and x >= 0),
+    "positive count": ("an integer >= 1", lambda x, dim: _int(x) and x >= 1),
+    "mode": (" or ".join(map(repr, VALID_MODES)),
+             lambda x, dim: isinstance(x, str) and x in VALID_MODES),
     "text": ("a string", lambda x, dim: isinstance(x, (str, os.PathLike))),
     "path": ("a nonempty string", lambda x, dim: _path(x)),
     "reals": ("a list of finite numbers", lambda x, dim: _list_of(_real, x)),
-    "per-axis real": ("a finite number or a list of them",
-                      lambda x, dim: _real(x) or _list_of(_real, x)),
-    "per-axis int": ("an integer or a list of them",
-                     lambda x, dim: _int(x) or _list_of(_int, x)),
+    "per-axis positive": ("a finite number > 0 or a list of them",
+                          lambda x, dim: _positive(x) or _list_of(_positive, x)),
+    "per-axis grid size": ("an integer >= 8 or a list of them",
+                           lambda x, dim: _grid_size(x) or _list_of(_grid_size, x)),
     "point": ("a list of one finite number per axis",
               lambda x, dim: _list_of(_real, x, dim)),
     "paths": ("a list of one nonempty string per axis",
               lambda x, dim: _list_of(_path, x, dim)),
     "distinct positives": ("a nonempty list of distinct finite numbers > 0",
-                           lambda x, dim: _distinct(lambda v: _real(v) and v > 0, x)),
-    "distinct ints": ("a nonempty list of distinct integers",
-                      lambda x, dim: _distinct(_int, x)),
+                           lambda x, dim: _distinct(_positive, x)),
+    "grid sizes": ("a nonempty list of distinct integers >= 8",
+                   lambda x, dim: _distinct(_grid_size, x)),
 }
 
 

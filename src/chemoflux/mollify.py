@@ -48,10 +48,7 @@ def _kernel(spec: DomainSpec, rho: float) -> np.ndarray | None:
     w = np.zeros_like(ratio)
     inside = ratio < 1.0
     w[inside] = np.exp(-1.0 / (1.0 - ratio[inside]))
-    total = w.sum()
-    if total <= 0:
-        return None
-    return w / total
+    return w / w.sum()      # w > 0 at the centre offset
 
 
 def _smooth(values: np.ndarray, kern: np.ndarray, mode: str) -> np.ndarray:

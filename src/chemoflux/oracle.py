@@ -185,14 +185,16 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
 # ---------------------------------------------------------------------------
 # study drivers (these DO run the solver; the closed forms above do not)
 
-# each study's keywords with their kinds (model.VALUE_KINDS)
+# each study's keywords with their kinds (model.VALUE_KINDS); a keyword a
+# study passes on to a dataclass field takes that field's kind
 UNIFORM_KEYWORDS = {"dts": "distinct positives", "n_bar": "positive",
                     "c0": "positive", "kappa_coeff": "positive",
-                    "t_final": "real", "kappa_power": "real"}
-BARENBLATT_KEYWORDS = {"resolutions": "distinct ints", "alpha": "real",
+                    "t_final": "positive", "kappa_power": "power"}
+BARENBLATT_KEYWORDS = {"resolutions": "grid sizes", "alpha": "positive",
                        "length": "positive", "t0": "positive",
-                       "t_run": "positive", "rho": "real", "mass": "positive"}
-MANUFACTURED_KEYWORDS = {"resolutions": "distinct ints", "alpha": "real",
+                       "t_run": "positive", "rho": "open fraction",
+                       "mass": "positive"}
+MANUFACTURED_KEYWORDS = {"resolutions": "grid sizes", "alpha": "positive",
                          "t_end": "positive", "dt_factor": "positive"}
 
 

@@ -73,9 +73,11 @@ sfft = _ImportedOnFirstUse("scipy.fft")
 
 
 def set_threads(k: int) -> None:
-    """FFT worker count (results are bit-identical for any k; default 1)."""
+    """FFT worker count (results are bit-identical for any k; default 1).
+    ConfigError unless k is an integer >= 1."""
     global _workers
-    _workers = max(1, int(k))
+    check_section("", {"threads": k}, {"threads": "positive count"})
+    _workers = int(k)
 
 
 class SolverError(RuntimeError):
@@ -514,12 +516,17 @@ def build_initial(spec: DomainSpec, initial: dict):
 
 def _checked_data(spec: DomainSpec, data: tuple) -> tuple:
     """`data`, (n, c, u), as float arrays; ConfigError unless they have the
-    box's shapes and are finite, with n and c nonnegative."""
+    box's shapes, hold integers or floats (a bool is never a number) and are
+    finite, with n and c nonnegative."""
     shapes = (spec.shape, spec.shape, (spec.dim,) + spec.shape)
-    data = tuple(np.asarray(f, dtype=float) for f in data)
+    data = tuple(map(np.asarray, data))
     if tuple(f.shape for f in data) != shapes:
         raise ConfigError([f"initial: the (n, c, u) arrays must have shapes "
                            f"{shapes}, got {tuple(f.shape for f in data)}"])
+    if any(f.dtype.kind not in "iuf" for f in data):
+        raise ConfigError(["initial: the (n, c, u) arrays must hold integers or "
+                           f"floats, got {tuple(str(f.dtype) for f in data)}"])
+    data = tuple(np.asarray(f, dtype=float) for f in data)
     if not all(np.all(np.isfinite(f)) for f in data):
         raise ConfigError(["initial n, c and u must be finite"])
     if np.min(data[0]) < 0 or np.min(data[1]) < 0:

@@ -389,6 +389,19 @@ class TestLedgerCommand:
         assert rc == 0
         assert "inapplicable" in out
 
+    def test_undefined_check_outside_the_region(self, capsys):
+        # alpha 1/4 is inside the alpha window, p 17/6 above the p window
+        # (5/4, 2) and on the pole of r1, so two checks have no value
+        rc = cli.main(["ledger", "--entry", "moser-window",
+                       "--alpha", "1/4", "--p", "17/6"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0].split() == ["moser-window", "alpha=1/4", "p=17/6",
+                                    "inapplicable"]
+        assert "    r1-window = None  undefined  (denominator vanishes)" in lines
+        assert "    r1-sobolev-index = None  undefined  (denominator vanishes)" \
+            in lines
+
     def test_scan_single_entry(self, capsys):
         rc = cli.main(["ledger", "--entry", "moser-window", "--scan", "10"])
         out = capsys.readouterr().out
@@ -525,6 +538,21 @@ class TestOracleCommand:
         assert "uniform study (3 runs)" in out
         assert "mean observed order:" in out
 
+    def test_resolution_study_orders(self, tmp_path, capsys):
+        # a study keyed by N: the order of a row is against the coarser row
+        cfg = {"oracle": {"resolutions": [16, 32]}}
+        rc = cli.main(["oracle", "manufactured", _write(tmp_path, cfg)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[0] == "manufactured study (2 runs)"
+        errors = [float(line.split("error=")[1].split()[0]) for line in lines[1:3]]
+        order = math.log(errors[0] / errors[1]) / math.log(2)
+        assert lines[1].split() == ["N=16", f"error={errors[0]:.6e}"]
+        assert lines[2].split() == ["N=32", f"error={errors[1]:.6e}",
+                                    f"order={order:.2f}"]
+        assert lines[3] == f"  mean observed order: {order:.2f}"
+        assert order > 1.9
+
     def test_study_kwargs_from_config(self, tmp_path, capsys):
         cfg = {"oracle": {"dts": [0.004, 0.002], "t_final": 0.25}}
         rc = cli.main(["oracle", "uniform", _write(tmp_path, cfg)])
@@ -534,16 +562,16 @@ class TestOracleCommand:
 
     def test_unknown_study_kwarg_rejected(self, tmp_path, capsys):
         pos = "must be a finite number > 0, got"
-        ints = "must be a nonempty list of distinct integers, got"
+        ints = "must be a nonempty list of distinct integers >= 8, got"
         cases = [
             ("uniform", {"resolution": 99}, 2, "oracle.resolution"),
             # values outside a keyword's kind, or that the study rejects
             # while it sets up its inputs
             ("uniform", {"dts": "abc"}, 2, "oracle.dts: must be a nonempty "
              "list of distinct finite numbers > 0, got 'abc'"),
-            ("uniform", {"t_final": -1}, 2, "oracle: t_final must be > 0"),
+            ("uniform", {"t_final": -1}, 2, f"oracle.t_final: {pos} -1"),
             ("barenblatt", {"resolutions": [4]}, 2,
-             "oracle: resolution must be >= 8"),
+             f"oracle.resolutions: {ints} [4]"),
             ("barenblatt", {"resolutions": [8.5]}, 2,
              f"oracle.resolutions: {ints} [8.5]"),
             ("manufactured", {"dt_factor": 0}, 2, f"oracle.dt_factor: {pos} 0"),
@@ -588,12 +616,11 @@ class TestOracleCommand:
             ("barenblatt", {"t0": "x"}, 2,
              f"config problem: oracle.t0: {pos} 'x'\n"),
             ("barenblatt", {"resolutions": [64, 4]}, 2,
-             "config problem: oracle: resolution must be >= 8 along every "
-             "axis, got (4,)\n"),
+             f"config problem: oracle.resolutions: {ints} [64, 4]\n"),
             ("manufactured", {"alpha": "x"}, 2,
-             "config problem: oracle.alpha: must be a finite number, got 'x'\n"),
+             f"config problem: oracle.alpha: {pos} 'x'\n"),
             ("uniform", {"kappa_power": "x"}, 2, "config problem: "
-             "oracle.kappa_power: must be a finite number, got 'x'\n"),
+             "oracle.kappa_power: must be a finite number >= 1, got 'x'\n"),
             ("uniform", {"dts": [0.002, -0.001]}, 2,
              "config problem: oracle.dts: must be a nonempty list of distinct "
              "finite numbers > 0, got [0.002, -0.001]\n"),
@@ -615,8 +642,8 @@ class TestOracleCommand:
         rc = cli.main(["oracle", "barenblatt", _write(tmp_path, cfg)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "config problem: oracle: alpha must be > 0, got -0.5\n"
-            "config problem: oracle: rho must lie in (0, 1), got 1.5\n")
+            "config problem: oracle.alpha: must be a finite number > 0, got -0.5\n"
+            "config problem: oracle.rho: must be a number in (0, 1), got 1.5\n")
 
     def test_non_object_study_section_listed(self, tmp_path, capsys):
         rc = cli.main(["oracle", "uniform", _write(tmp_path, {"oracle": [1]})])

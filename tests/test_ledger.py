@@ -123,6 +123,18 @@ class TestAnchorValues:
         assert out["delta-p"].value == F(-997, 1100)
         assert out["delta-p-prime"].ok is False
 
+    def test_p_outside_its_window_inapplicable(self):
+        # alpha 1/4 is inside moser-window's alpha window, p 17/6 above its
+        # p window, and r1 has a pole there: a value-less diagnostic
+        e = cf.get_entry("moser-window")
+        assert e.p_window(F(1, 4)) == (F(5, 4), F(2))
+        assert not e.contains(F(1, 4), F(17, 6))
+        status, out = _outcomes("moser-window", F(1, 4), F(17, 6))
+        assert status == "inapplicable"
+        assert (out["r1-window"].value, out["r1-window"].ok,
+                out["r1-window"].note) == (None, None, "denominator vanishes")
+        assert out["p-minus-3a"].value == F(25, 12)
+
     def test_below_alpha_floor_inapplicable(self):
         status, _ = _outcomes("case-i-low", F(1, 10))
         assert status == "inapplicable"
@@ -134,6 +146,15 @@ class TestExactnessDiscipline:
         e = cf.get_entry("case-i-mid")
         with pytest.raises(TypeError):
             cf.check_entry(e, 0.5)
+
+    def test_bool_rejected(self):
+        # a bool is never a number: True is not alpha 1
+        with pytest.raises(TypeError, match="^alpha must be an int or "
+                                            "Fraction, got bool$"):
+            cf.check_entry(cf.get_entry("case-i-mid"), True)
+        with pytest.raises(TypeError, match="^p must be an int or "
+                                            "Fraction, got bool$"):
+            cf.check_entry(cf.get_entry("moser-window"), F(1, 4), False)
 
     def test_float_p_rejected(self):
         e = cf.get_entry("moser-window")
@@ -338,6 +359,14 @@ class TestScan:
     def test_density_below_one_rejected(self, density):
         with pytest.raises(ValueError):
             cf.scan_region(cf.get_entry("moser-window"), density=density)
+
+    @pytest.mark.parametrize("density", [True, 2.5, F(3), "3"])
+    def test_density_not_an_integer_rejected(self, density):
+        # True scanned at density 1, and 2.5 failed in range()
+        with pytest.raises(ValueError) as exc:
+            cf.scan_region(cf.get_entry("moser-window"), density=density)
+        assert str(exc.value) == \
+            f"scan density must be an integer >= 1, got {density!r}"
 
     def test_check_window_semantics(self):
         c = lg.Check("w", lambda a, p: a, lo=F(0), hi=F(1),

@@ -82,12 +82,16 @@ class TestValidation:
         msgs = "\n".join(exc.value.problems)
         assert len(exc.value.problems) >= 3
         assert "dim" in msgs and "mode" in msgs and "resolution" in msgs
+        assert exc.value.problems == [
+            "dim: must be 1, 2 or 3, got 5",
+            "mode: must be 'periodic' or 'neumann', got 'weird'",
+            "resolution: must be an integer >= 8 or a list of them, got (4, 4)"]
         # a resolution entry that is not an integer is listed, never truncated
         for res in ((8.5,), (8.0,), ("8",), (None,)):
             with pytest.raises(ConfigError) as exc:
                 cf.DomainSpec(1, "periodic", (2.0,), res)
             assert exc.value.problems == [
-                f"resolution: must be an integer or a list of them, got {res}"]
+                f"resolution: must be an integer >= 8 or a list of them, got {res}"]
         spec = cf.DomainSpec(2, "periodic", (2.0, 2.0), (np.int64(8), np.int32(9)))
         assert spec.resolution == (8, 9)
         assert all(type(N) is int for N in spec.resolution)
@@ -139,11 +143,14 @@ class TestValidation:
                 **{"dim": 2, "mode": "periodic", "resolution": (8, 8), **kw}),
         }[kind]
         what = {"phi_gradient": "a list of finite numbers",
-                "lengths": "a finite number or a list of them"}
+                "lengths": "a finite number > 0 or a list of them",
+                "kappa_coeff": "a finite number >= 0",
+                "chi_offset": "a finite number >= 0",
+                "kappa_power": "a finite number >= 1"}
         with pytest.raises(ConfigError) as exc:
             build({name: value})
         assert exc.value.problems == [
-            f"{name}: must be {what.get(name, 'a finite number')}, got {value}"]
+            f"{name}: must be {what.get(name, 'a finite number > 0')}, got {value}"]
 
     def test_phi_gradient_defaults_to_zero(self):
         p = _params(0.5, domain=cf.DomainSpec(3, "periodic", (2.0,) * 3, (8,) * 3))
@@ -170,7 +177,8 @@ class TestValidation:
 # caller would pass them
 BAD = [None, True, False, "x", "", [], [1], [1, 2, 3], {}, {"a": 1},
        math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e-300, 12,
-       [16.5, 16], ["a", 2.0], [None, None]]
+       [16.5, 16], ["a", 2.0], [None, None],
+       np.array("neumann"), np.array(["neumann", "x"])]
 BOX = cf.DomainSpec(2, "periodic", (2.0, 2.0), (16, 16))
 VALID = {cf.DomainSpec: dict(dim=2, mode="periodic", lengths=(2.0, 2.0),
                              resolution=(16, 16)),
@@ -193,31 +201,39 @@ class TestKinds:
     problem, never another exception, and no value of the wrong kind taken."""
 
     @pytest.mark.parametrize("kw, problems", [
-        (dict(alpha="x"), ["alpha: must be a finite number, got 'x'"]),
-        (dict(t_final="1"), ["t_final: must be a finite number, got '1'"]),
+        (dict(alpha="x"), ["alpha: must be a finite number > 0, got 'x'"]),
+        (dict(t_final="1"), ["t_final: must be a finite number > 0, got '1'"]),
         (dict(alpha=True, tau=1.0, max_steps=2.5, rho=1.5),
-         ["alpha: must be a finite number, got True",
-          "tau: must be an integer, got 1.0",
-          "max_steps: must be an integer, got 2.5",
-          "rho must lie in (0, 1), got 1.5"]),
+         ["alpha: must be a finite number > 0, got True",
+          "tau: must be 0 or 1, got 1.0",
+          "rho: must be a number in (0, 1), got 1.5",
+          "max_steps: must be an integer >= 1, got 2.5"]),
         (dict(domain=2.0), ["domain must be a DomainSpec, got 2.0"]),
         (dict(alpha=-1, phi_gradient=("g", 1.0)),
-         ["phi_gradient: must be a list of finite numbers, got ('g', 1.0)",
-          "alpha must be > 0, got -1"]),
+         ["alpha: must be a finite number > 0, got -1",
+          "phi_gradient: must be a list of finite numbers, got ('g', 1.0)"]),
     ])
     def test_params_kinds(self, kw, problems):
-        # the kind problems come first, in field order, then the ranges
+        # each field's problem in field order, then the rules across fields
         assert _problems(lambda: cf.SimParams(
             **{**VALID[cf.SimParams], **kw})) == problems
 
     @pytest.mark.parametrize("args, problems", [
-        ((2.0, "periodic", (2.0, 2.0), (8, 8)), ["dim: must be an integer, got 2.0"]),
+        ((2.0, "periodic", (2.0, 2.0), (8, 8)), ["dim: must be 1, 2 or 3, got 2.0"]),
         ((1, "periodic", ("x",), (8,)),
-         ["lengths: must be a finite number or a list of them, got ('x',)"]),
+         ["lengths: must be a finite number > 0 or a list of them, got ('x',)"]),
         ((2, 5, (2.0,), 8.0),
-         ["mode: must be a string, got 5",
-          "resolution: must be an integer or a list of them, got 8.0",
+         ["mode: must be 'periodic' or 'neumann', got 5",
+          "resolution: must be an integer >= 8 or a list of them, got 8.0",
           "lengths must have 2 entries, got 1"]),
+        # a numpy array is no string: its kind problem alone, and neither a
+        # truth-value error nor the neumann rule
+        ((1, np.array(["neumann", "x"]), 2.0, 8),
+         ["mode: must be 'periodic' or 'neumann', "
+          "got array(['neumann', 'x'], dtype='<U7')"]),
+        ((1, np.array("neumann"), 2.0, 8),
+         ["mode: must be 'periodic' or 'neumann', "
+          "got array('neumann', dtype='<U7')"]),
     ])
     def test_domain_kinds(self, args, problems):
         assert _problems(lambda: cf.DomainSpec(*args)) == problems
@@ -225,9 +241,9 @@ class TestKinds:
     def test_model_kinds(self):
         assert _problems(lambda: cf.ChiKappaModel(chi_offset="a", kappa_power=None,
                                                   chi_slope=-1.0)) == [
-            "chi_offset: must be a finite number, got 'a'",
-            "kappa_power: must be a finite number, got None",
-            "chi_slope must be >= 0, got -1.0"]
+            "chi_offset: must be a finite number >= 0, got 'a'",
+            "chi_slope: must be a finite number >= 0, got -1.0",
+            "kappa_power: must be a finite number >= 1, got None"]
 
     def test_bare_number_is_the_same_on_every_axis(self):
         spec = cf.DomainSpec(3, "neumann", 2, np.int64(8))
@@ -293,6 +309,17 @@ class TestKinds:
          ["initial n and c must be nonnegative"]),
         ((np.ones((16, 16)), np.ones((16, 16)), np.full((2, 16, 16), np.nan)),
          ["initial n, c and u must be finite"]),
+        # no cast: a string is no number, a complex number loses its
+        # imaginary part, and a bool is never a number
+        (([["x"] * 16] * 16, np.ones((16, 16)), np.zeros((2, 16, 16))),
+         ["initial: the (n, c, u) arrays must hold integers or floats, "
+          "got ('<U1', 'float64', 'float64')"]),
+        ((np.ones((16, 16)), np.ones((16, 16), complex), np.zeros((2, 16, 16))),
+         ["initial: the (n, c, u) arrays must hold integers or floats, "
+          "got ('float64', 'complex128', 'float64')"]),
+        ((np.ones((16, 16), bool), np.ones((16, 16)), np.zeros((2, 16, 16))),
+         ["initial: the (n, c, u) arrays must hold integers or floats, "
+          "got ('bool', 'float64', 'float64')"]),
     ])
     def test_run_checks_initial_before_building(self, initial, problems,
                                                 monkeypatch):
@@ -307,8 +334,9 @@ class TestKinds:
         assert exc.value.problems == problems
 
     def test_run_takes_arrays(self):
+        # of floats or of integers
         params = cf.SimParams(**{**VALID[cf.SimParams], "max_steps": 2})
-        data = (np.ones(BOX.shape), np.ones(BOX.shape), np.zeros((2,) + BOX.shape))
+        data = (np.ones(BOX.shape, int), np.ones(BOX.shape), np.zeros((2,) + BOX.shape))
         res = cf.run(params, cf.ChiKappaModel(), data)
         want = cf.run(params, cf.ChiKappaModel(), {})
         np.testing.assert_array_equal(res.state.n.data, want.state.n.data)

@@ -309,14 +309,17 @@ class TestStudies:
         (uniform_consumption_study, {"dts": (0.002, -0.001)}, r"^oracle\.dts: "),
         (uniform_consumption_study, {"kappa_power": "x"}, r"^oracle\.kappa_power: "),
         (uniform_consumption_study, {"n_bar": 0}, r"^oracle\.n_bar: "),
-        (uniform_consumption_study, {"t_final": -1}, r"^t_final must be > 0"),
+        (uniform_consumption_study, {"t_final": -1},
+         r"^oracle\.t_final: must be a finite number > 0, got -1$"),
         (barenblatt_convergence, {"resolutions": (64, 4)},
-         r"^resolution must be >= 8"),
+         r"^oracle\.resolutions: must be a nonempty list of distinct integers "
+         r">= 8, got \(64, 4\)$"),
         (barenblatt_convergence, {"t_run": 0}, r"^oracle\.t_run: "),
         (barenblatt_convergence, {"length": 0}, r"^oracle\.length: "),
         (barenblatt_convergence, {"t0": "x"}, r"^oracle\.t0: "),
         (manufactured_convergence, {"resolutions": (16, 4)},
-         r"^resolution must be >= 8"),
+         r"^oracle\.resolutions: must be a nonempty list of distinct integers "
+         r">= 8, got \(16, 4\)$"),
         (manufactured_convergence, {"alpha": "x"}, r"^oracle\.alpha: "),
         # the N = 16 row is under the stability bound, the N = 32 row above
         (manufactured_convergence, {"resolutions": (16, 32), "dt_factor": 0.155},

@@ -485,6 +485,16 @@ class TestRunContract:
         p, _ = cf.load_field(tmp_path / f"p_{last}", spec)
         np.testing.assert_array_equal(p.data, res.state.p.data)
 
+    @pytest.mark.parametrize("k", [2.5, 0, True, "3"])
+    def test_set_threads_takes_only_a_count(self, k):
+        # these ran 2, 1, 1 and 3 workers
+        before = solver._workers
+        with pytest.raises(cf.ConfigError) as exc:
+            cf.set_threads(k)
+        assert exc.value.problems == [
+            f"threads: must be an integer >= 1, got {k!r}"]
+        assert solver._workers == before
+
     def test_fft_worker_count_leaves_results_bitwise(self):
         spec = _spec(n=12, dim=3)
         before = solver._workers
@@ -590,14 +600,27 @@ class TestBuildInitial:
             cf.build_initial(spec, {"n": {"type": "mystery"}})
 
     def test_snapshot_roundtrip(self, tmp_path):
+        # n, c and each velocity component read back bit for bit
         spec = _spec(n=16)
         rng = np.random.default_rng(12)
-        vals = rng.random(spec.shape)
-        path = cf.save_field(cf.ScalarField(spec, vals), tmp_path / "n0",
-                             name="n", time=0.0)
-        n, _, _ = cf.build_initial(spec, {"n": {"type": "snapshot",
-                                                "path": str(path)}})
-        np.testing.assert_array_equal(n, vals)
+        vals = rng.random((4,) + spec.shape)
+        paths = [str(cf.save_field(cf.ScalarField(spec, v), tmp_path / name,
+                                   name=name, time=0.0))
+                 for v, name in zip(vals, ("n", "c", "u0", "u1"))]
+        n, c, u = cf.build_initial(spec, {
+            "n": {"type": "snapshot", "path": paths[0]},
+            "c": {"type": "snapshot", "path": paths[1]},
+            "u": {"type": "snapshot", "paths": paths[2:]}})
+        np.testing.assert_array_equal(n, vals[0])
+        np.testing.assert_array_equal(c, vals[1])
+        np.testing.assert_array_equal(u, vals[2:])
+
+    def test_vortex_in_one_dimension_is_at_rest(self):
+        # the swirl lives in the first two axes; a 1D box has no swirl
+        spec = cf.DomainSpec(1, "periodic", 2.0, 16)
+        _, _, u = cf.build_initial(spec, {"u": {"type": "vortex",
+                                                "amplitude": 0.3}})
+        np.testing.assert_array_equal(u, np.zeros((1, 16)))
 
 
 def _small_run(spec=None, tmp=None, **over):
