@@ -260,6 +260,8 @@ def _cmd_oracle(args) -> int:
 
     try:
         rows = fn(**kwargs)
+    except ConfigError:         # a study's own key, named as its check names it
+        raise
     except ValueError as exc:   # a study's own check, e.g. manufactured's dt bound
         raise ConfigError([f"oracle: {exc}"]) from None
     except SolverError as exc:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from numbers import Integral, Real
 
 from .ledger import ALPHA_CASE_I, ALPHA_CASES_II_III
@@ -96,7 +97,9 @@ class DomainSpec:
         if problems:
             raise ConfigError(problems)
 
-    @property
+    # computed once per box: the fields are frozen, and a cached value lives
+    # outside them, so == and hash are unchanged
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / N for L, N in zip(self.lengths, self.resolution))
 
@@ -104,7 +107,7 @@ class DomainSpec:
     def shape(self) -> tuple[int, ...]:
         return self.resolution
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         v = 1.0
         for h in self.spacing:

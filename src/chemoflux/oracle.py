@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grid import ScalarField, cell_centers, lp_norm, mesh
-from .model import ChiKappaModel, DomainSpec, SimParams, check_section
+from .model import (ChiKappaModel, ConfigError, DomainSpec, SimParams,
+                    check_section)
 
 __all__ = [
     "uniform_state_ode", "barenblatt", "ManufacturedProblem",
@@ -234,6 +235,9 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
     self-similar solution, one entry per resolution.  t0, mass > 0: else
     there is no source solution."""
     check_section("oracle", locals(), BARENBLATT_KEYWORDS)
+    if not all(length / N > 0.0 for N in resolutions):
+        raise ConfigError([f"oracle.length: must give a cell width length/N "
+                           f"> 0 at every resolution, got {length!r}"])
     from .solver import run
 
     model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,

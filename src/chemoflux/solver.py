@@ -19,6 +19,13 @@ One step advances, in order:
 the same bits.  The upwind side of every advection term is picked before the
 multiply, from one mask u_e > 0 per axis.
 
+`step` and `project` return fresh arrays.  Neither writes into the input
+state, the `faces` given to `step`, the arrays `sources` returns or the
+cached solve table.  The step computes each expression in place in the temporaries
+it made itself (a `shifted` slab, a ufunc or FFT result), with the same
+operands in the same order as the plain expression, so the bits are the
+plain expression's; it keeps no buffer between calls.
+
 The implicit solves and the projection are one cached table per box,
 `_solves(spec)`, with `helmholtz` and `fluid`; `step` and `project` call it
 whatever the boundary mode.  A periodic table solves spectrally with the
@@ -49,7 +56,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, compute_record, write_csv
 from .grid import (ScalarField, VectorField, diff_central, divergence, integrate,
-                   mesh, save_field, load_field, lp_norm, shifted)
+                   mesh, save_field, load_field, lp_norm, shifted, summed)
 from .mollify import mollify_values
 from .model import (INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel, ConfigError,
                     DomainSpec, SimParams, check_section, classify_assumption)
@@ -149,7 +156,7 @@ class _PeriodicSolves:
 
     def helmholtz(self, values: np.ndarray, dt: float) -> np.ndarray:
         vh = sfft.rfftn(values, workers=_workers)
-        vh /= (1.0 - dt * self.lam)
+        vh /= _one_minus(dt, self.lam)
         return sfft.irfftn(vh, s=self.spec.shape, workers=_workers)
 
     def fluid(self, v, dt: float):
@@ -158,14 +165,24 @@ class _PeriodicSolves:
         spectrum."""
         vh = [sfft.rfftn(comp, workers=_workers) for comp in v]
         if dt > 0.0:
-            visc = 1.0 - dt * self.lam
-            vh = [x / visc for x in vh]
-        div_h = (1j) * sum(s * x for s, x in zip(self.sins, vh))
+            visc = _one_minus(dt, self.lam)
+            for x in vh:
+                x /= visc
+        div_h = summed(s * x for s, x in zip(self.sins, vh))
+        np.multiply(1j, div_h, out=div_h)
         ph = np.zeros_like(div_h)
         np.divide(div_h, -self.s_sq, out=ph, where=self.s_sq > 0)
-        u = [sfft.irfftn(x - 1j * s * ph, s=self.spec.shape, workers=_workers)
-             for s, x in zip(self.sins, vh)]
+        u = []
+        for s, x in zip(self.sins, vh):
+            np.subtract(x, np.multiply(1j * s, ph), out=x)
+            u.append(sfft.irfftn(x, s=self.spec.shape, workers=_workers))
         return np.stack(u), _SpectralPressure(self.spec, ph)
+
+
+def _one_minus(dt: float, eig: np.ndarray) -> np.ndarray:
+    """1 - dt*eig, the symbol of I - dt*L, in one fresh array."""
+    out = np.multiply(dt, eig)
+    return np.subtract(1.0, out, out=out)
 
 
 def _separable(x: np.ndarray, mats) -> np.ndarray:
@@ -207,7 +224,8 @@ class _WalledSolves:
     def _inverse(self, values: np.ndarray, dt: float, ghost: str) -> np.ndarray:
         # (I - dt*lap_compact)^{-1} with `ghost` walls, exact in the eigenbasis
         vecs, eig = self.bases[ghost]
-        vh = _separable(values, vecs) / (1.0 - dt * eig)
+        vh = _separable(values, vecs)
+        vh /= _one_minus(dt, eig)
         return _separable(vh, [q.T for q in vecs])
 
     def helmholtz(self, values: np.ndarray, dt: float) -> np.ndarray:
@@ -233,7 +251,8 @@ class _WalledSolves:
         u = np.stack(v)
         for d in range(spec.dim):
             u[d] += diff_central(lam, spec, d, "zero")
-        return u, ScalarField(spec, -(lam - float(np.mean(lam))))
+        lam -= float(np.mean(lam))
+        return u, ScalarField(spec, np.negative(lam, out=lam))
 
 
 @lru_cache(maxsize=32)
@@ -273,9 +292,17 @@ def _face_drift(state: FieldState, params: SimParams,
         if model.chi_slope == 0.0:
             chi_face = model.chi_offset
         else:
-            chi_face = model.chi_offset + model.chi_slope * 0.5 * (c + c_r)
-        faces.append(chi_face * (c_r - c) / spec.spacing[d]
-                     + 0.5 * (u[d] + u_r))
+            chi_face = np.add(c, c_r)
+            np.multiply(model.chi_slope * 0.5, chi_face, out=chi_face)
+            np.add(model.chi_offset, chi_face, out=chi_face)
+        # w = chi_face * (c_r - c) / h + 0.5 * (u + u_r), built in c_r
+        np.subtract(c_r, c, out=c_r)
+        np.multiply(chi_face, c_r, out=c_r)
+        c_r /= spec.spacing[d]
+        np.add(u[d], u_r, out=u_r)
+        np.multiply(0.5, u_r, out=u_r)
+        c_r += u_r
+        faces.append(c_r)
     return faces
 
 
@@ -315,11 +342,34 @@ def _upwind(q: np.ndarray, a: np.ndarray, up: np.ndarray, spec: DomainSpec,
     """a dq/dx along axis d, differenced on the upwind side of a (up is
     a > 0): the forward difference, overwritten by the backward one where
     up, then scaled in place."""
-    dq = shifted(q, spec, d, 1, ghost) - q
-    np.copyto(dq, q - shifted(q, spec, d, -1, ghost), where=up)
+    dq = shifted(q, spec, d, 1, ghost)
+    dq -= q
+    back = shifted(q, spec, d, -1, ghost)
+    np.copyto(dq, np.subtract(q, back, out=back), where=up)
     np.multiply(a, dq, out=dq)
     dq /= spec.spacing[d]
     return dq
+
+
+def _flux_difference(n: np.ndarray, g: np.ndarray, w: np.ndarray,
+                     spec: DomainSpec, d: int) -> np.ndarray:
+    """(F - F_left)/h along axis d, with the right-face cell flux
+    F = w * n_up - (g_r - g)/h, n_up the n of the face's upwind cell (the
+    right one, or this one where w > 0)."""
+    h = spec.spacing[d]
+    f = shifted(n, spec, d, 1, "mirror")
+    np.copyto(f, n, where=w > 0.0)
+    np.multiply(w, f, out=f)
+    g_r = shifted(g, spec, d, 1, "mirror")
+    g_r -= g
+    g_r /= h
+    f -= g_r
+    if spec.mode == "neumann":    # no flux through the right wall
+        f[(slice(None),) * d + (slice(-1, None),)] = 0.0
+    f_l = shifted(f, spec, d, -1, "zero")
+    np.subtract(f, f_l, out=f_l)
+    f_l /= h
+    return f_l
 
 
 def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
@@ -336,7 +386,6 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     """
     spec = params.domain
     dim = spec.dim
-    h = spec.spacing
     n, c, u = state.n.data, state.c.data, state.u.data
     alpha, rho, tau = params.alpha, params.rho, params.tau
     if sources is not None:
@@ -345,57 +394,56 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     # --- 1. cells: conservative flux update
     if faces is None:
         faces = _face_drift(state, params, model)
-    g = np.power(n + rho, 1.0 + alpha)
-    flux_div = np.zeros(spec.shape)
-    for d in range(dim):
-        w = faces[d]
-        # n of the face's upwind cell: the right one, or this one where w > 0
-        n_up = shifted(n, spec, d, 1, "mirror")
-        np.copyto(n_up, n, where=w > 0.0)
-        g_r = shifted(g, spec, d, 1, "mirror")
-        f = w * n_up - (g_r - g) / h[d]
-        if spec.mode == "neumann":    # no flux through the right wall
-            f[(slice(None),) * d + (slice(-1, None),)] = 0.0
-        flux_div += (f - shifted(f, spec, d, -1, "zero")) / h[d]
+    g = np.add(n, rho)
+    np.power(g, 1.0 + alpha, out=g)
+    flux_div = summed(_flux_difference(n, g, faces[d], spec, d)
+                      for d in range(dim))
     faces.clear()
-    n_new = n - dt * flux_div
+    np.multiply(dt, flux_div, out=flux_div)
+    n_new = np.subtract(n, flux_div, out=flux_div)
     if sources is not None:
-        n_new = n_new + dt * s_n
+        n_new += dt * s_n
     min_n_raw = float(np.min(n_new))
     if min_n_raw < NEG_TOL:
         raise SolverError(
             f"cell density dropped to {min_n_raw:.3e} at t={state.t + dt:.6g}; "
             "the step is unstable (check cfl_safety / dt_max)")
-    n_new = np.maximum(n_new, 0.0)
+    np.maximum(n_new, 0.0, out=n_new)
 
     # --- 2. chemical: upwind advection, implicit consumption, diffusion
-    # (these sums start from 0, which turns a -0.0 first term into +0.0;
-    # summing from the first term would change signed zeros)
+    # (`summed`, like sum, starts from 0, which turns a -0.0 first term into
+    # +0.0; summing from the first term would change signed zeros)
     up = [u[d] > 0.0 for d in range(dim)]
-    c1 = c - dt * sum(_upwind(c, u[d], up[d], spec, d, "mirror")
-                      for d in range(dim))
+    c1 = summed(_upwind(c, u[d], up[d], spec, d, "mirror") for d in range(dim))
+    np.multiply(dt, c1, out=c1)
+    np.subtract(c, c1, out=c1)
     if model.kappa_coeff > 0.0:
-        if model.kappa_power == 1.0:
-            rate = model.kappa_coeff * n
-        else:
-            rate = model.kappa_coeff * n * np.power(np.maximum(c1, 0.0),
-                                                    model.kappa_power - 1.0)
-        c1 = c1 / (1.0 + dt * rate)
-    c2 = _solves(spec).helmholtz(c1, dt)
+        rate = np.multiply(model.kappa_coeff, n)
+        if model.kappa_power != 1.0:
+            power = np.maximum(c1, 0.0)
+            rate *= np.power(power, model.kappa_power - 1.0, out=power)
+        # c1 / (1 + dt * rate)
+        np.multiply(dt, rate, out=rate)
+        np.add(1.0, rate, out=rate)
+        c1 /= rate
+    c_new = _solves(spec).helmholtz(c1, dt)
     if sources is not None:
-        c2 = c2 + dt * s_c
-    min_c_raw = float(np.min(c2))
-    c_new = np.maximum(c2, 0.0)
+        c_new += dt * s_c
+    min_c_raw = float(np.min(c_new))
+    np.maximum(c_new, 0.0, out=c_new)
 
     # --- 3. fluid: forcing, (self-advection), viscosity, projection
     v = []
     for d in range(dim):
-        comp = u[d] - dt * params.phi_gradient[d] * n
+        comp = np.multiply(dt * params.phi_gradient[d], n)
+        np.subtract(u[d], comp, out=comp)
         if tau == 1:
-            comp = comp - dt * sum(_upwind(u[d], u[e], up[e], spec, e, "zero")
-                                   for e in range(dim))
+            adv = summed(_upwind(u[d], u[e], up[e], spec, e, "zero")
+                         for e in range(dim))
+            np.multiply(dt, adv, out=adv)
+            comp -= adv
         if sources is not None:
-            comp = comp + dt * s_u[d]
+            comp += dt * s_u[d]
         v.append(comp)
     u_new, p_new = _solves(spec).fluid(v, dt)
     # np.maximum keeps NaN, so the clipped n and c still show a bad step
@@ -514,15 +562,25 @@ def build_initial(spec: DomainSpec, initial: dict):
     return _checked_data(spec, (n, c, u))
 
 
+def _as_array(values) -> np.ndarray | None:
+    """`values` as an array, or None for a ragged nested list, which has no
+    shape."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        return None
+
+
 def _checked_data(spec: DomainSpec, data: tuple) -> tuple:
     """`data`, (n, c, u), as float arrays; ConfigError unless they have the
     box's shapes, hold integers or floats (a bool is never a number) and are
     finite, with n and c nonnegative."""
     shapes = (spec.shape, spec.shape, (spec.dim,) + spec.shape)
-    data = tuple(map(np.asarray, data))
-    if tuple(f.shape for f in data) != shapes:
+    data = tuple(map(_as_array, data))
+    got = tuple("ragged" if f is None else f.shape for f in data)
+    if got != shapes:
         raise ConfigError([f"initial: the (n, c, u) arrays must have shapes "
-                           f"{shapes}, got {tuple(f.shape for f in data)}"])
+                           f"{shapes}, got {got}"])
     if any(f.dtype.kind not in "iuf" for f in data):
         raise ConfigError(["initial: the (n, c, u) arrays must hold integers or "
                            f"floats, got {tuple(str(f.dtype) for f in data)}"])

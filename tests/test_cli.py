@@ -613,6 +613,10 @@ class TestOracleCommand:
              f"config problem: oracle.t_run: {pos} 0\n"),
             ("barenblatt", {"length": 0}, 2,
              f"config problem: oracle.length: {pos} 0\n"),
+            # positive, but length/N underflows to a cell width of 0
+            ("barenblatt", {"length": 5e-324}, 2,
+             "config problem: oracle.length: must give a cell width length/N "
+             "> 0 at every resolution, got 5e-324\n"),
             ("barenblatt", {"t0": "x"}, 2,
              f"config problem: oracle.t0: {pos} 'x'\n"),
             ("barenblatt", {"resolutions": [64, 4]}, 2,

@@ -305,6 +305,10 @@ class TestKinds:
         ((np.ones((16, 16)), np.ones(16), np.zeros((2, 16, 16))),
          ["initial: the (n, c, u) arrays must have shapes ((16, 16), (16, 16), "
           "(2, 16, 16)), got ((16, 16), (16,), (2, 16, 16))"]),
+        # a ragged nested list has no shape
+        (([[1.0] * 16] * 15 + [[1.0] * 15], np.ones((16, 16)), np.zeros((2, 16, 16))),
+         ["initial: the (n, c, u) arrays must have shapes ((16, 16), (16, 16), "
+          "(2, 16, 16)), got ('ragged', (16, 16), (2, 16, 16))"]),
         ((np.ones((16, 16)), -np.ones((16, 16)), np.zeros((2, 16, 16))),
          ["initial n and c must be nonnegative"]),
         ((np.ones((16, 16)), np.ones((16, 16)), np.full((2, 16, 16), np.nan)),

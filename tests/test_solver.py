@@ -246,16 +246,6 @@ class TestStepInvariants:
         np.testing.assert_array_equal(out[0].c.data, out[1].c.data)
         np.testing.assert_array_equal(out[0].u.data, out[1].u.data)
 
-    def test_step_does_not_mutate_input(self):
-        spec = _spec(n=16)
-        n, c, u = _bump_ic(spec)
-        st = _state(spec, n, c, u)
-        before = (st.n.data.copy(), st.c.data.copy(), st.u.data.copy())
-        cf.step(st, params=_params(spec), model=MODEL, dt=1e-3)
-        np.testing.assert_array_equal(st.n.data, before[0])
-        np.testing.assert_array_equal(st.c.data, before[1])
-        np.testing.assert_array_equal(st.u.data, before[2])
-
     def test_uniform_state_reduces_to_implicit_consumption(self):
         # flat density, flat chemical, no flow: each step divides c by
         # (1 + dt k nbar) and leaves n untouched
@@ -437,6 +427,79 @@ class TestStepBitwise:
                             cf.stable_dt(state, params, model))
         assert state.t == res.state.t
         _assert_bits_equal(res.state, state)
+
+
+def _table_arrays(spec):
+    """Every array of the box's cached solve table."""
+    table = _solves(spec)
+    if isinstance(table, solver._PeriodicSolves):
+        return [table.lam, table.s_sq, *table.sins]
+    return [a for vecs, eig in table.bases.values() for a in (*vecs, eig)]
+
+
+def _frozen(arrays):
+    """The arrays with a copy of their bytes, to check them against later."""
+    return [(a, a.tobytes()) for a in arrays]
+
+
+def _assert_unchanged(frozen):
+    for k, (a, before) in enumerate(frozen):
+        assert a.tobytes() == before, k
+
+
+class TestStepWritesOnlyItsOwn:
+    """`step` builds its result in arrays it made itself: the input state,
+    the `faces` it is given, the `sources` arrays and the cached solve table
+    keep their bits, signed zeros included."""
+
+    @pytest.mark.parametrize("sources", [False, True])
+    @pytest.mark.parametrize("given_faces", [False, True])
+    @pytest.mark.parametrize("kappa_power", [1.0, 2.0])
+    @pytest.mark.parametrize("chi_slope", [0.0, 0.3])
+    @pytest.mark.parametrize("tau", [0, 1])
+    @pytest.mark.parametrize("dim,mode,shape", _BITWISE_BOXES,
+                             ids=[f"{m}-{_shape_id(s)}"
+                                  for _, m, s in _BITWISE_BOXES])
+    def test_step_leaves_what_it_does_not_own(self, dim, mode, shape, tau,
+                                              chi_slope, kappa_power,
+                                              given_faces, sources):
+        spec = cf.DomainSpec(dim, mode, (2.0,) * dim, shape)
+        params = _params(spec, tau=tau,
+                         phi_gradient=(0.0,) * (dim - 1) + (-0.3,))
+        model = cf.ChiKappaModel(chi_offset=1.0, chi_slope=chi_slope,
+                                 kappa_coeff=0.8, kappa_power=kappa_power)
+        start = _signed_zero_state(spec, seed=dim)
+        u, p = cf.project(start.u)
+        state = cf.FieldState(0.0, start.n, start.c, u, p)
+        rng = np.random.default_rng(dim)
+        forcing = (0.1 * rng.random(shape), 0.1 * rng.random(shape),
+                   0.1 * rng.standard_normal((dim,) + shape))
+        faces = (solver._face_drift(state, params, model) if given_faces
+                 else None)
+        watched = _frozen([state.n.data, state.c.data, state.u.data,
+                           state.p.data, *(faces or []), forcing[0],
+                           forcing[1], forcing[2], *_table_arrays(spec)])
+        dt = 0.5 * cf.stable_dt(state, params, model)
+        out = cf.step(state, params, model, dt, faces=faces,
+                      sources=(lambda t: forcing) if sources else None)
+        _assert_unchanged(watched)
+        assert all(np.all(np.isfinite(f.data)) for f in (out.n, out.c, out.u))
+
+    @pytest.mark.parametrize("dim,mode,shape", _BITWISE_BOXES,
+                             ids=[f"{m}-{_shape_id(s)}"
+                                  for _, m, s in _BITWISE_BOXES])
+    def test_operators_leave_their_inputs(self, dim, mode, shape):
+        spec = cf.DomainSpec(dim, mode, (2.0,) * dim, shape)
+        state = _signed_zero_state(spec, seed=dim)
+        watched = _frozen([state.u.data, state.n.data, *_table_arrays(spec)])
+        cf.project(state.u)
+        cf.divergence(state.u)
+        cf.divergence(state.u, ghost="odd")
+        for d in range(dim):
+            for ghost in ("mirror", "zero", "odd"):
+                diff_central(state.n.data, spec, d, ghost)
+                diff_central(state.u.data, spec, d, ghost)
+        _assert_unchanged(watched)
 
 
 class TestRunContract:
