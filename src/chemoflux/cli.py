@@ -260,9 +260,10 @@ def _cmd_oracle(args) -> int:
 
     try:
         rows = fn(**kwargs)
-    except ConfigError:         # a study's own key, named as its check names it
-        raise
     except ValueError as exc:   # a study's own check, e.g. manufactured's dt bound
+        if isinstance(exc, ConfigError) and all(
+                p.startswith("oracle.") for p in exc.problems):
+            raise               # names the study's own key already
         raise ConfigError([f"oracle: {exc}"]) from None
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ import numpy as np
 from .model import ConfigError, DomainSpec
 
 __all__ = [
-    "ScalarField", "VectorField", "shifted", "summed", "diff_central", "gradient",
+    "ScalarField", "VectorField", "shifted", "diff_central", "gradient",
     "divergence", "laplacian", "integrate", "lp_norm", "cell_centers", "mesh",
     "save_field", "load_field",
 ]
@@ -91,7 +91,7 @@ def shifted(values: np.ndarray, spec: DomainSpec, axis: int, offset: int,
                           axis=len(lead))
 
 
-def summed(terms):
+def _summed(terms):
     """The builtin sum(terms), accumulated in place into the first term, which
     the caller must own.  Like sum, it starts from 0, which turns a -0.0
     first term into +0.0."""
@@ -105,11 +105,12 @@ def summed(terms):
 
 def diff_central(values: np.ndarray, spec: DomainSpec, axis: int,
                  ghost: str = "mirror") -> np.ndarray:
-    """(f[i+1] - f[i-1]) / 2h along one axis, on raw float arrays."""
+    """(f[i+1] - f[i-1]) / 2h along one axis, on raw arrays."""
     out = shifted(values, spec, axis, 1, ghost)
     out -= shifted(values, spec, axis, -1, ghost)
-    out /= 2.0 * spec.spacing[axis]
-    return out
+    # an integer difference divides into a new float array
+    return np.divide(out, 2.0 * spec.spacing[axis],
+                     out=out if out.dtype.kind in "fc" else None)
 
 
 def gradient(f: ScalarField, ghost: str = "mirror") -> VectorField:
@@ -121,8 +122,8 @@ def gradient(f: ScalarField, ghost: str = "mirror") -> VectorField:
 def divergence(v: VectorField, ghost: str = "zero") -> ScalarField:
     """Central-difference divergence; zero ghosts by default (velocity)."""
     spec = v.domain
-    return ScalarField(spec, summed(diff_central(v.data[d], spec, d, ghost)
-                                    for d in range(spec.dim)))
+    return ScalarField(spec, _summed(diff_central(v.data[d], spec, d, ghost)
+                                     for d in range(spec.dim)))
 
 
 def laplacian(f: ScalarField) -> ScalarField:

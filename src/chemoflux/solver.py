@@ -56,7 +56,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, compute_record, write_csv
 from .grid import (ScalarField, VectorField, diff_central, divergence, integrate,
-                   mesh, save_field, load_field, lp_norm, shifted, summed)
+                   mesh, save_field, load_field, lp_norm, shifted, _summed)
 from .mollify import mollify_values
 from .model import (INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel, ConfigError,
                     DomainSpec, SimParams, check_section, classify_assumption)
@@ -168,7 +168,7 @@ class _PeriodicSolves:
             visc = _one_minus(dt, self.lam)
             for x in vh:
                 x /= visc
-        div_h = summed(s * x for s, x in zip(self.sins, vh))
+        div_h = _summed(s * x for s, x in zip(self.sins, vh))
         np.multiply(1j, div_h, out=div_h)
         ph = np.zeros_like(div_h)
         np.divide(div_h, -self.s_sq, out=ph, where=self.s_sq > 0)
@@ -396,8 +396,8 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
         faces = _face_drift(state, params, model)
     g = np.add(n, rho)
     np.power(g, 1.0 + alpha, out=g)
-    flux_div = summed(_flux_difference(n, g, faces[d], spec, d)
-                      for d in range(dim))
+    flux_div = _summed(_flux_difference(n, g, faces[d], spec, d)
+                       for d in range(dim))
     faces.clear()
     np.multiply(dt, flux_div, out=flux_div)
     n_new = np.subtract(n, flux_div, out=flux_div)
@@ -411,10 +411,10 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
     np.maximum(n_new, 0.0, out=n_new)
 
     # --- 2. chemical: upwind advection, implicit consumption, diffusion
-    # (`summed`, like sum, starts from 0, which turns a -0.0 first term into
+    # (`_summed`, like sum, starts from 0, which turns a -0.0 first term into
     # +0.0; summing from the first term would change signed zeros)
     up = [u[d] > 0.0 for d in range(dim)]
-    c1 = summed(_upwind(c, u[d], up[d], spec, d, "mirror") for d in range(dim))
+    c1 = _summed(_upwind(c, u[d], up[d], spec, d, "mirror") for d in range(dim))
     np.multiply(dt, c1, out=c1)
     np.subtract(c, c1, out=c1)
     if model.kappa_coeff > 0.0:
@@ -438,8 +438,8 @@ def step(state: FieldState, params: SimParams, model: ChiKappaModel, dt: float,
         comp = np.multiply(dt * params.phi_gradient[d], n)
         np.subtract(u[d], comp, out=comp)
         if tau == 1:
-            adv = summed(_upwind(u[d], u[e], up[e], spec, e, "zero")
-                         for e in range(dim))
+            adv = _summed(_upwind(u[d], u[e], up[e], spec, e, "zero")
+                          for e in range(dim))
             np.multiply(dt, adv, out=adv)
             comp -= adv
         if sources is not None:

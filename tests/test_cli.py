@@ -641,6 +641,18 @@ class TestOracleCommand:
             # the one line is the whole report: no numpy warning beside it
             assert len(err.splitlines()) == 1 and not caught, (err, caught)
 
+    def test_run_problem_reported_under_the_study(self, tmp_path, capsys):
+        # a row's run refuses a profile that overflows to inf; that problem
+        # names no key of the study's own, so it is reported under the study
+        cfg = {"oracle": {"length": 0.001, "alpha": 0.006, "mass": 1e308,
+                          "t0": 1e-10, "resolutions": [8]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # the profile's overflow
+            rc = cli.main(["oracle", "barenblatt", _write(tmp_path, cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config problem: oracle: initial n, c and u must be finite\n")
+
     def test_each_study_problem_on_its_own_line(self, tmp_path, capsys):
         cfg = {"oracle": {"alpha": -0.5, "rho": 1.5}}
         rc = cli.main(["oracle", "barenblatt", _write(tmp_path, cfg)])

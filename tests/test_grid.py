@@ -126,6 +126,19 @@ class TestOperators:
             rhs = -np.sum(g * diff_central(f, spec, d))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("ghost", GHOSTS)
+    @pytest.mark.parametrize("mode", ["periodic", "neumann"])
+    def test_diff_central_of_integers(self, mode, ghost):
+        # an integer array differences in integers and divides into a new
+        # float array, equal to that of the same values held as floats
+        spec = _box((8, 9), mode)
+        ints = np.arange(72).reshape(spec.shape) ** 2
+        for d in range(2):
+            got = diff_central(ints, spec, d, ghost)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(
+                got, diff_central(ints.astype(float), spec, d, ghost))
+
     def test_laplacian_is_div_of_grad(self):
         rng = np.random.default_rng(5)
         spec = _periodic(16)

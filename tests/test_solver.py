@@ -246,6 +246,16 @@ class TestStepInvariants:
         np.testing.assert_array_equal(out[0].c.data, out[1].c.data)
         np.testing.assert_array_equal(out[0].u.data, out[1].u.data)
 
+    def test_step_does_not_mutate_input(self):
+        spec = _spec(n=16)
+        n, c, u = _bump_ic(spec)
+        st = _state(spec, n, c, u)
+        before = (st.n.data.copy(), st.c.data.copy(), st.u.data.copy())
+        cf.step(st, params=_params(spec), model=MODEL, dt=1e-3)
+        np.testing.assert_array_equal(st.n.data, before[0])
+        np.testing.assert_array_equal(st.c.data, before[1])
+        np.testing.assert_array_equal(st.u.data, before[2])
+
     def test_uniform_state_reduces_to_implicit_consumption(self):
         # flat density, flat chemical, no flow: each step divides c by
         # (1 + dt k nbar) and leaves n untouched
