@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # attribute of the package
 _EXPORTS = {
     "model": ("AssumptionCase", "ChiKappaModel", "ConfigError", "DomainSpec",
-              "SimParams", "classify_assumption"),
+              "SimParams", "SolverError", "classify_assumption"),
     "grid": ("ScalarField", "VectorField", "cell_centers", "diff_central",
              "divergence", "gradient", "integrate", "laplacian", "load_field",
              "lp_norm", "mesh", "save_field"),
@@ -29,8 +29,8 @@ _EXPORTS = {
     "diagnostics": ("DiagnosticsRecord", "bounded_class_check",
                     "compute_record", "dissipation_functional", "read_csv",
                     "weak_class_check", "write_csv"),
-    "solver": ("FieldState", "RunResult", "SolverError", "build_initial",
-               "project", "run", "set_threads", "stable_dt", "step"),
+    "solver": ("FieldState", "RunResult", "build_initial", "project", "run",
+               "set_threads", "stable_dt", "step"),
     "ledger": ("CatalogError", "LedgerEntry", "build_ledger", "check_entry",
                "get_entry", "scan_region", "scaling_check"),
 }

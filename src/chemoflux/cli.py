@@ -9,9 +9,10 @@ catalog, and `oracle` drives the independent convergence studies.
 Exit codes: 0 success, 1 runtime or verification failure (under `run`, also an
 unreadable snapshot file) or a standard output closed by its reader, 2
 configuration or usage problems, including (under `run`) initial data that
-are bad only once built.  Configuration problems (`model.ConfigError`, from
-the checker in `model`) are all reported together, one line each, not just
-the first.
+are bad only once built.  `main` alone maps a failure to its exit code (a
+subcommand only relabels a ConfigError): every problem of a
+`model.ConfigError` is listed, one line each; a `model.SolverError`, an
+`OSError` or another `ValueError` is one `error: …` line.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from pathlib import Path
 from . import __version__
 from .ledger import build_ledger, check_entry, get_entry, scan_region
 from .model import (FIELD_SCHEMAS, INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel,
-                    ConfigError, DomainSpec, SimParams, check_section,
-                    classify_assumption, schema_problems)
-
-
-_CASE_ORDER = {"i": 0, "ii": 1, "iii": 2}
+                    ConfigError, DomainSpec, SimParams, SolverError,
+                    check_section, classify_assumption, schema_problems)
 
 
 # per section: a schema entry (see INITIAL_SCHEMA), whose keys may take entries
@@ -103,7 +101,7 @@ def _require(cfg: dict):
 
 
 def _fmt_cases(cases) -> str:
-    return "{" + ",".join(sorted(cases, key=_CASE_ORDER.get)) + "}"
+    return "{" + ",".join(sorted(cases)) + "}"
 
 
 def _fmt_witnesses(witnesses: dict) -> str:
@@ -125,7 +123,7 @@ def _print_classification(model, params):
 # subcommands
 
 def _cmd_run(args) -> int:
-    from .solver import SolverError, run
+    from .solver import run
 
     cfg = _load_json(args.config)
     params, model = _require(cfg)
@@ -139,9 +137,6 @@ def _cmd_run(args) -> int:
         # run checks its output before it builds the initial data
         raise ConfigError([p if p.startswith("output.") else f"initial: {p}"
                            for p in exc.problems]) from None
-    except (SolverError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     wall = time.perf_counter() - t0
 
     _print_classification(model, params)
@@ -245,7 +240,6 @@ def _cmd_ledger(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from . import oracle as orc
-    from .solver import SolverError
 
     fn, keywords, key_name, key_decreasing = {
         "uniform": (orc.uniform_consumption_study, orc.UNIFORM_KEYWORDS, "dt", True),
@@ -265,9 +259,6 @@ def _cmd_oracle(args) -> int:
                 p.startswith("oracle.") for p in exc.problems):
             raise               # names the study's own key already
         raise ConfigError([f"oracle: {exc}"]) from None
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(f"{args.study} study ({len(rows)} runs)")
     prev = None
     orders = []
@@ -370,6 +361,9 @@ def main(argv=None) -> int:
         # the reader closed stdout (`| head`): point stdout at devnull so the
         # interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (SolverError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -22,7 +22,8 @@ field names its value kind, type and range (`FIELD_SCHEMAS`), and its
 `schema_problems` checks any of them (a dataclass's own fields, the CLI's
 sections, `run`'s initial and output, an oracle study's keywords) against
 `VALUE_KINDS`.  It imports only the standard library and `ledger`, so no
-check loads numpy.
+check loads numpy, and the CLI names both exceptions, `ConfigError` and
+`SolverError`, without loading the solver.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+class SolverError(RuntimeError):
+    """A run broke down: an unstable or non-finite step, or a collapsed dt."""
 
 
 def _kind_problems(config) -> tuple[list[str], set[str]]:

@@ -59,7 +59,8 @@ from .grid import (ScalarField, VectorField, diff_central, divergence, integrate
                    mesh, save_field, load_field, lp_norm, shifted, _summed)
 from .mollify import mollify_values
 from .model import (INITIAL_SCHEMA, OUTPUT_SCHEMA, ChiKappaModel, ConfigError,
-                    DomainSpec, SimParams, check_section, classify_assumption)
+                    DomainSpec, SimParams, SolverError, check_section,
+                    classify_assumption)
 
 NEG_TOL = -1e-13          # below this, the cell update is declared unstable
 _workers = 1
@@ -85,10 +86,6 @@ def set_threads(k: int) -> None:
     global _workers
     check_section("", {"threads": k}, {"threads": "positive count"})
     _workers = int(k)
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -322,8 +319,9 @@ def stable_dt(state: FieldState, params: SimParams, model: ChiKappaModel,
     n, u = state.n.data, state.u.data
     alpha = params.alpha
     inv_h2 = sum(1.0 / h ** 2 for h in spec.spacing)
-    diff_limit = 1.0 / (2.0 * (1.0 + alpha)
-                        * (float(np.max(n)) + params.rho) ** alpha * inv_h2)
+    with np.errstate(over="ignore"):    # inf: the bound is 0, which `run` refuses
+        slope = float((np.max(n) + params.rho) ** alpha)
+    diff_limit = 1.0 / (2.0 * (1.0 + alpha) * slope * inv_h2)
     if faces is None:
         faces = _face_drift(state, params, model)
     speed = 0.0

@@ -326,12 +326,63 @@ class TestRunCommand:
         assert rc == 1
         assert err.startswith("error:")
 
+    def test_overflowing_stability_bound_is_one_error(self, tmp_path, capsys):
+        # (max n + rho)^alpha past the float range: dt collapses to 0
+        cfg = {"domain": {"dim": 1, "mode": "periodic", "lengths": 2.0,
+                          "resolution": 16},
+               "params": {"alpha": 2, "tau": 0, "rho": 0.01, "t_final": 1.0,
+                          "max_steps": 2},
+               "initial": {"n": {"type": "gaussian", "sigma": 0.3, "mass": 1e200},
+                           "c": {"type": "constant", "value": 1.0},
+                           "u": {"type": "zero"}}}
+        rc = cli.main(["run", _write(tmp_path, cfg)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: stability bound collapsed to dt=0.0 at t=0.0\n")
+
     def test_bad_json_exits_two(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")
         rc = cli.main(["run", str(p)])
         assert rc == 2
         assert "config problem:" in capsys.readouterr().err
+
+
+class TestFailureMap:
+    """`main` alone turns a failure into an exit code and one stderr line."""
+
+    @pytest.mark.parametrize("exc", [cf.SolverError, OSError, ValueError])
+    def test_run_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                           exc):
+        from chemoflux import solver
+
+        def failing_run(*args, **kwargs):
+            raise exc("x")
+        monkeypatch.setattr(solver, "run", failing_run)
+        assert cli.main(["run", _write(tmp_path, _base_cfg())]) == 1
+        assert capsys.readouterr() == ("", "error: x\n")
+
+    def test_study_failure_is_one_error_line(self, monkeypatch, capsys):
+        from chemoflux import oracle
+
+        def failing_study(**kwargs):
+            raise cf.SolverError("x")
+        monkeypatch.setattr(oracle, "uniform_consumption_study", failing_study)
+        assert cli.main(["oracle", "uniform"]) == 1
+        assert capsys.readouterr() == ("", "error: x\n")
+
+    def test_config_error_still_exits_two(self, tmp_path, capsys, monkeypatch):
+        from chemoflux import solver
+
+        def refusing_run(*args, **kwargs):
+            raise cf.ConfigError(["x"])
+        monkeypatch.setattr(solver, "run", refusing_run)
+        assert cli.main(["run", _write(tmp_path, _base_cfg())]) == 2
+        assert capsys.readouterr() == ("", "config problem: initial: x\n")
+
+    def test_one_solver_error_class(self):
+        from chemoflux import model, solver
+        assert cf.SolverError is solver.SolverError is model.SolverError
 
 
 class TestClassifyCommand:
@@ -641,14 +692,21 @@ class TestOracleCommand:
             # the one line is the whole report: no numpy warning beside it
             assert len(err.splitlines()) == 1 and not caught, (err, caught)
 
-    def test_run_problem_reported_under_the_study(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section", [
+        # the profile's product overflows
+        {"length": 0.001, "alpha": 0.006, "mass": 1e308, "t0": 1e-10,
+         "resolutions": [8]},
+        # the profile's height overflows
+        {"alpha": 10, "mass": 1e300},
+    ], ids=["product", "height"])
+    def test_run_problem_reported_under_the_study(self, tmp_path, capsys,
+                                                  section):
         # a row's run refuses a profile that overflows to inf; that problem
-        # names no key of the study's own, so it is reported under the study
-        cfg = {"oracle": {"length": 0.001, "alpha": 0.006, "mass": 1e308,
-                          "t0": 1e-10, "resolutions": [8]}}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")     # the profile's overflow
-            rc = cli.main(["oracle", "barenblatt", _write(tmp_path, cfg)])
+        # names no key of the study's own, so it is reported under the study.
+        # With no warnings filter here, the suite's error::RuntimeWarning
+        # fails this test on any numpy warning beside that line.
+        cfg = {"oracle": section}
+        rc = cli.main(["oracle", "barenblatt", _write(tmp_path, cfg)])
         assert rc == 2
         assert capsys.readouterr().err == (
             "config problem: oracle: initial n, c and u must be finite\n")

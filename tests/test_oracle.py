@@ -198,6 +198,14 @@ class TestSelfSimilarProfile:
         np.testing.assert_array_equal(n > 0.0, ref > 0.0)
         assert np.max(np.abs(n - ref)) <= 1e-15 * np.max(ref)
 
+    def test_powers_past_the_float_range_give_inf(self):
+        # not OverflowError: a study's run then refuses the non-finite profile
+        with np.errstate(over="ignore", invalid="ignore"):
+            height = barenblatt(10.0, 1e300, 1, 1.0, np.zeros(2))
+            spike = barenblatt(0.006, 1.0, 1, 5e-324, np.array([0.0, 1.0]))
+        assert np.isposinf(height[0])
+        assert not np.isfinite(spike[0]) and spike[1] == 0.0
+
     def test_overflowing_normalization_is_a_value_error(self):
         with pytest.raises(ValueError, match="alpha 0.005 is too small"):
             barenblatt(0.005, 1.0, 1, 1.0, np.zeros(3))
