@@ -67,6 +67,11 @@ def _build(name: str, cls, kwargs: dict, problems: list, **extra):
         return None
 
 
+def _unknown_sections(cfg: dict) -> list[str]:
+    return [f"{key}: unknown section (expected one of {', '.join(sorted(_SECTIONS))})"
+            for key in cfg if key not in _SECTIONS]
+
+
 def _require(cfg: dict):
     """(params, model) built from `cfg`, or ConfigError listing every problem.
 
@@ -74,8 +79,7 @@ def _require(cfg: dict):
     on its own, and a dataclass is built only from a section that passes,
     for the rules across fields; `params` also needs a built domain.
     """
-    problems = [f"{key}: unknown section (expected one of {', '.join(sorted(_SECTIONS))})"
-                for key in cfg if key not in _SECTIONS]
+    problems = _unknown_sections(cfg)
 
     def section(name, dim=None):
         value = cfg.get(name, {})
@@ -249,7 +253,11 @@ def _cmd_oracle(args) -> int:
     }[args.study]
     kwargs = {}
     if args.config is not None:
-        kwargs = _load_json(args.config).get("oracle", {})
+        cfg = _load_json(args.config)
+        kwargs = cfg.get("oracle", {})
+        problems = _unknown_sections(cfg)
+        if problems:
+            raise ConfigError(problems)
         check_section("oracle", kwargs, keywords)
 
     try:

@@ -12,10 +12,12 @@ Everything here is exact: a Fraction at a point, a ratio of integer
 polynomials in the lattice coordinates (i, j) over the whole scan lattice.
 Floats are rejected at the boundary: a single float would silently turn
 exact window checks into approximate ones.  A scan traces each check once
-per entry and reads each lattice line's N(j)/D(j) off that trace.  It
-decides a check on a line at the line's two end points when Descartes' rule
-of signs proves it continuous and monotone between them, which also proves
-it on the whole real segment; elsewhere it decides every lattice point.
+per entry and reads each lattice line's N(j)/D(j) off that trace; every
+value it decides is the Fraction N(j)/D(j), tested by the one window rule
+(`_within`) that also decides an entry's region.  It decides a check on a
+line at the line's two end points when Descartes' rule of signs proves it
+continuous and monotone between them, which also proves it on the whole
+real segment; elsewhere it decides every lattice point.
 
 Scaling bookkeeping (space dimension 3, mass-normalized densities): under
 n -> n(lambda x),
@@ -56,6 +58,17 @@ class CatalogError(RuntimeError):
     """An expression is undefined inside its declared region: catalog bug."""
 
 
+def _within(v: Fraction, lo: Fraction | None, hi: Fraction | None,
+            lo_strict: bool, hi_strict: bool) -> bool:
+    """The one window rule: lo < v < hi, with <= on a side that is not
+    strict and no bound on a None side.  By integer sign tests over positive
+    denominators: an integer gap is > 0 iff it is >= 1, so `>= strict`
+    decides both kinds."""
+    n, d = v.numerator, v.denominator
+    return ((lo is None or n * lo.denominator - lo.numerator * d >= lo_strict)
+            and (hi is None or hi.numerator * d - n * hi.denominator >= hi_strict))
+
+
 def _rational(value, name: str) -> Fraction:
     if type(value) is Fraction:
         return value
@@ -84,15 +97,7 @@ class Check:
     hi_strict: bool = True
 
     def holds(self, v: Fraction) -> bool:
-        return self.holds_ratio(*v.as_integer_ratio())
-
-    def holds_ratio(self, n: int, d: int) -> bool:
-        """holds(n/d) for integers n and d > 0, by integer sign tests: an
-        integer gap is > 0 iff it is >= 1, so `>= strict` decides both kinds."""
-        lo, hi = self.lo, self.hi
-        above = lo is None or n * lo.denominator - lo.numerator * d >= self.lo_strict
-        below = hi is None or hi.numerator * d - n * hi.denominator >= self.hi_strict
-        return above and below
+        return _within(v, self.lo, self.hi, self.lo_strict, self.hi_strict)
 
 
 @dataclass(frozen=True)
@@ -141,18 +146,12 @@ class LedgerEntry:
         return self.p_lo is not None
 
     def contains(self, a: Fraction, p: Fraction | None) -> bool:
-        if a < self.alpha_lo or (self.alpha_lo_strict and a == self.alpha_lo):
+        if not _within(a, self.alpha_lo, self.alpha_hi,
+                       self.alpha_lo_strict, self.alpha_hi_strict):
             return False
-        if self.alpha_hi is not None:
-            if a > self.alpha_hi or (self.alpha_hi_strict and a == self.alpha_hi):
-                return False
-        if self.uses_p:
-            if p is None:
-                raise ValueError(f"entry {self.id!r} requires a p value")
-            lo, hi = self.p_window(a)
-            if p <= lo or (hi is not None and p >= hi):
-                return False
-        return True
+        if self.uses_p and p is None:
+            raise ValueError(f"entry {self.id!r} requires a p value")
+        return not self.uses_p or _within(p, *self.p_window(a), True, True)
 
     def p_window(self, a: Fraction) -> tuple[Fraction, Fraction | None]:
         """(p_lo, p_hi) at alpha a (p_hi None: unbounded); CatalogError at a pole."""
@@ -431,12 +430,6 @@ def _widen(ranges: dict, name: str, lo: Fraction, hi: Fraction) -> None:
     ranges[name] = (lo, hi) if cur is None else (min(cur[0], lo), max(cur[1], hi))
 
 
-def _ratio(num: tuple[int, ...], den: tuple[int, ...], j: int) -> tuple[int, int]:
-    """num/den at point j as n/d with d >= 0; d is 0 where it is undefined."""
-    n, d = _at(num, j), _at(den, j)
-    return (-n, -d) if d < 0 else (n, d)
-
-
 def _ends_range(chk: Check, num: tuple[int, ...], den: tuple[int, ...], j0: int,
                 j1: int) -> tuple[Fraction, Fraction] | None:
     """The range of v = N/D (one row's `num`, `den`) over the points j0..j1
@@ -444,16 +437,16 @@ def _ends_range(chk: Check, num: tuple[int, ...], den: tuple[int, ...], j0: int,
     monotone on [j0, j1]: D has no root on the closed segment and N'D - ND'
     none inside it (or vanishes identically).  Every point between then
     passes too.  None when an end fails or the proof does not go through."""
-    n0, d0 = _ratio(num, den, j0)
-    n1, d1 = _ratio(num, den, j1)
-    if not (d0 and d1 and chk.holds_ratio(n0, d0) and chk.holds_ratio(n1, d1)
-            and _no_root_between(den, j0, j1)):
+    d0, d1 = _at(den, j0), _at(den, j1)
+    if not (d0 and d1 and _no_root_between(den, j0, j1)):
+        return None
+    ends = Fraction(_at(num, j0), d0), Fraction(_at(num, j1), d1)
+    if not all(map(chk.holds, ends)):
         return None
     slope = _padd(_pmul(_derivative(num), den),
                   tuple(-c for c in _pmul(num, _derivative(den))))
     if any(slope) and not _no_root_between(slope, j0, j1):
         return None
-    ends = Fraction(n0, d0), Fraction(n1, d1)
     return min(ends), max(ends)
 
 
@@ -464,11 +457,11 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     lattice, and each line reads its N(j)/D(j) off that trace.  On a line
     of more than two points where Descartes' rule of signs proves the check
     continuous and monotone (`_ends_range`), its two end points decide it
-    and give its range; otherwise every point is decided by integer
-    polynomial evaluations and sign tests.  Both ways give the same report.
-    A line where D is the zero polynomial is a pole along its whole length.
-    No point outside the region is scanned; `check_entry` decides any single
-    point, inside or out.
+    and give its range.  The checks it leaves open are walked point-major,
+    each value the Fraction N(j)/D(j); at the first D(j) of 0 `check_entry`
+    raises the CatalogError.  Both ways decide Fractions by `Check.holds`
+    and give the same report.  No point outside the region is scanned;
+    `check_entry` decides any single point, inside or out.
     """
     if isinstance(density, bool) or not isinstance(density, Integral) or density < 1:
         raise ValueError(f"scan density must be an integer >= 1, got {density!r}")
@@ -477,39 +470,29 @@ def scan_region(entry: LedgerEntry, density: int = 100) -> ScanReport:
     for chk in entry.checks:
         try:
             traced.append(_lift(chk.value(a, p)))
-        except ZeroDivisionError:  # a divisor vanishes on the whole lattice
-            traced.append(None)
+        except ZeroDivisionError:  # a divisor vanishes on the whole lattice: D = 0
+            traced.append(_RowValue((), ()))
     points = 0
     failures, ranges = [], {}
     for i, inner in rows:
-        poles, failed = [], []
-        for k, (chk, v) in enumerate(zip(entry.checks, traced)):
-            if v is None:
-                poles.extend(inner[:1])
-                continue
+        walked = []
+        for chk, v in zip(entry.checks, traced):
             num, den = v.row(i)
             ends = len(inner) > 2 and _ends_range(chk, num, den, inner[0], inner[-1])
             if ends:
                 _widen(ranges, chk.name, *ends)
-                continue
-            lo_v = hi_v = None
-            for j in inner:
-                n, d = _ratio(num, den, j)
-                if d == 0:  # also the first point of a line where D is zero
-                    poles.append(j)
-                    break
-                if not chk.holds_ratio(n, d):
-                    failed.append((j, k))
-                if lo_v is None or n * lo_v[1] < lo_v[0] * d:
-                    lo_v = n, d
-                if hi_v is None or n * hi_v[1] > hi_v[0] * d:
-                    hi_v = n, d
-            if lo_v is not None:
-                _widen(ranges, chk.name, Fraction(*lo_v), Fraction(*hi_v))
-        if poles:  # raises the CatalogError a point-by-point scan meets first
-            check_entry(entry, _on(a, i, min(poles)), _on(p, i, min(poles)))
-        failures += [(_on(a, i, j), _on(p, i, j), entry.checks[k].name)
-                     for j, k in sorted(failed)]
+            else:
+                ranges.setdefault(chk.name, None)  # keeps the report in check order
+                walked.append((chk, num, den))
+        for j in inner if walked else ():
+            for chk, num, den in walked:
+                d = _at(den, j)
+                if not d:  # the line's smallest pole: raises the CatalogError
+                    check_entry(entry, _on(a, i, j), _on(p, i, j))
+                v = Fraction(_at(num, j), d)
+                if not chk.holds(v):
+                    failures.append((_on(a, i, j), _on(p, i, j), chk.name))
+                _widen(ranges, chk.name, v, v)
         points += len(inner)
     return ScanReport(
         entry_id=entry.id,

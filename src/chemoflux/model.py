@@ -128,6 +128,7 @@ class SimParams:
                  laplacian of (n+rho)^(1+alpha)
     tau          1 keeps the fluid's self-advection, 0 drops it (inertia-free)
     rho          regularization strength: diffusion floor and mollifier radius
+                 (at most the shortest box length)
     em_weight    the M in the (M+2)/2 kinetic-energy weight of the functional
     phi_gradient constant gravitational/potential gradient, one entry per axis
     t_final      simulation end time
@@ -157,6 +158,11 @@ class SimParams:
             if len(grad) != self.domain.dim:
                 problems.append(
                     f"phi_gradient must have {self.domain.dim} entries, got {len(grad)}")
+        # the mollifier reaches ceil(rho/h) cells each way, at most N here
+        if (isinstance(self.domain, DomainSpec) and "rho" not in wrong
+                and self.rho > min(self.domain.lengths)):
+            problems.append(f"rho must be at most the shortest box length "
+                            f"{min(self.domain.lengths):g}, got {self.rho!r}")
         if problems:
             raise ConfigError(problems)
 

@@ -187,6 +187,19 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
 # ---------------------------------------------------------------------------
 # study drivers (these DO run the solver; the closed forms above do not)
 
+def _run_row(params: SimParams, model: ChiKappaModel, initial, key: str):
+    """`run` to params.t_final, sampled at its ends.  A t_final that `run`
+    refuses as a sample interval is reported under the study's own `key`."""
+    from .solver import run
+
+    try:
+        return run(params, model, initial, output={"sample_interval": params.t_final})
+    except ConfigError as exc:
+        interval = "output.sample_interval:"
+        raise ConfigError([f"oracle.{key}:{p[len(interval):]}" if p.startswith(interval)
+                           else p for p in exc.problems]) from None
+
+
 # each study's keywords with their kinds (model.VALUE_KINDS); a keyword a
 # study passes on to a dataclass field takes that field's kind
 UNIFORM_KEYWORDS = {"dts": "distinct positives", "n_bar": "positive",
@@ -208,8 +221,6 @@ def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
     step's c^(m-1) consumption branch.  c0 > 0: the error is relative to
     the closed form; n_bar, kappa_coeff > 0: else nothing is consumed."""
     check_section("oracle", locals(), UNIFORM_KEYWORDS)
-    from .solver import run
-
     spec = DomainSpec(1, "periodic", (2.0,), (8,))
     model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
                           kappa_coeff=kappa_coeff, kappa_power=kappa_power)
@@ -222,7 +233,7 @@ def uniform_consumption_study(dts=(4e-3, 2e-3, 1e-3), n_bar: float = 0.5,
                "u": {"type": "zero"}}
     out = []
     for dt, params in rows:
-        res = run(params, model, initial, output={"sample_interval": t_final})
+        res = _run_row(params, model, initial, "t_final")
         c_num = float(np.mean(res.state.c.data))
         out.append((dt, abs(c_num - exact) / abs(exact)))
     return out
@@ -239,7 +250,6 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
     if not all(length / N > 0.0 for N in resolutions):
         raise ConfigError([f"oracle.length: must give a cell width length/N "
                            f"> 0 at every resolution, got {length!r}"])
-    from .solver import run
 
     model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
                           kappa_coeff=0.0, kappa_power=1.0)
@@ -253,7 +263,7 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
         with np.errstate(over="ignore", invalid="ignore"):   # run refuses inf/nan
             initial = (barenblatt(alpha, mass, 1, t0, xs), np.zeros(spec.shape),
                        np.zeros((1,) + spec.shape))
-        res = run(params, model, initial, output={"sample_interval": t_run})
+        res = _run_row(params, model, initial, "t_run")
         exact = barenblatt(alpha, mass, 1, t0 + t_run, xs)
         err = float(np.sum(np.abs(res.state.n.data - exact))) * spec.spacing[0]
         out.append((spec.resolution[0], err))

@@ -20,11 +20,12 @@ the same bits.  The upwind side of every advection term is picked before the
 multiply, from one mask u_e > 0 per axis.
 
 `step` and `project` return fresh arrays.  Neither writes into the input
-state, the `faces` given to `step`, the arrays `sources` returns or the
-cached solve table.  The step computes each expression in place in the temporaries
-it made itself (a `shifted` slab, a ufunc or FFT result), with the same
-operands in the same order as the plain expression, so the bits are the
-plain expression's; it keeps no buffer between calls.
+state, the arrays of the `faces` given to `step` (`step` empties that list),
+the arrays `sources` returns or the cached solve table.  The step computes
+each expression in place in the temporaries it made itself (a `shifted`
+slab, a ufunc or FFT result), with the same operands in the same order as
+the plain expression, so the bits are the plain expression's; it keeps no
+buffer between calls.
 
 The implicit solves and the projection are one cached table per box,
 `_solves(spec)`, with `helmholtz` and `fluid`; `step` and `project` call it
@@ -632,16 +633,20 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict | tuple,
     The `guards` dict tracks per-step (not just per-sample) invariants:
     max_div_residual, mass_drift, max_c_increase, min_n_raw, min_c_raw, steps.
     Raises ConfigError, before building the initial data, for an `output`
-    off model.OUTPUT_SCHEMA or a sample_interval not above the time
-    tolerance 1e-12 max(t_final, 1), where sample times stop advancing.
+    off model.OUTPUT_SCHEMA or a sample_interval (given, or the default
+    t_final/50) not above the time tolerance 1e-12 max(t_final, 1), where
+    sample times stop advancing.
     """
     output = dict(output or {})
     check_section("output", output, OUTPUT_SCHEMA)
     sample_interval = output.get("sample_interval", params.t_final / 50.0)
     eps = 1e-12 * max(params.t_final, 1.0)
     if not eps < sample_interval < np.inf:
+        got = (sample_interval if "sample_interval" in output else
+               f"the default t_final/50 = {sample_interval}; raise params.t_final "
+               "or set output.sample_interval")
         raise ConfigError([f"output.sample_interval: must be finite and > "
-                           f"{eps:g}, got {sample_interval}"])
+                           f"{eps:g}, got {got}"])
     out = output.get("out_dir")
     if out is not None:
         out = Path(out)

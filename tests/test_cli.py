@@ -111,6 +111,38 @@ class TestConfigValidation:
             "config problem: output.sample_interval: must be finite and > ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("t_final, default", [(1e-300, "2e-302"),
+                                                  (4e-11, "7.999999999999999e-13")])
+    def test_default_sample_interval_below_tolerance_says_so(
+            self, tmp_path, capsys, t_final, default):
+        # no interval is set: the problem names the default t_final/50 and
+        # the two keys that can change it
+        cfg = _base_cfg()
+        del cfg["output"]
+        cfg["params"]["t_final"] = t_final
+        rc = cli.main(["run", _write(tmp_path, cfg)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "config problem: output.sample_interval: must be finite and > 1e-12, "
+            f"got the default t_final/50 = {default}; raise params.t_final or "
+            "set output.sample_interval\n"))
+
+    def test_mollifier_wider_than_the_box_is_a_config_problem(self, tmp_path,
+                                                              capsys):
+        # rho 0.01 on a box of length 1e-300 asked the mollifier for ~1e299
+        # offsets per axis ("Maximum allowed size exceeded", exit 1)
+        cfg = _base_cfg(
+            domain={"dim": 1, "mode": "periodic", "lengths": 1e-300,
+                    "resolution": 16},
+            initial={"n": {"type": "constant", "value": 1.0},
+                     "c": {"type": "constant", "value": 1.0},
+                     "u": {"type": "zero"}})
+        rc = cli.main(["run", _write(tmp_path, cfg)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "config problem: params: rho must be at most the shortest box "
+            "length 1e-300, got 0.01\n"))
+
     @pytest.mark.parametrize("section", ["domain", "params", "model",
                                          "initial", "output"])
     @pytest.mark.parametrize("value", [[1, 2], None, "x"])
@@ -662,6 +694,13 @@ class TestOracleCommand:
             # or dt_max, the dataclass fields it feeds), before any row runs
             ("barenblatt", {"t_run": 0}, 2,
              f"config problem: oracle.t_run: {pos} 0\n"),
+            # a time at or below run's time tolerance, as a sample interval
+            ("barenblatt", {"t_run": 1e-13, "resolutions": [8]}, 2,
+             "config problem: oracle.t_run: must be finite and > 1e-12, "
+             "got 1e-13\n"),
+            ("uniform", {"t_final": 1e-300}, 2,
+             "config problem: oracle.t_final: must be finite and > 1e-12, "
+             "got 1e-300\n"),
             ("barenblatt", {"length": 0}, 2,
              f"config problem: oracle.length: {pos} 0\n"),
             # positive, but length/N underflows to a cell width of 0
@@ -710,6 +749,15 @@ class TestOracleCommand:
         assert rc == 2
         assert capsys.readouterr().err == (
             "config problem: oracle: initial n, c and u must be finite\n")
+
+    def test_unknown_top_level_key_listed(self, tmp_path, capsys):
+        # a misspelt section used to run the default study
+        cfg = {"oracl": {"dts": [0.01], "t_final": 0.02}}
+        rc = cli.main(["oracle", "uniform", _write(tmp_path, cfg)])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "config problem: oracl: unknown section (expected one of domain, "
+            "initial, model, oracle, output, params)\n"))
 
     def test_each_study_problem_on_its_own_line(self, tmp_path, capsys):
         cfg = {"oracle": {"alpha": -0.5, "rho": 1.5}}

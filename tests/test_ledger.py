@@ -380,6 +380,20 @@ class TestScan:
         assert pin.holds(F(1, 3))
         assert not pin.holds(F(1, 3) + F(1, 10 ** 9))
 
+    def test_region_window_edges(self):
+        # the alpha window keeps its declared strictness per side; the p
+        # window is open at both ends
+        low = cf.get_entry("case-i-low")              # (1/6, 1/3]
+        assert not low.contains(F(1, 6), None)
+        assert low.contains(F(1, 3), None)
+        assert not low.contains(F(1, 3) + F(1, 10 ** 9), None)
+        window = cf.get_entry("moser-window")         # p in (1+a, 1+4a)
+        a = F(1, 4)
+        assert window.contains(a, F(3, 2))
+        assert not window.contains(a, F(5, 4))
+        assert not window.contains(a, F(2))
+        assert cf.check_entry(window, a, F(2)).status == "inapplicable"
+
 
 def _q(x):
     return "None" if x is None else f"{x.numerator}/{x.denominator}"

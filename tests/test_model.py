@@ -111,6 +111,20 @@ class TestValidation:
         assert spec.shape == (16, 8)
         assert spec.cell_volume == pytest.approx(0.0625, rel=0, abs=0)
 
+    def test_rho_at_most_the_shortest_box_length(self):
+        # the mollifier reaches ceil(rho/h) cells each way; past the box
+        # that kernel has no bound (a box of length 1e-300 asked for ~1e299)
+        domain = cf.DomainSpec(2, "periodic", (1.0, 0.5), (8, 8))
+        cf.SimParams(alpha=0.5, tau=0, rho=0.5, t_final=1.0, domain=domain)
+        with pytest.raises(ConfigError) as exc:
+            cf.SimParams(alpha=0.5, tau=0, rho=0.75, t_final=1.0, domain=domain)
+        assert exc.value.problems == [
+            "rho must be at most the shortest box length 0.5, got 0.75"]
+        # a rho with its own problem is not compared with the box
+        with pytest.raises(ConfigError) as exc:
+            cf.SimParams(alpha=0.5, tau=0, rho=1.5, t_final=1.0, domain=domain)
+        assert exc.value.problems == ["rho: must be a number in (0, 1), got 1.5"]
+
     def test_params_collects_all_problems(self):
         domain = cf.DomainSpec(2, "periodic", (2.0, 2.0), (8, 8))
         with pytest.raises(ConfigError) as exc:

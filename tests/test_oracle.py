@@ -344,6 +344,24 @@ class TestStudies:
         with pytest.raises(ValueError, match=message):
             study(**kwargs)
 
+    @pytest.mark.parametrize("study, kwargs, key", [
+        (uniform_consumption_study, {"t_final": 1e-300}, "t_final"),
+        (barenblatt_convergence, {"t_run": 1e-13, "resolutions": (8,)}, "t_run"),
+    ])
+    def test_study_time_below_run_tolerance_names_the_study_key(
+            self, monkeypatch, study, kwargs, key):
+        # run refuses the time as its sample interval; the problem names the
+        # study's key, not run's output.sample_interval, and no row steps
+        from chemoflux import solver
+
+        def no_step(*args, **kw):
+            raise AssertionError("a study row stepped")
+        monkeypatch.setattr(solver, "step", no_step)
+        with pytest.raises(cf.ConfigError) as exc:
+            study(**kwargs)
+        assert exc.value.problems == [
+            f"oracle.{key}: must be finite and > 1e-12, got {kwargs[key]}"]
+
     def test_numpy_scalars_and_tuples_accepted(self):
         # what a Python caller passes for a JSON value: tuples, numpy scalars
         rows = uniform_consumption_study(dts=(np.float64(4e-3), 2e-3),
