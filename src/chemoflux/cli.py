@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 runtime or verification failure (under `run`, also an
 unreadable snapshot file) or a standard output closed by its reader, 2
 configuration or usage problems, including (under `run`) initial data that
 are bad only once built.  `main` alone maps a failure to its exit code (a
-subcommand only relabels a ConfigError): every problem of a
-`model.ConfigError` is listed, one line each; a `model.SolverError`, an
-`OSError` or another `ValueError` is one `error: …` line.
+subcommand at most relabels a ConfigError): every problem of a ConfigError is
+listed, one line each; a `model.SolverError`, an `OSError`, a `MemoryError`
+or another `ValueError` is one `error: …` line.
 """
 
 from __future__ import annotations
@@ -245,11 +245,10 @@ def _cmd_ledger(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import oracle as orc
 
-    fn, keywords, key_name, key_decreasing = {
-        "uniform": (orc.uniform_consumption_study, orc.UNIFORM_KEYWORDS, "dt", True),
-        "barenblatt": (orc.barenblatt_convergence, orc.BARENBLATT_KEYWORDS, "N", False),
-        "manufactured": (orc.manufactured_convergence, orc.MANUFACTURED_KEYWORDS,
-                         "N", False),
+    fn, keywords, key_name = {
+        "uniform": (orc.uniform_consumption_study, orc.UNIFORM_KEYWORDS, "dt"),
+        "barenblatt": (orc.barenblatt_convergence, orc.BARENBLATT_KEYWORDS, "N"),
+        "manufactured": (orc.manufactured_convergence, orc.MANUFACTURED_KEYWORDS, "N"),
     }[args.study]
     kwargs = {}
     if args.config is not None:
@@ -260,27 +259,18 @@ def _cmd_oracle(args) -> int:
             raise ConfigError(problems)
         check_section("oracle", kwargs, keywords)
 
-    try:
-        rows = fn(**kwargs)
-    except ValueError as exc:   # a study's own check, e.g. manufactured's dt bound
-        if isinstance(exc, ConfigError) and all(
-                p.startswith("oracle.") for p in exc.problems):
-            raise               # names the study's own key already
-        raise ConfigError([f"oracle: {exc}"]) from None
+    rows = fn(**kwargs)     # a study labels its own refusals
     print(f"{args.study} study ({len(rows)} runs)")
-    prev = None
-    orders = []
+    prev, orders = None, []
     for key, err in rows:
         line = f"  {key_name}={key:<12g} error={err:.6e}"
+        h = key if key_name == "dt" else 1.0 / key
         if prev is not None and err > 0.0 and prev[1] > 0.0:
-            if key_decreasing:
-                order = math.log(prev[1] / err) / math.log(prev[0] / key)
-            else:
-                order = math.log(prev[1] / err) / math.log(key / prev[0])
+            order = math.log(prev[1] / err) / math.log(prev[0] / h)
             orders.append(order)
             line += f"  order={order:.2f}"
         print(line)
-        prev = (key, err)
+        prev = (h, err)
     if orders:
         print(f"  mean observed order: {sum(orders) / len(orders):.2f}")
     return 0
@@ -370,8 +360,8 @@ def main(argv=None) -> int:
         # interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SolverError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SolverError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -19,7 +19,10 @@ nonnegative input gives a nonnegative output, and a cell at distance rho or
 more from every nonzero input cell stays exactly 0.
 
 A radius below two grid spacings cannot be resolved and degenerates to the
-identity by design.
+identity by design.  Above it the kernel has 2*ceil(rho/h_d)+1 weights along
+each axis d, so set-up cost grows steeply as rho nears the box length: on a 3D
+periodic unit box at rho = 0.99 one field took about 3, 9 and 29 ms at N = 8,
+12 and 16 (2 cores).
 """
 
 from __future__ import annotations

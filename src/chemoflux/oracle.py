@@ -12,7 +12,9 @@ Three routes, none of which touch the discrete operators under test:
   known smooth fields.
 
 A study checks its keywords against its table, as the CLI does (see
-`model.check_section`), and builds every row before its first run.
+`model.check_section`), builds every row before its first run, and labels
+its own refusals (`oracle.<key>: …`, or `oracle: …` naming no key); any
+other failure of a row, such as a run that breaks down, is raised as it is.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import ScalarField, cell_centers, lp_norm, mesh
+from .grid import ScalarField, VectorField, cell_centers, lp_norm, mesh
 from .model import (ChiKappaModel, ConfigError, DomainSpec, SimParams,
                     check_section)
 
@@ -63,7 +65,8 @@ def barenblatt(alpha: float, mass: float, dim: int, t: float, x) -> np.ndarray:
 
     with C fixed by int (C - k0 |y|^2)_+^{1/alpha} dy = mass via the
     Beta-integral identity int_{R^d} (1-|y|^2)_+^e dy
-    = pi^{d/2} Gamma(e+1)/Gamma(e+1+d/2).
+    = pi^{d/2} Gamma(e+1)/Gamma(e+1+d/2).  An alpha small enough that those
+    Gammas overflow is refused as a ConfigError under `oracle.alpha`.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -79,8 +82,8 @@ def barenblatt(alpha: float, mass: float, dim: int, t: float, x) -> np.ndarray:
         j = (math.pi ** (dim / 2.0) * math.gamma(e + 1.0)
              / math.gamma(e + 1.0 + dim / 2.0))
     except OverflowError:
-        raise ValueError(f"alpha {alpha} is too small: Gamma(1/alpha + 1) "
-                         "overflows") from None
+        raise ConfigError([f"oracle.alpha: alpha {alpha} is too small: "
+                           "Gamma(1/alpha + 1) overflows"]) from None
     # numpy scalar powers: past the float range they give inf, not OverflowError
     big_c = np.float64(mass * k0 ** (dim / 2.0) / j) ** (1.0 / (e + dim / 2.0))
     r2 = np.sum(x * x, axis=0)
@@ -130,8 +133,7 @@ class ManufacturedProblem:
 
 
 def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
-                         tau: int = 1, rho: float = 0.05,
-                         t_final: float = 0.1) -> ManufacturedProblem:
+                         tau: int = 1, t_final: float = 0.1) -> ManufacturedProblem:
     """Build the standard manufactured problem at one resolution.
 
     The exact velocity is the swirl A(-cos x sin y, sin x cos y) g(t); on a
@@ -147,7 +149,7 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
     spec = DomainSpec(2, "periodic", (two_pi, two_pi), (resolution, resolution))
     model = ChiKappaModel(chi_offset=0.05, chi_slope=0.02,
                           kappa_coeff=0.3, kappa_power=1.0)
-    params = SimParams(alpha=alpha, tau=tau, rho=rho, t_final=t_final,
+    params = SimParams(alpha=alpha, tau=tau, rho=0.05, t_final=t_final,
                        domain=spec, cfl_safety=0.4)
     x = mesh(spec)
     cos_t = (np.cos, lambda t: -np.sin(t))
@@ -188,8 +190,8 @@ def manufactured_problem(resolution: int = 32, alpha: float = 0.5,
 # study drivers (these DO run the solver; the closed forms above do not)
 
 def _run_row(params: SimParams, model: ChiKappaModel, initial, key: str):
-    """`run` to params.t_final, sampled at its ends.  A t_final that `run`
-    refuses as a sample interval is reported under the study's own `key`."""
+    """`run` to params.t_final, sampled at its ends.  A t_final `run` refuses
+    as a sample interval is labelled the study's `key`, the rest `oracle`."""
     from .solver import run
 
     try:
@@ -197,7 +199,7 @@ def _run_row(params: SimParams, model: ChiKappaModel, initial, key: str):
     except ConfigError as exc:
         interval = "output.sample_interval:"
         raise ConfigError([f"oracle.{key}:{p[len(interval):]}" if p.startswith(interval)
-                           else p for p in exc.problems]) from None
+                           else f"oracle: {p}" for p in exc.problems]) from None
 
 
 # each study's keywords with their kinds (model.VALUE_KINDS); a keyword a
@@ -253,9 +255,12 @@ def barenblatt_convergence(resolutions=(64, 128, 256), alpha: float = 0.5,
 
     model = ChiKappaModel(chi_offset=1.0, chi_slope=0.0,
                           kappa_coeff=0.0, kappa_power=1.0)
-    rows = [SimParams(alpha=alpha, tau=0, rho=rho, t_final=t_run,
-                      domain=DomainSpec(1, "periodic", (length,), (N,)),
-                      cfl_safety=0.4) for N in resolutions]
+    try:    # each key is of its kind: only the rule on rho and length is left
+        rows = [SimParams(alpha=alpha, tau=0, rho=rho, t_final=t_run,
+                          domain=DomainSpec(1, "periodic", (length,), (N,)),
+                          cfl_safety=0.4) for N in resolutions]
+    except ConfigError as exc:
+        raise ConfigError([f"oracle.rho: {p}" for p in exc.problems]) from None
     out = []
     for params in rows:
         spec = params.domain
@@ -276,11 +281,10 @@ def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
     [(N, L2 error of n at t_end)].  dt scales with h^2 so the first-order
     time error rides below the second-order spatial measurement.  A row
     whose dt exceeds the explicit stability bound (`stable_dt` at
-    cfl_safety 1 on its initial state, about 0.1435 h^2) raises ValueError
-    before the first step of any row."""
+    cfl_safety 1 on its initial state, about 0.1435 h^2) is refused under
+    `oracle.dt_factor` before the first step of any row."""
     check_section("oracle", locals(), MANUFACTURED_KEYWORDS)
     from .solver import FieldState, stable_dt, step
-    from .grid import VectorField
 
     rows = []
     for N in resolutions:
@@ -295,8 +299,8 @@ def manufactured_convergence(resolutions=(16, 32), alpha: float = 0.5,
                            ScalarField(spec, np.zeros(spec.shape)))
         bound = stable_dt(state, replace(mp.params, cfl_safety=1.0), mp.model)
         if dt > bound:
-            raise ValueError(f"N={N}: dt={dt:.6g} exceeds the stability bound "
-                             f"{bound:.6g} (dt_factor {dt_factor:g})")
+            raise ConfigError([f"oracle.dt_factor: N={N}: dt={dt:.6g} exceeds the "
+                               f"stability bound {bound:.6g} (dt_factor {dt_factor:g})"])
         rows.append((spec, mp, state, n_steps, dt))
     out = []
     for spec, mp, state, n_steps, dt in rows:

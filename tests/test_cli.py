@@ -383,7 +383,8 @@ class TestRunCommand:
 class TestFailureMap:
     """`main` alone turns a failure into an exit code and one stderr line."""
 
-    @pytest.mark.parametrize("exc", [cf.SolverError, OSError, ValueError])
+    @pytest.mark.parametrize("exc", [cf.SolverError, OSError, ValueError,
+                                     MemoryError])
     def test_run_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                            exc):
         from chemoflux import solver
@@ -394,14 +395,43 @@ class TestFailureMap:
         assert cli.main(["run", _write(tmp_path, _base_cfg())]) == 1
         assert capsys.readouterr() == ("", "error: x\n")
 
-    def test_study_failure_is_one_error_line(self, monkeypatch, capsys):
+    # a study's ValueError is a breakdown too: only a ConfigError is a refusal
+    @pytest.mark.parametrize("exc", [cf.SolverError, ValueError, MemoryError])
+    def test_study_failure_is_one_error_line(self, monkeypatch, capsys, exc):
         from chemoflux import oracle
 
         def failing_study(**kwargs):
-            raise cf.SolverError("x")
+            raise exc("x")
         monkeypatch.setattr(oracle, "uniform_consumption_study", failing_study)
         assert cli.main(["oracle", "uniform"]) == 1
         assert capsys.readouterr() == ("", "error: x\n")
+
+    def test_failure_without_a_message_is_named(self, monkeypatch, capsys):
+        # numpy's allocation failure carries a message; a bare one does not
+        from chemoflux import oracle
+
+        def failing_study(**kwargs):
+            raise MemoryError
+        monkeypatch.setattr(oracle, "barenblatt_convergence", failing_study)
+        assert cli.main(["oracle", "barenblatt"]) == 1
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+    def test_oversized_grid_fails_alike_under_run_and_oracle(self, tmp_path,
+                                                             capsys):
+        # numpy refuses the array before allocating anything; that is a
+        # breakdown (exit 1) under either command, not a config problem
+        size = 4611686018427387904
+        cfg = {"domain": {"dim": 1, "mode": "periodic", "lengths": 6.0,
+                          "resolution": size},
+               "params": {"alpha": 0.5, "tau": 0, "rho": 1e-6, "t_final": 0.25}}
+        assert cli.main(["run", _write(tmp_path, cfg)]) == 1
+        run_err = capsys.readouterr()
+        cfg = {"oracle": {"resolutions": [size]}}
+        assert cli.main(["oracle", "barenblatt", _write(tmp_path, cfg)]) == 1
+        assert capsys.readouterr() == run_err
+        assert run_err.out == ""
+        assert run_err.err.startswith("error: array is too big")
+        assert len(run_err.err.splitlines()) == 1
 
     def test_config_error_still_exits_two(self, tmp_path, capsys, monkeypatch):
         from chemoflux import solver
@@ -662,14 +692,14 @@ class TestOracleCommand:
             ("manufactured", {"t_end": 0}, 2, f"oracle.t_end: {pos} 0"),
             ("manufactured", {"t_end": -1}, 2, f"oracle.t_end: {pos} -1"),
             ("manufactured", {"dt_factor": 0.2}, 2,
-             "oracle: N=16: dt=0.025 exceeds the stability bound"),
+             "oracle.dt_factor: N=16: dt=0.025 exceeds the stability bound"),
             # values with no closed form to compare against, and empty
             # studies, refused before the first run
             ("barenblatt", {"t0": 0}, 2, f"oracle.t0: {pos} 0"),
             ("barenblatt", {"t0": -1}, 2, f"oracle.t0: {pos} -1"),
             ("barenblatt", {"mass": -1}, 2, f"oracle.mass: {pos} -1"),
             ("barenblatt", {"alpha": 0.005}, 2,
-             "oracle: alpha 0.005 is too small: Gamma(1/alpha + 1) overflows"),
+             "oracle.alpha: alpha 0.005 is too small: Gamma(1/alpha + 1) overflows"),
             ("uniform", {"c0": 0}, 2, f"oracle.c0: {pos} 0"),
             ("barenblatt", {"resolutions": []}, 2,
              f"oracle.resolutions: {ints} []"),
@@ -749,6 +779,32 @@ class TestOracleCommand:
         assert rc == 2
         assert capsys.readouterr().err == (
             "config problem: oracle: initial n, c and u must be finite\n")
+
+    @pytest.mark.parametrize("study, section, problem", [
+        ("barenblatt", {"length": 0.5, "rho": 0.9},
+         "oracle.rho: rho must be at most the shortest box length 0.5, got 0.9"),
+        ("barenblatt", {"alpha": 0.005}, "oracle.alpha: alpha 0.005 is too small"),
+        ("barenblatt", {"alpha": 10, "mass": 1e300},
+         "oracle: initial n, c and u must be finite"),
+        ("barenblatt", {"t_run": 1e-13, "resolutions": [8]},
+         "oracle.t_run: must be finite and > 1e-12"),
+        ("manufactured", {"dt_factor": 0.2},
+         "oracle.dt_factor: N=16: dt=0.025 exceeds the stability bound"),
+    ], ids=["rho-above-length", "gamma", "profile", "t_run", "dt_factor"])
+    def test_library_and_cli_list_the_same_refusal(self, tmp_path, capsys,
+                                                   study, section, problem):
+        # the study labels its refusal; the CLI prints it as it is
+        from chemoflux import oracle
+        fn = {"barenblatt": oracle.barenblatt_convergence,
+              "manufactured": oracle.manufactured_convergence}[study]
+        with pytest.raises(cf.ConfigError) as exc:
+            fn(**section)
+        assert len(exc.value.problems) == 1
+        assert exc.value.problems[0].startswith(problem)
+        rc = cli.main(["oracle", study, _write(tmp_path, {"oracle": section})])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"config problem: {exc.value.problems[0]}\n")
 
     def test_unknown_top_level_key_listed(self, tmp_path, capsys):
         # a misspelt section used to run the default study

@@ -207,7 +207,8 @@ class TestSelfSimilarProfile:
         assert not np.isfinite(spike[0]) and spike[1] == 0.0
 
     def test_overflowing_normalization_is_a_value_error(self):
-        with pytest.raises(ValueError, match="alpha 0.005 is too small"):
+        with pytest.raises(cf.ConfigError,
+                           match=r"^oracle\.alpha: alpha 0.005 is too small"):
             barenblatt(0.005, 1.0, 1, 1.0, np.zeros(3))
 
 
@@ -331,7 +332,7 @@ class TestStudies:
         (manufactured_convergence, {"alpha": "x"}, r"^oracle\.alpha: "),
         # the N = 16 row is under the stability bound, the N = 32 row above
         (manufactured_convergence, {"resolutions": (16, 32), "dt_factor": 0.155},
-         r"^N=32: dt=.* exceeds the stability bound"),
+         r"^oracle\.dt_factor: N=32: dt=.* exceeds the stability bound"),
     ])
     def test_bad_keyword_refused_before_any_row_runs(self, monkeypatch, study,
                                                      kwargs, message):
