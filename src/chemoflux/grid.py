@@ -142,7 +142,8 @@ def integrate(f: ScalarField) -> float:
 def lp_norm(f: ScalarField | VectorField, p: float) -> float:
     """L^p norm; vector fields use the pointwise Euclidean magnitude.
 
-    p = inf returns max |f|; p < 1 is rejected (not a norm).
+    p = inf returns max |f|; any other p not >= 1 (p < 1, -inf or nan) is
+    rejected (not a norm).
     """
     if isinstance(f, VectorField):
         mag = np.sqrt(np.sum(f.data * f.data, axis=0))
@@ -150,7 +151,7 @@ def lp_norm(f: ScalarField | VectorField, p: float) -> float:
         mag = np.abs(f.data)
     if p == np.inf:
         return float(np.max(mag))
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
     vol = f.domain.cell_volume
     return float(np.sum(mag ** p) * vol) ** (1.0 / p)

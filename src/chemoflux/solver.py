@@ -34,10 +34,13 @@ exact symbols of the difference stencils (sin(kh)/h for the central gradient,
 2(cos(kh)-1)/h^2 for the compact laplacian), so the projected velocity is
 divergence-free to machine precision.  Its pressure is kept as its
 spectrum and transformed on the first read of `p.data` (only snapshots read
-it).  A walled table uses fast diagonalization: each walled operator is a
-Kronecker sum of 1D matrices, so a dense eigendecomposition per axis solves
-it exactly, and the projected velocity is discrete divergence-free to
-roundoff as well.
+it).  Its transforms are `sfft`'s: scipy's compiled pocketfft binding, loaded
+from its file on the first periodic solve and called exactly as
+`scipy.fft.rfftn` and `irfftn` call it, so the bits are scipy.fft's, and no
+other module of scipy is imported.  A walled table uses fast
+diagonalization: each walled operator is a Kronecker sum of 1D matrices, so
+a dense eigendecomposition per axis solves it exactly, and the projected
+velocity is discrete divergence-free to roundoff as well.
 
 `build_initial` checks an `initial` config section against
 `model.INITIAL_SCHEMA` and builds the fields it describes, and `run` drives
@@ -50,8 +53,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from importlib import import_module
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
-from types import ModuleType
+import sys
 
 import numpy as np
 
@@ -67,18 +72,68 @@ NEG_TOL = -1e-13          # below this, the cell update is declared unstable
 _workers = 1
 
 
-class _ImportedOnFirstUse(ModuleType):
-    """A module imported on the first read of one of its names."""
-
-    def __getattr__(self, name):
-        value = getattr(import_module(self.__name__), name)
-        setattr(self, name, value)
-        return value
+_BINDING = "scipy.fft._pocketfft.pypocketfft"
 
 
-# scipy.fft loads on the first periodic solve, so a walled run loads no scipy.
-# Every FFT goes through this module attribute: tests and tracers swap it.
-sfft = _ImportedOnFirstUse("scipy.fft")
+def _scipy_dirs() -> list:
+    """The directories of the installed scipy package; finding them imports
+    nothing."""
+    spec = find_spec("scipy")
+    return list(spec.submodule_search_locations or ()) if spec else []
+
+
+def _pocketfft():
+    """scipy's compiled pocketfft binding, the module `scipy.fft` calls,
+    loaded from its file on first use under its own name and kept in
+    `sys.modules`, so a later `import scipy.fft` reuses the same module.
+    FileNotFoundError, naming where it looked, if there is no such file."""
+    module = sys.modules.get(_BINDING)
+    if module is not None:
+        return module
+    dirs = [Path(root, "fft", "_pocketfft") for root in _scipy_dirs()]
+    for path in (d / f"pypocketfft{suffix}" for d in dirs
+                 for suffix in EXTENSION_SUFFIXES):
+        if path.is_file():
+            loader = ExtensionFileLoader(_BINDING, str(path))
+            module = module_from_spec(spec_from_loader(_BINDING, loader))
+            loader.exec_module(module)
+            sys.modules[_BINDING] = module
+            return module
+    where = ", ".join(map(str, dirs)) or "sys.path (no scipy package found)"
+    raise FileNotFoundError(f"no scipy pocketfft binding (pypocketfft*) in "
+                            f"{where}: periodic boxes need scipy >= 1.10")
+
+
+class _PocketFFT:
+    """`scipy.fft.rfftn(x, workers=k)` and `irfftn(x, s=shape, workers=k)`
+    over every axis with norm=None, as the very binding calls that scipy.fft's
+    `r2cn` and `c2rn` make, so the bits are scipy.fft's.  The scipy.fft
+    package itself is not imported: its array-API layer and scipy.special
+    take about 170 ms to load, the binding about 4 ms."""
+
+    @staticmethod
+    def rfftn(x: np.ndarray, workers: int = 1) -> np.ndarray:
+        return _pocketfft().r2c(x, tuple(range(x.ndim)), True, 0, None,
+                                workers)
+
+    @staticmethod
+    def irfftn(x: np.ndarray, s: tuple, workers: int = 1) -> np.ndarray:
+        """The inverse of `rfftn` for a real array of shape s; x must be its
+        spectrum, of shape s[:-1] + (s[-1] // 2 + 1,)."""
+        return _pocketfft().c2r(x, tuple(range(x.ndim)), s[-1], False, 2,
+                                None, workers)
+
+    @property
+    def set_workers(self):
+        """`scipy.fft.set_workers`; reading it imports the scipy.fft
+        package, so only tracers read it."""
+        return import_module("scipy.fft").set_workers
+
+
+# The binding loads on the first periodic solve, so a walled run loads no
+# scipy.  Every FFT goes through this module attribute: tests and tracers
+# swap it.
+sfft = _PocketFFT()
 
 
 def set_threads(k: int) -> None:

@@ -433,6 +433,23 @@ class TestFailureMap:
         assert run_err.err.startswith("error: array is too big")
         assert len(run_err.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("layout", ["no scipy", "no binding"])
+    def test_missing_fft_binding_is_one_error_line(self, tmp_path, capsys,
+                                                   monkeypatch, layout):
+        from chemoflux import solver
+
+        root = tmp_path / "scipy"
+        (root / "fft" / "_pocketfft").mkdir(parents=True)
+        dirs = [] if layout == "no scipy" else [str(root)]
+        monkeypatch.setattr(solver, "_scipy_dirs", lambda: dirs)
+        monkeypatch.delitem(sys.modules, solver._BINDING, raising=False)
+        assert cli.main(["run", _write(tmp_path, _base_cfg())]) == 1
+        where = (root / "fft" / "_pocketfft" if dirs
+                 else "sys.path (no scipy package found)")
+        assert capsys.readouterr() == (
+            "", f"error: no scipy pocketfft binding (pypocketfft*) in {where}: "
+                "periodic boxes need scipy >= 1.10\n")
+
     def test_config_error_still_exits_two(self, tmp_path, capsys, monkeypatch):
         from chemoflux import solver
 

@@ -202,10 +202,13 @@ class TestNorms:
         assert cf.lp_norm(u, 2) == pytest.approx(5.0 * 2.0, rel=1e-14)
 
     def test_subunit_exponent_rejected(self):
+        # nan compares False both ways: it once gave 1.0 on a field of ones
         spec = _periodic(16)
         f = cf.ScalarField(spec, np.ones(spec.shape))
-        with pytest.raises(ValueError):
-            cf.lp_norm(f, 0.5)
+        for p in (0.5, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"^lp_norm requires p >= 1 "
+                                                 r"or p = inf, got "):
+                cf.lp_norm(f, p)
 
     def test_gaussian_l2_against_quadrature(self):
         spec = cf.DomainSpec(1, "periodic", (8.0,), (512,))

@@ -1,6 +1,7 @@
 """The package's layering: lazy exports, the layers and the `classify`
 command that load no numerical library, a walled run that loads no scipy,
-and a runtime that loads no sympy."""
+a periodic run that loads only scipy's compiled FFT binding, and a runtime
+that loads no sympy."""
 
 import json
 import os
@@ -53,50 +54,76 @@ def test_exact_layers_load_no_numerical_library(tmp_path):
     assert out.stdout == "[]\n"
 
 
-def _scipy_modules(child_output: str) -> list:
-    return json.loads(child_output.splitlines()[-1])
-
-
-_SCIPY_OF = """
+_MODULES_OF = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
+def _loaded(child_output: str, top: str = "scipy") -> list:
+    """The modules under package `top` that a `_MODULES_OF` child listed."""
+    return [m for m in json.loads(child_output.splitlines()[-1])
+            if m.split(".")[0] == top]
+
+
 def test_solver_and_oracle_import_no_scipy():
-    out = _run_child("import chemoflux.solver, chemoflux.oracle" + _SCIPY_OF)
+    out = _run_child("import chemoflux.solver, chemoflux.oracle" + _MODULES_OF)
     assert out.returncode == 0, out.stderr
-    assert _scipy_modules(out.stdout) == []
+    assert _loaded(out.stdout) == []
 
 
-def _run_cli_child(tmp_path, mode: str) -> list:
-    """`chemoflux --threads 2 run` on `_write_config`'s box in `mode`; the
-    scipy modules the run loaded."""
+# numpy submodules that only scipy.fft's array-API layer pulled in
+_NUMPY_EXTRAS = ("numpy.f2py", "numpy.testing", "numpy.ma")
+
+
+def _run_cli_child(tmp_path, mode: str) -> tuple[list, list]:
+    """`chemoflux --threads 2 run` on `_write_config`'s box in `mode`: the
+    scipy modules the run loaded, and which of `_NUMPY_EXTRAS`."""
     path = _write_config(tmp_path, mode)
     args = ["--threads", "2", "run", path, "--out", str(tmp_path / mode)]
     out = _run_child("import contextlib, io, chemoflux.cli\n"
                      "with contextlib.redirect_stdout(io.StringIO()):\n"
                      f"    assert chemoflux.cli.main({args!r}) == 0\n"
-                     + _SCIPY_OF)
+                     + _MODULES_OF)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / mode / "diagnostics.csv").exists()
-    return _scipy_modules(out.stdout)
+    numpy = _loaded(out.stdout, "numpy")
+    return _loaded(out.stdout), [m for m in _NUMPY_EXTRAS if m in numpy]
 
 
 def test_walled_run_loads_no_scipy(tmp_path):
     # the walled solves are numpy eigenbases and the mollifier a numpy sum
-    assert _run_cli_child(tmp_path, "neumann") == []
+    assert _run_cli_child(tmp_path, "neumann") == ([], [])
 
 
-def test_periodic_run_loads_scipy_fft_only(tmp_path):
-    # scipy.fft's own import loads part of scipy.special (its fftlog), so
-    # the pin is: nothing beyond what `import scipy.fft` alone loads
-    fft_alone = _run_child("import scipy.fft" + _SCIPY_OF)
-    assert fft_alone.returncode == 0, fft_alone.stderr
-    loaded = _run_cli_child(tmp_path, "periodic")
-    assert "scipy.fft" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.ndimage")]
-    assert set(loaded) <= set(_scipy_modules(fft_alone.stdout))
+def test_periodic_run_loads_only_the_fft_binding(tmp_path):
+    # the solver loads scipy's compiled pocketfft binding from its file,
+    # and none of the scipy.fft package that wraps it
+    assert _run_cli_child(tmp_path, "periodic") == (
+        ["scipy.fft._pocketfft.pypocketfft"], [])
+
+
+_BINDING_CHILD = """
+import json, sys
+import numpy as np
+from chemoflux import solver
+x = np.random.default_rng(0).standard_normal((12, 10, 9))
+h = solver.sfft.rfftn(x)
+u = solver.sfft.irfftn(h, s=x.shape)
+binding = sys.modules["scipy.fft._pocketfft.pypocketfft"]
+import scipy.fft
+from scipy.fft._pocketfft import basic
+print(json.dumps([basic.pfft is binding,
+                  sys.modules["scipy.fft._pocketfft.pypocketfft"] is binding,
+                  h.tobytes() == scipy.fft.rfftn(x).tobytes(),
+                  u.tobytes() == scipy.fft.irfftn(h, s=x.shape).tobytes()]))
+"""
+
+
+def test_scipy_fft_imported_later_reuses_the_binding():
+    out = _run_child(_BINDING_CHILD)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [True, True, True, True]
 
 
 _MANUFACTURED_CHILD = """

@@ -621,6 +621,41 @@ class TestRunContract:
         _assert_bits_equal(*states)
 
 
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def _strided(a):
+    """A non-contiguous view with a's values."""
+    wide = np.zeros(a.shape + (2,), a.dtype)
+    wide[..., 1] = a
+    return wide[..., 1]
+
+
+class TestFFTBinding:
+    """`solver.sfft` calls scipy's pocketfft binding as `scipy.fft` does,
+    so its transforms have `scipy.fft`'s bits."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("view", ["contiguous", "strided"])
+    @pytest.mark.parametrize("shape", [(9,), (16, 12), (12, 10, 9), (7, 5, 6)],
+                             ids=_shape_id)
+    def test_transforms_equal_scipy_fft(self, shape, view, workers):
+        x = np.random.default_rng(len(shape)).standard_normal(shape)
+        x.flat[::7] = -0.0
+        spectrum = sfft.rfftn(x, workers=workers)
+        if view == "strided":
+            x, spectrum = _strided(x), _strided(spectrum)
+        _assert_same_bits(solver.sfft.rfftn(x, workers=workers),
+                          sfft.rfftn(x, workers=workers))
+        _assert_same_bits(solver.sfft.irfftn(spectrum, s=shape,
+                                             workers=workers),
+                          sfft.irfftn(spectrum, s=shape, workers=workers))
+
+
 @hst.composite
 def _random_problem(draw):
     """A small random box, model and state: dim 1-3, both boundary modes
