@@ -9,10 +9,11 @@ catalog, and `oracle` drives the independent convergence studies.
 Exit codes: 0 success, 1 runtime or verification failure (under `run`, also an
 unreadable snapshot file) or a standard output closed by its reader, 2
 configuration or usage problems, including (under `run`) initial data that
-are bad only once built.  `main` alone maps a failure to its exit code (a
-subcommand at most relabels a ConfigError): every problem of a ConfigError is
-listed, one line each; a `model.SolverError`, an `OSError`, a `MemoryError`
-or another `ValueError` is one `error: …` line.
+are bad only once built.  `main` alone maps a failure to its exit code, and
+no subcommand relabels what the library raised (`cf.run` raises the lines
+`chemoflux run` lists): every problem of a ConfigError is listed, one line
+each; a `model.SolverError`, an `OSError`, a `MemoryError` or another
+`ValueError` is one `error: …` line.
 """
 
 from __future__ import annotations
@@ -135,12 +136,7 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         output["out_dir"] = args.out
     t0 = time.perf_counter()
-    try:
-        result = run(params, model, cfg.get("initial", {}), output)
-    except ConfigError as exc:
-        # run checks its output before it builds the initial data
-        raise ConfigError([p if p.startswith("output.") else f"initial: {p}"
-                           for p in exc.problems]) from None
+    result = run(params, model, cfg.get("initial", {}), output)
     wall = time.perf_counter() - t0
 
     _print_classification(model, params)

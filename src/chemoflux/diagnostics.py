@@ -197,24 +197,19 @@ class ClassCheckReport:
     warnings: list[str]
 
 
-def _mass_tolerance(spec: DomainSpec) -> float:
-    return 1e-12 if spec.mode == "periodic" else 1e-10
-
-
 def weak_class_check(records, params: SimParams) -> ClassCheckReport:
     """Verify the weak-regime a priori structure against a record stream:
-    conserved mass, every recorded functional finite (bar the moment in
-    neumann mode, which is nan there), and energy bounded by
-    ENERGY_CEILING * max(E(0), 1).
+    mass conserved to a relative 1e-12 in either boundary mode, every
+    recorded functional finite (bar the moment in neumann mode, which is
+    nan there), and energy bounded by ENERGY_CEILING * max(E(0), 1).
     """
     failures, warns = [], []
     if not records:
         return ClassCheckReport(False, ["empty record stream"], warns)
     m0 = records[0].mass
     drift = max(abs(r.mass - m0) for r in records) / max(abs(m0), 1e-300)
-    tol = _mass_tolerance(params.domain)
-    if drift > tol:
-        failures.append(f"mass drift {drift:.3e} exceeds {tol:.0e}")
+    if drift > 1e-12:
+        failures.append(f"mass drift {drift:.3e} exceeds 1e-12")
     for col in CSV_COLUMNS:
         if col == "moment" and params.domain.mode == "neumann":
             continue

@@ -563,57 +563,53 @@ def _vortex(spec: DomainSpec, amplitude: float) -> np.ndarray:
 
 def build_initial(spec: DomainSpec, initial: dict):
     """Construct (n, c, u) arrays from the `initial` config section (see
-    model.INITIAL_SCHEMA).  `perturb` multiplies n by 1 + amplitude
-    * U(-1, 1), before a gaussian n is normalized to its mass.
+    model.INITIAL_SCHEMA), each field by its type's one rule: `gaussian` is
+    base + amplitude * bump (defaults 0 and 1), and `snapshot` reads its
+    `path`, or u's `paths`, one per component.  `perturb` multiplies n by
+    1 + amplitude * U(-1, 1), before a gaussian n is normalized to its mass.
 
     Raises, before anything is built, one ConfigError listing every way
-    `initial` departs from the schema on this box; then ConfigError for
-    data bad only once built: a gaussian sigma that squares to 0 or n
-    without mass, non-finite data, negative n or c, and a snapshot
-    `load_field` rejects; OSError for a snapshot it cannot read.
+    `initial` departs from the schema on this box; then one listing what
+    each field's build refuses (a gaussian sigma that squares to 0, n
+    without mass, a snapshot `load_field` rejects) as `initial.<field>: …`,
+    then `_checked_data`'s; OSError for a snapshot it cannot read.
     """
     check_section("initial", initial, INITIAL_SCHEMA, spec.dim)
-    cfg_n = initial.get("n", {"type": "constant", "value": 1.0})
-    cfg_c = initial.get("c", {"type": "constant", "value": 1.0})
-    cfg_u = initial.get("u", {"type": "zero"})
-
-    kind = cfg_n.get("type", INITIAL_SCHEMA["n"][0])
-    if kind == "gaussian":
-        n = _gaussian(spec, cfg_n["sigma"], cfg_n.get("center", (0.0,) * spec.dim))
-    elif kind == "constant":
-        n = np.full(spec.shape, cfg_n["value"], dtype=float)
-    else:
-        n = load_field(cfg_n["path"], spec)[0].data
-
     perturb = initial.get("perturb", {})
-    if perturb.get("amplitude", 0.0) > 0.0:
-        rng = np.random.default_rng(perturb.get("seed", 0))
-        n = n * (1.0 + perturb["amplitude"] * (2.0 * rng.random(spec.shape) - 1.0))
-    if kind == "gaussian":
-        total = float(np.sum(n)) * spec.cell_volume
-        if not total > 0:
-            raise ConfigError([f"initial n: a gaussian of sigma {cfg_n['sigma']} "
-                               "has no mass on this grid"])
-        n = n * (cfg_n.get("mass", 1.0) / total)
-
-    kind = cfg_c.get("type", INITIAL_SCHEMA["c"][0])
-    if kind == "constant":
-        c = np.full(spec.shape, cfg_c["value"], dtype=float)
-    elif kind == "gaussian":
-        c = (cfg_c.get("base", 0.0)
-             + cfg_c["amplitude"]
-             * _gaussian(spec, cfg_c["sigma"], cfg_c.get("center", (0.0,) * spec.dim)))
-    else:
-        c = load_field(cfg_c["path"], spec)[0].data
-
-    kind = cfg_u.get("type", INITIAL_SCHEMA["u"][0])
-    if kind == "zero":
-        u = np.zeros((spec.dim,) + spec.shape)
-    elif kind == "vortex":
-        u = _vortex(spec, cfg_u.get("amplitude", 1.0))
-    else:
-        u = np.stack([load_field(p, spec)[0].data for p in cfg_u["paths"]])
-    return _checked_data(spec, (n, c, u))
+    data, problems = [], []
+    for name in ("n", "c", "u"):
+        # a field left out takes its default type: n and c constant 1, u zero
+        cfg = initial.get(name, {} if name == "u" else {"value": 1.0})
+        kind = cfg.get("type", INITIAL_SCHEMA[name][0])
+        try:
+            if kind == "constant":
+                f = np.full(spec.shape, cfg["value"], dtype=float)
+            elif kind == "gaussian":
+                f = (cfg.get("base", 0.0) + cfg.get("amplitude", 1.0)
+                     * _gaussian(spec, cfg["sigma"], cfg.get("center", (0.0,) * spec.dim)))
+            elif kind == "zero":
+                f = np.zeros((spec.dim,) + spec.shape)
+            elif kind == "vortex":
+                f = _vortex(spec, cfg.get("amplitude", 1.0))
+            else:       # snapshot
+                files = [load_field(p, spec)[0].data
+                         for p in cfg.get("paths", [cfg.get("path")])]
+                f = np.stack(files) if "paths" in cfg else files[0]
+            if name == "n" and perturb.get("amplitude", 0.0) > 0.0:
+                rng = np.random.default_rng(perturb.get("seed", 0))
+                f = f * (1.0 + perturb["amplitude"] * (2.0 * rng.random(spec.shape) - 1.0))
+            if name == "n" and kind == "gaussian":
+                total = float(np.sum(f)) * spec.cell_volume
+                if not total > 0:
+                    raise ConfigError([f"a gaussian of sigma {cfg['sigma']} has no "
+                                       "mass on this grid"])
+                f = f * (cfg.get("mass", 1.0) / total)
+            data.append(f)
+        except ConfigError as exc:
+            problems += [f"initial.{name}: {p}" for p in exc.problems]
+    if problems:
+        raise ConfigError(problems)
+    return _checked_data(spec, tuple(data))
 
 
 def _as_array(values) -> np.ndarray | None:
@@ -626,9 +622,11 @@ def _as_array(values) -> np.ndarray | None:
 
 
 def _checked_data(spec: DomainSpec, data: tuple) -> tuple:
-    """`data`, (n, c, u), as float arrays; ConfigError unless they have the
-    box's shapes, hold integers or floats (a bool is never a number) and are
-    finite, with n and c nonnegative."""
+    """`data`, (n, c, u), as float arrays.  ConfigError across the tuple
+    (`initial: the (n, c, u) arrays …`) unless they have the box's shapes
+    and hold integers or floats (a bool is never a number); then one
+    listing each field that is not finite or (n, c) is negative, as
+    `initial.<field>: must be finite` or `… must be nonnegative`."""
     shapes = (spec.shape, spec.shape, (spec.dim,) + spec.shape)
     data = tuple(map(_as_array, data))
     got = tuple("ragged" if f is None else f.shape for f in data)
@@ -639,10 +637,14 @@ def _checked_data(spec: DomainSpec, data: tuple) -> tuple:
         raise ConfigError(["initial: the (n, c, u) arrays must hold integers or "
                            f"floats, got {tuple(str(f.dtype) for f in data)}"])
     data = tuple(np.asarray(f, dtype=float) for f in data)
-    if not all(np.all(np.isfinite(f)) for f in data):
-        raise ConfigError(["initial n, c and u must be finite"])
-    if np.min(data[0]) < 0 or np.min(data[1]) < 0:
-        raise ConfigError(["initial n and c must be nonnegative"])
+    problems = []
+    for name, f in zip("ncu", data):
+        if not np.all(np.isfinite(f)):
+            problems.append(f"initial.{name}: must be finite")
+        elif name != "u" and np.min(f) < 0:
+            problems.append(f"initial.{name}: must be nonnegative")
+    if problems:
+        raise ConfigError(problems)
     return data
 
 
@@ -690,7 +692,9 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict | tuple,
     Raises ConfigError, before building the initial data, for an `output`
     off model.OUTPUT_SCHEMA or a sample_interval (given, or the default
     t_final/50) not above the time tolerance 1e-12 max(t_final, 1), where
-    sample times stop advancing.
+    sample times stop advancing; then what `initial_state` raises
+    (`initial.<field>: …` or `initial: …`).  SolverError for a step that
+    breaks down or a dt that cannot advance t.
     """
     output = dict(output or {})
     check_section("output", output, OUTPUT_SCHEMA)
@@ -753,7 +757,7 @@ def run(params: SimParams, model: ChiKappaModel, initial: dict | tuple,
             dt = min(stable_dt(state, params, model, faces),
                      params.dt_max or np.inf,
                      params.t_final - state.t, next_sample - state.t)
-            if dt <= 0.0:
+            if not state.t + dt > state.t:      # dt of 0 or nan, or below t's ulp
                 raise SolverError(f"stability bound collapsed to dt={dt} at t={state.t}")
             state = step(state, params, model, dt, work=work, faces=faces)
             guards["steps"] += 1

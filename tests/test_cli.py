@@ -204,7 +204,8 @@ class TestConfigValidation:
     def test_built_data_problems_listed_by_run_and_classify(self, tmp_path,
                                                             capsys):
         # problems that show only once a field is built: listed by run
-        # (exit 2); classify builds nothing, so it classifies (exit 0)
+        # (exit 2) under the field they belong to, exactly as cf.run raises
+        # them; classify builds nothing, so it classifies (exit 0)
         spec = cf.DomainSpec(2, "periodic", (2.0, 2.0), (16, 16))
         coarse = cf.DomainSpec(2, "periodic", (2.0, 2.0), (8, 8))
         cf.save_field(cf.ScalarField(coarse, np.ones(coarse.shape)),
@@ -213,27 +214,41 @@ class TestConfigValidation:
                       tmp_path / "nan", "c", 0.0)
         (tmp_path / "bare.json").write_text('{"field": "n"}')
         (tmp_path / "bare.f64").write_bytes(bytes(8 * 256))
+        negative_c = {"type": "gaussian", "base": 0.1, "amplitude": -1.0,
+                      "sigma": 0.3}
         cases = [
-            ({"c": {"type": "gaussian", "base": 0.1, "amplitude": -1.0,
-                    "sigma": 0.3}},
-             "initial n and c must be nonnegative"),
+            ({"c": negative_c}, ["initial.c: must be nonnegative"]),
             ({"n": {"type": "snapshot", "path": str(tmp_path / "bare")}},
-             "must be a JSON object holding resolution and lengths"),
+             [f"initial.n: snapshot sidecar {tmp_path / 'bare.json'} must be "
+              "a JSON object holding resolution and lengths"]),
             ({"n": {"type": "snapshot", "path": str(tmp_path / "coarse")}},
-             "snapshot resolution [8, 8] does not match domain (16, 16)"),
+             ["initial.n: snapshot resolution [8, 8] does not match domain "
+              "(16, 16)"]),
             ({"c": {"type": "snapshot", "path": str(tmp_path / "nan")}},
-             "initial n, c and u must be finite"),
+             ["initial.c: must be finite"]),
             ({"n": {"type": "gaussian", "sigma": 1e-3}},
-             "initial n: a gaussian of sigma 0.001 has no mass on this grid"),
+             ["initial.n: a gaussian of sigma 0.001 has no mass on this grid"]),
             ({"c": {"type": "gaussian", "amplitude": 1.0, "sigma": 1e-300}},
-             "gaussian sigma 1e-300 squares to 0"),
+             ["initial.c: gaussian sigma 1e-300 squares to 0"]),
+            # every bad field is listed, one problem each
+            ({"c": negative_c,
+              "u": {"type": "snapshot",
+                    "paths": [str(tmp_path / "nan")] * 2}},
+             ["initial.c: must be nonnegative", "initial.u: must be finite"]),
+            ({"n": {"type": "gaussian", "sigma": 1e-3},
+              "c": {"type": "gaussian", "amplitude": 1.0, "sigma": 1e-300}},
+             ["initial.n: a gaussian of sigma 0.001 has no mass on this grid",
+              "initial.c: gaussian sigma 1e-300 squares to 0"]),
         ]
-        for initial, message in cases:
+        params = cf.SimParams(**_base_cfg()["params"], domain=spec)
+        for initial, problems in cases:
             path = _write(tmp_path, _base_cfg(initial=initial))
             assert cli.main(["run", path]) == 2, initial
-            err = capsys.readouterr().err
-            assert err.startswith("config problem: initial: ")
-            assert message in err
+            assert capsys.readouterr() == (
+                "", "".join(f"config problem: {p}\n" for p in problems))
+            with pytest.raises(cf.ConfigError) as exc:
+                cf.run(params, cf.ChiKappaModel(), initial)
+            assert exc.value.problems == problems
             assert cli.main(["classify", path]) == 0, initial
             assert capsys.readouterr().err == ""
 
@@ -372,6 +387,23 @@ class TestRunCommand:
         assert capsys.readouterr() == (
             "", "error: stability bound collapsed to dt=0.0 at t=0.0\n")
 
+    def test_step_that_cannot_advance_t_is_one_error(self, tmp_path):
+        # a potential gradient at 1e308 grows the mean velocity mode until
+        # dt is below half an ulp of t; with no step cap the run used to
+        # spin forever.  In a child process, a hang fails by the timeout.
+        cfg = {"domain": {"dim": 2, "mode": "periodic", "lengths": 2.0,
+                          "resolution": 8},
+               "params": {"alpha": 0.5, "tau": 1, "rho": 0.1, "t_final": 0.01,
+                          "phi_gradient": [0.0, 1e308]}}
+        src = os.path.dirname(os.path.dirname(cf.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chemoflux.cli", "run", _write(tmp_path, cfg)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: stability bound collapsed to dt=5e-306 "
+                               "at t=0.0002\n")
+
     def test_bad_json_exits_two(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")
@@ -457,7 +489,8 @@ class TestFailureMap:
             raise cf.ConfigError(["x"])
         monkeypatch.setattr(solver, "run", refusing_run)
         assert cli.main(["run", _write(tmp_path, _base_cfg())]) == 2
-        assert capsys.readouterr() == ("", "config problem: initial: x\n")
+        # printed as raised: run labels its own problems
+        assert capsys.readouterr() == ("", "config problem: x\n")
 
     def test_one_solver_error_class(self):
         from chemoflux import model, solver
@@ -795,14 +828,14 @@ class TestOracleCommand:
         rc = cli.main(["oracle", "barenblatt", _write(tmp_path, cfg)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "config problem: oracle: initial n, c and u must be finite\n")
+            "config problem: oracle: initial.n: must be finite\n")
 
     @pytest.mark.parametrize("study, section, problem", [
         ("barenblatt", {"length": 0.5, "rho": 0.9},
          "oracle.rho: rho must be at most the shortest box length 0.5, got 0.9"),
         ("barenblatt", {"alpha": 0.005}, "oracle.alpha: alpha 0.005 is too small"),
         ("barenblatt", {"alpha": 10, "mass": 1e300},
-         "oracle: initial n, c and u must be finite"),
+         "oracle: initial.n: must be finite"),
         ("barenblatt", {"t_run": 1e-13, "resolutions": [8]},
          "oracle.t_run: must be finite and > 1e-12"),
         ("manufactured", {"dt_factor": 0.2},

@@ -224,6 +224,15 @@ class TestRegimeChecks:
         assert not rep.passed
         assert any("mass drift" in f for f in rep.failures)
 
+    @pytest.mark.parametrize("mode", ["periodic", "neumann"])
+    def test_one_mass_tolerance_in_both_modes(self, mode):
+        params = _params(_spec(mode=mode))
+        rep = cf.weak_class_check(_fake_records(masses=(1.0, 1.0 + 1e-11)),
+                                  params)
+        assert rep.failures == ["mass drift 1.000e-11 exceeds 1e-12"]
+        assert cf.weak_class_check(_fake_records(masses=(1.0, 1.0 + 1e-13)),
+                                   params).passed
+
     def test_energy_blowup_fails(self):
         rep = cf.weak_class_check(_fake_records(e_ms=(2.0, 500.0)),
                                   _params(_spec()))

@@ -324,9 +324,14 @@ class TestKinds:
          ["initial: the (n, c, u) arrays must have shapes ((16, 16), (16, 16), "
           "(2, 16, 16)), got ('ragged', (16, 16), (2, 16, 16))"]),
         ((np.ones((16, 16)), -np.ones((16, 16)), np.zeros((2, 16, 16))),
-         ["initial n and c must be nonnegative"]),
+         ["initial.c: must be nonnegative"]),
         ((np.ones((16, 16)), np.ones((16, 16)), np.full((2, 16, 16), np.nan)),
-         ["initial n, c and u must be finite"]),
+         ["initial.u: must be finite"]),
+        # one problem per bad field: a non-finite n is not also negative
+        ((np.full((16, 16), [-1.0, np.inf] * 8), -np.ones((16, 16), int),
+          np.full((2, 16, 16), np.nan)),
+         ["initial.n: must be finite", "initial.c: must be nonnegative",
+          "initial.u: must be finite"]),
         # no cast: a string is no number, a complex number loses its
         # imaginary part, and a bool is never a number
         (([["x"] * 16] * 16, np.ones((16, 16)), np.zeros((2, 16, 16))),

@@ -893,3 +893,13 @@ class TestRun:
         np.testing.assert_array_equal(f.data, res.state.n.data)
         assert sorted(p.name for p in tmp_path.glob("n_*.f64")) == [
             "n_00000.f64", "n_00001.f64"]
+
+    def test_step_that_cannot_advance_t_is_refused(self):
+        # a potential gradient at 1e100 grows the mean velocity mode until
+        # dt is below half an ulp of t: t stops at 2e-4, and the run used to
+        # step on to max_steps (with no cap, forever)
+        params = _params(_spec(n=8), rho=0.1, t_final=0.01,
+                         phi_gradient=(0.0, 1e100), max_steps=2000)
+        with pytest.raises(cf.SolverError, match=r"^stability bound collapsed "
+                           r"to dt=4\.9+5e-98 at t=0\.0002$"):
+            cf.run(params, MODEL, {})
